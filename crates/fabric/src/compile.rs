@@ -33,6 +33,7 @@
 
 use std::collections::HashMap;
 
+use crate::error::check_word_buses;
 use crate::fault::Fault;
 use crate::netlist::{Cell, Driver};
 use crate::{FabricError, NetId, Netlist};
@@ -511,7 +512,8 @@ impl CompiledNetlist {
     /// # Errors
     ///
     /// [`FabricError::InputArity`] unless the netlist has exactly two
-    /// input buses.
+    /// input buses; [`FabricError::BusTooWide`] if an output bus is
+    /// wider than 64 bits.
     ///
     /// # Panics
     ///
@@ -523,6 +525,7 @@ impl CompiledNetlist {
         mut visit: impl FnMut(u64, u64, &[u64]),
     ) -> Result<(), FabricError> {
         let (a_bits, b_bits) = self.operand_widths()?;
+        check_word_buses(self.outputs.iter().map(Vec::len), true)?;
         assert!(
             a_bits + b_bits <= 32,
             "exhaustive sweep over {a_bits}x{b_bits} operands is infeasible"
@@ -633,7 +636,8 @@ impl<'p, const W: usize> CompiledSim<'p, W> {
     /// # Errors
     ///
     /// [`FabricError::InputArity`] if the bus count or lane counts are
-    /// inconsistent with the netlist.
+    /// inconsistent with the netlist; [`FabricError::BusTooWide`] if an
+    /// input bus is wider than the 64-bit lane word.
     pub fn load(&mut self, inputs: &[&[u64]]) -> Result<usize, FabricError> {
         if inputs.len() != self.prog.inputs.len() {
             return Err(FabricError::InputArity {
@@ -641,6 +645,7 @@ impl<'p, const W: usize> CompiledSim<'p, W> {
                 got: inputs.len(),
             });
         }
+        check_word_buses(self.prog.inputs.iter().map(Vec::len), false)?;
         let lanes = inputs.first().map_or(1, |b| b.len());
         if lanes == 0 || lanes > 64 * W || inputs.iter().any(|b| b.len() != lanes) {
             return Err(FabricError::InputArity {
@@ -794,8 +799,10 @@ impl<'p, const W: usize> CompiledSim<'p, W> {
     ///
     /// # Errors
     ///
-    /// Same as [`CompiledSim::load`].
+    /// Same as [`CompiledSim::load`], and [`FabricError::BusTooWide`] if
+    /// an output bus is wider than 64 bits.
     pub fn eval(&mut self, inputs: &[&[u64]]) -> Result<Vec<Vec<u64>>, FabricError> {
+        check_word_buses(self.prog.outputs.iter().map(Vec::len), true)?;
         let lanes = self.load(inputs)?;
         self.run();
         Ok(self

@@ -43,6 +43,17 @@ pub enum FabricError {
         /// The duplicated name.
         name: String,
     },
+    /// A bus is wider than the 64-bit word that carries its value in
+    /// word-per-bus simulation ([`crate::Netlist::eval`], the compiled
+    /// simulator's `load`/`eval` and operand sweeps, and `WideSim`).
+    BusTooWide {
+        /// `true` for an output bus, `false` for an input bus.
+        output: bool,
+        /// Index of the bus among the netlist's input or output buses.
+        bus: usize,
+        /// The bus width in bits.
+        width: usize,
+    },
 }
 
 impl fmt::Display for FabricError {
@@ -66,11 +77,31 @@ impl fmt::Display for FabricError {
             FabricError::DuplicatePort { name } => {
                 write!(f, "duplicate port name `{name}`")
             }
+            FabricError::BusTooWide { output, bus, width } => {
+                let dir = if *output { "output" } else { "input" };
+                write!(
+                    f,
+                    "{dir} bus {bus} is {width} bits wide; word-valued simulation carries at most 64"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for FabricError {}
+
+/// Rejects the first bus whose width (in `widths`, by bus index) does
+/// not fit the one `u64` word per bus that word-valued simulation
+/// loads and returns.
+pub(crate) fn check_word_buses(
+    widths: impl IntoIterator<Item = usize>,
+    output: bool,
+) -> Result<(), FabricError> {
+    match widths.into_iter().enumerate().find(|&(_, w)| w > 64) {
+        Some((bus, width)) => Err(FabricError::BusTooWide { output, bus, width }),
+        None => Ok(()),
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,7 @@
 //!   stuck-at fault and reports which are detected.
 
 use crate::compile::{CompiledNetlist, CompiledSim};
-use crate::netlist::{Cell, Driver};
+use crate::netlist::Driver;
 use crate::{FabricError, NetId, Netlist};
 
 /// A single stuck-at fault: `net` permanently reads `value`.
@@ -51,82 +51,13 @@ impl Fault {
 ///
 /// # Errors
 ///
-/// Returns [`FabricError::InputArity`] on a malformed input vector.
+/// Same as [`Netlist::eval`].
 pub fn eval_with_faults(
     netlist: &Netlist,
     inputs: &[u64],
     faults: &[Fault],
 ) -> Result<Vec<u64>, FabricError> {
-    let buses = netlist.input_buses();
-    if inputs.len() != buses.len() {
-        return Err(FabricError::InputArity {
-            expected: buses.len(),
-            got: inputs.len(),
-        });
-    }
-    let mut values = vec![false; netlist.net_count()];
-    for (bus, (_, bits)) in buses.iter().enumerate() {
-        for (bit, net) in bits.iter().enumerate() {
-            values[net.index()] = inputs[bus] >> bit & 1 == 1;
-        }
-    }
-    for (net, d) in netlist.drivers().iter().enumerate() {
-        if let Driver::Const(c) = d {
-            values[net] = *c;
-        }
-    }
-    let force = |values: &mut [bool]| {
-        for f in faults {
-            values[f.net.index()] = f.stuck_at;
-        }
-    };
-    force(&mut values);
-    for cell in netlist.cells() {
-        match cell {
-            Cell::Lut {
-                init,
-                inputs: pins,
-                o6,
-                o5,
-            } => {
-                let mut idx = 0u8;
-                for (k, n) in pins.iter().enumerate() {
-                    if values[n.index()] {
-                        idx |= 1 << k;
-                    }
-                }
-                values[o6.index()] = init.o6(idx);
-                if let Some(o5) = o5 {
-                    values[o5.index()] = init.o5(idx);
-                }
-            }
-            Cell::Carry4 { cin, s, di, o, co } => {
-                let mut carry = values[cin.index()];
-                for stage in 0..4 {
-                    let sv = values[s[stage].index()];
-                    let dv = values[di[stage].index()];
-                    if let Some(n) = o[stage] {
-                        values[n.index()] = sv ^ carry;
-                    }
-                    carry = if sv { carry } else { dv };
-                    if let Some(n) = co[stage] {
-                        values[n.index()] = carry;
-                    }
-                }
-            }
-        }
-        force(&mut values);
-    }
-    Ok(netlist
-        .output_buses()
-        .iter()
-        .map(|(_, bits)| {
-            bits.iter()
-                .enumerate()
-                .map(|(k, n)| u64::from(values[n.index()]) << k)
-                .sum()
-        })
-        .collect())
+    netlist.eval_forced(inputs, faults)
 }
 
 /// Result of a stuck-at fault campaign.

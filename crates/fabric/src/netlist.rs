@@ -1,5 +1,7 @@
 use std::fmt;
 
+use crate::error::check_word_buses;
+use crate::fault::Fault;
 use crate::{FabricError, Init};
 
 /// Identifier of a single-bit net (wire) inside a [`Netlist`].
@@ -341,20 +343,109 @@ impl Netlist {
         fo
     }
 
-    /// Evaluates the netlist on one input vector.
+    /// Evaluates the netlist on one input vector: the scalar reference
+    /// oracle that the compiled simulator, the SAT replays and the
+    /// tests compare against.
     ///
     /// `inputs` holds one word per input bus, in declaration order, with
-    /// bit `j` of the word driving bit `j` of the bus. Returns one word
-    /// per output bus.
+    /// bit `j` of the word driving bit `j` of the bus; bits above the
+    /// bus width are ignored. Returns one word per output bus.
+    ///
+    /// The evaluation is deliberately naive — one `bool` per net, one
+    /// LUT index and one `CARRY4` stage at a time — so that it shares no
+    /// code with the bit-sliced engines it checks. On a netlist from
+    /// [`Netlist::from_parts`], a constant driver wins over an input-bus
+    /// entry for the same net and undriven nets read 0, as in
+    /// [`crate::compile::CompiledSim`].
     ///
     /// # Errors
     ///
-    /// Returns [`FabricError::InputArity`] if `inputs.len()` differs from
-    /// the number of input buses.
+    /// [`FabricError::InputArity`] if `inputs.len()` differs from the
+    /// number of input buses; [`FabricError::BusTooWide`] if an input
+    /// or output bus is wider than 64 bits.
     pub fn eval(&self, inputs: &[u64]) -> Result<Vec<u64>, FabricError> {
-        let lanes: Vec<&[u64]> = inputs.iter().map(std::slice::from_ref).collect();
-        let out = crate::sim::WideSim::new(self).eval(&lanes)?;
-        Ok(out.into_iter().map(|v| v[0]).collect())
+        self.eval_forced(inputs, &[])
+    }
+
+    /// [`Netlist::eval`] with every net in `faults` pinned to its stuck
+    /// value wherever it is read (the backend of
+    /// [`crate::fault::eval_with_faults`]).
+    pub(crate) fn eval_forced(
+        &self,
+        inputs: &[u64],
+        faults: &[Fault],
+    ) -> Result<Vec<u64>, FabricError> {
+        if inputs.len() != self.inputs.len() {
+            return Err(FabricError::InputArity {
+                expected: self.inputs.len(),
+                got: inputs.len(),
+            });
+        }
+        check_word_buses(self.inputs.iter().map(|(_, bits)| bits.len()), false)?;
+        check_word_buses(self.outputs.iter().map(|(_, bits)| bits.len()), true)?;
+        let mut values = vec![false; self.net_count()];
+        for ((_, bits), &word) in self.inputs.iter().zip(inputs) {
+            for (bit, net) in bits.iter().enumerate() {
+                values[net.index()] = word >> bit & 1 == 1;
+            }
+        }
+        for (net, driver) in self.drivers.iter().enumerate() {
+            if let Driver::Const(c) = driver {
+                values[net] = *c;
+            }
+        }
+        let force = |values: &mut [bool]| {
+            for f in faults {
+                values[f.net.index()] = f.stuck_at;
+            }
+        };
+        force(&mut values);
+        for cell in &self.cells {
+            match cell {
+                Cell::Lut {
+                    init,
+                    inputs: pins,
+                    o6,
+                    o5,
+                } => {
+                    let mut idx = 0u8;
+                    for (k, net) in pins.iter().enumerate() {
+                        if values[net.index()] {
+                            idx |= 1 << k;
+                        }
+                    }
+                    values[o6.index()] = init.o6(idx);
+                    if let Some(o5) = o5 {
+                        values[o5.index()] = init.o5(idx);
+                    }
+                }
+                Cell::Carry4 { cin, s, di, o, co } => {
+                    let mut carry = values[cin.index()];
+                    for stage in 0..4 {
+                        let sv = values[s[stage].index()];
+                        let dv = values[di[stage].index()];
+                        if let Some(n) = o[stage] {
+                            values[n.index()] = sv ^ carry;
+                        }
+                        carry = if sv { carry } else { dv };
+                        if let Some(n) = co[stage] {
+                            values[n.index()] = carry;
+                        }
+                    }
+                }
+            }
+            force(&mut values);
+        }
+        Ok(self
+            .outputs
+            .iter()
+            .map(|(_, bits)| {
+                bits.iter()
+                    .enumerate()
+                    .map(|(bit, net)| u64::from(values[net.index()]) << bit)
+                    .sum()
+            })
+            .collect())
     }
 }
 

@@ -5,6 +5,7 @@
 //! This is what makes exhaustive 8×8 characterization (65 536 vectors)
 //! essentially free: 1 024 passes over the cell list.
 
+use crate::error::check_word_buses;
 use crate::netlist::{Cell, Driver};
 use crate::{FabricError, Netlist};
 
@@ -59,8 +60,11 @@ impl<'a> WideSim<'a> {
     /// # Errors
     ///
     /// [`FabricError::InputArity`] if the bus count or lane counts are
-    /// inconsistent with the netlist.
+    /// inconsistent with the netlist; [`FabricError::BusTooWide`] if an
+    /// input or output bus is wider than 64 bits.
     pub fn eval(&mut self, inputs: &[&[u64]]) -> Result<Vec<Vec<u64>>, FabricError> {
+        let outputs = self.netlist.output_buses().iter().map(|(_, b)| b.len());
+        check_word_buses(outputs, true)?;
         let lanes = self.load(inputs)?;
         self.propagate();
         Ok(self.read_outputs(lanes))
@@ -89,6 +93,7 @@ impl<'a> WideSim<'a> {
                 got: inputs.len(),
             });
         }
+        check_word_buses(buses.iter().map(|(_, b)| b.len()), false)?;
         let lanes = inputs.first().map_or(1, |b| b.len());
         if lanes == 0 || lanes > 64 || inputs.iter().any(|b| b.len() != lanes) {
             return Err(FabricError::InputArity {

@@ -136,11 +136,19 @@ struct Watch {
     blocker: Lit,
 }
 
-#[derive(Debug)]
+/// A clause's header: its literals are `arena[start..start + len]`.
+#[derive(Debug, Clone, Copy)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
     learned: bool,
     activity: f64,
+}
+
+impl Clause {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 const NO_REASON: u32 = u32::MAX;
@@ -150,6 +158,8 @@ const VALUE_UNDEF: i8 = 0;
 #[derive(Debug)]
 pub struct Solver {
     clauses: Vec<Clause>,
+    /// Every clause's literals, back to back in clause order.
+    arena: Vec<Lit>,
     watches: Vec<Vec<Watch>>,
     assigns: Vec<i8>,
     level: Vec<u32>,
@@ -181,6 +191,7 @@ impl Solver {
     pub fn new() -> Self {
         let mut s = Solver {
             clauses: Vec::new(),
+            arena: Vec::new(),
             watches: Vec::new(),
             assigns: Vec::new(),
             level: Vec::new(),
@@ -255,12 +266,29 @@ impl Solver {
     }
 
     fn value_lit(&self, l: Lit) -> i8 {
-        let v = self.assigns[l.var() as usize];
-        if l.is_neg() {
-            -v
-        } else {
-            v
-        }
+        lit_value(&self.assigns, l)
+    }
+
+    /// Stores a clause of two or more literals and watches its first
+    /// two; returns its index.
+    fn attach(&mut self, lits: &[Lit], learned: bool, activity: f64) -> u32 {
+        let idx = self.clauses.len() as u32;
+        self.watches[lits[0].code()].push(Watch {
+            clause: idx,
+            blocker: lits[1],
+        });
+        self.watches[lits[1].code()].push(Watch {
+            clause: idx,
+            blocker: lits[0],
+        });
+        self.clauses.push(Clause {
+            start: self.arena.len() as u32,
+            len: lits.len() as u32,
+            learned,
+            activity,
+        });
+        self.arena.extend_from_slice(lits);
+        idx
     }
 
     fn decision_level(&self) -> u32 {
@@ -307,20 +335,7 @@ impl Solver {
                 }
             }
             _ => {
-                let idx = self.clauses.len() as u32;
-                self.watches[c[0].code()].push(Watch {
-                    clause: idx,
-                    blocker: c[1],
-                });
-                self.watches[c[1].code()].push(Watch {
-                    clause: idx,
-                    blocker: c[0],
-                });
-                self.clauses.push(Clause {
-                    lits: c,
-                    learned: false,
-                    activity: 0.0,
-                });
+                self.attach(&c, false, 0.0);
             }
         }
     }
@@ -350,13 +365,13 @@ impl Solver {
                     i += 1;
                     continue;
                 }
-                let ci = w.clause as usize;
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                let lits = &mut self.arena[self.clauses[w.clause as usize].range()];
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
-                if first != w.blocker && self.value_lit(first) == 1 {
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                if first != w.blocker && lit_value(&self.assigns, first) == 1 {
                     ws[i] = Watch {
                         clause: w.clause,
                         blocker: first,
@@ -364,11 +379,10 @@ impl Solver {
                     i += 1;
                     continue;
                 }
-                let len = self.clauses[ci].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[ci].lits[k];
-                    if self.value_lit(lk) != -1 {
-                        self.clauses[ci].lits.swap(1, k);
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if lit_value(&self.assigns, lk) != -1 {
+                        lits.swap(1, k);
                         self.watches[lk.code()].push(Watch {
                             clause: w.clause,
                             blocker: first,
@@ -441,10 +455,9 @@ impl Solver {
             if self.clauses[confl as usize].learned {
                 self.clause_bump(confl as usize);
             }
-            let start = usize::from(p.is_some());
-            let clen = self.clauses[confl as usize].lits.len();
-            for j in start..clen {
-                let q = self.clauses[confl as usize].lits[j];
+            let range = self.clauses[confl as usize].range();
+            for j in range.start + usize::from(p.is_some())..range.end {
+                let q = self.arena[j];
                 let v = q.var();
                 if !self.seen[v as usize] && self.level[v as usize] > 0 {
                     self.var_bump(v);
@@ -509,8 +522,7 @@ impl Solver {
         if r == NO_REASON {
             return false;
         }
-        self.clauses[r as usize]
-            .lits
+        self.arena[self.clauses[r as usize].range()]
             .iter()
             .skip(1)
             .all(|&l| self.seen[l.var() as usize] || self.level[l.var() as usize] == 0)
@@ -524,20 +536,7 @@ impl Solver {
                 self.enqueue(assert_lit, NO_REASON);
             }
             _ => {
-                let idx = self.clauses.len() as u32;
-                self.watches[learnt[0].code()].push(Watch {
-                    clause: idx,
-                    blocker: learnt[1],
-                });
-                self.watches[learnt[1].code()].push(Watch {
-                    clause: idx,
-                    blocker: learnt[0],
-                });
-                self.clauses.push(Clause {
-                    lits: learnt,
-                    learned: true,
-                    activity: self.cla_inc,
-                });
+                let idx = self.attach(&learnt, true, self.cla_inc);
                 self.stats.learned += 1;
                 self.enqueue(assert_lit, idx);
             }
@@ -556,7 +555,7 @@ impl Solver {
         let mut acts: Vec<f64> = self
             .clauses
             .iter()
-            .filter(|c| c.learned && c.lits.len() > 2)
+            .filter(|c| c.learned && c.len > 2)
             .map(|c| c.activity)
             .collect();
         if acts.is_empty() {
@@ -564,14 +563,25 @@ impl Solver {
         }
         acts.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let median = acts[acts.len() / 2];
-        let mut kept: Vec<Clause> = Vec::with_capacity(self.clauses.len());
-        for c in self.clauses.drain(..) {
-            if c.learned && c.lits.len() > 2 && c.activity < median {
+        // Compact in place: kept clauses keep their order, and their
+        // literals only ever move towards the front of the arena.
+        let mut kept = 0;
+        let mut end = 0;
+        for ci in 0..self.clauses.len() {
+            let c = self.clauses[ci];
+            if c.learned && c.len > 2 && c.activity < median {
                 continue;
             }
-            kept.push(c);
+            self.arena.copy_within(c.range(), end);
+            self.clauses[kept] = Clause {
+                start: end as u32,
+                ..c
+            };
+            kept += 1;
+            end += c.len as usize;
         }
-        self.clauses = kept;
+        self.clauses.truncate(kept);
+        self.arena.truncate(end);
         self.stats.learned = self.clauses.iter().filter(|c| c.learned).count() as u64;
         self.rebuild_watches();
     }
@@ -582,21 +592,13 @@ impl Solver {
             w.clear();
         }
         let mut units: Vec<Lit> = Vec::new();
-        for (idx, c) in self.clauses.iter_mut().enumerate() {
+        for (idx, c) in self.clauses.iter().enumerate() {
+            let lits = &mut self.arena[c.range()];
             // Prefer watching non-false literals.
             let mut front = 0;
-            for k in 0..c.lits.len() {
-                let v = {
-                    let l = c.lits[k];
-                    let a = self.assigns[l.var() as usize];
-                    if l.is_neg() {
-                        -a
-                    } else {
-                        a
-                    }
-                };
-                if v != -1 {
-                    c.lits.swap(front, k);
+            for k in 0..lits.len() {
+                if lit_value(&self.assigns, lits[k]) != -1 {
+                    lits.swap(front, k);
                     front += 1;
                     if front == 2 {
                         break;
@@ -604,29 +606,20 @@ impl Solver {
                 }
             }
             if front == 1 {
-                let v0 = {
-                    let l = c.lits[0];
-                    let a = self.assigns[l.var() as usize];
-                    if l.is_neg() {
-                        -a
-                    } else {
-                        a
-                    }
-                };
-                if v0 == 0 {
-                    units.push(c.lits[0]);
+                if lit_value(&self.assigns, lits[0]) == 0 {
+                    units.push(lits[0]);
                 }
             } else if front == 0 {
                 self.ok = false;
             }
-            self.watches[c.lits[0].code()].push(Watch {
+            self.watches[lits[0].code()].push(Watch {
                 clause: idx as u32,
-                blocker: c.lits[1 % c.lits.len().max(1)],
+                blocker: lits[1 % lits.len().max(1)],
             });
-            if c.lits.len() > 1 {
-                self.watches[c.lits[1].code()].push(Watch {
+            if lits.len() > 1 {
+                self.watches[lits[1].code()].push(Watch {
                     clause: idx as u32,
-                    blocker: c.lits[0],
+                    blocker: lits[0],
                 });
             }
         }
@@ -756,6 +749,18 @@ impl Solver {
                 }
             }
         }
+    }
+}
+
+/// Value of `l` under `assigns`: 1 true, -1 false, 0 unassigned. A free
+/// function so loops can hold a clause's arena slice mutably while
+/// reading assignments.
+fn lit_value(assigns: &[i8], l: Lit) -> i8 {
+    let v = assigns[l.var() as usize];
+    if l.is_neg() {
+        -v
+    } else {
+        v
     }
 }
 

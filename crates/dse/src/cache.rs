@@ -15,16 +15,23 @@
 //! halves (`AL·BL` and `AL·BH` both read `AL`), so their errors are
 //! *dependent* random variables: convolving per-quadrant error PMFs
 //! would be wrong (and under carry-free summation the quadrant errors
-//! do not even compose additively). The cache instead stores each
-//! sub-block's exhaustive **value table** (256 entries for a 4-bit
-//! block, 65 536 for 8-bit) and composes parent values exactly with
-//! [`axmul_core::behavioral::combine_products`]. Composed statistics
-//! are therefore *exact* — bit-identical to sweeping the assembled
-//! netlist — which the crate's property tests assert.
+//! do not even compose additively). The cache instead keeps each 4×4
+//! leaf's exhaustive **value table** (256 entries) and composes parent
+//! values exactly with [`axmul_core::behavioral::combine_products`].
+//! Composed statistics are therefore *exact* — bit-identical to
+//! sweeping the assembled netlist — which the crate's property tests
+//! assert.
+//!
+//! An 8×8 quad's statistics are folded straight from its four leaf
+//! tables; its own 65 536-entry table is built only when something asks
+//! for the block's evaluator ([`BlockChar::multiplier`]) and then kept.
+//! An exhaustive 8×8 sweep therefore holds 1 KiB per leaf instead of
+//! 256 KiB per candidate, while a 16×16 parent still evaluates its
+//! 8×8 children by table lookup.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use axmul_core::behavioral::{combine_products, Summation};
@@ -60,18 +67,30 @@ pub struct BlockChar {
     pub cost: NetlistCost,
     /// Error statistics: exhaustive for widths ≤ 8 bits, sampled above.
     pub stats: ErrorStats,
-    /// Exhaustive value table (`table[(b << bits) | a]`) for widths
-    /// ≤ 8 bits; `None` above.
-    pub table: Option<Arc<Vec<u32>>>,
-    evaluator: ComposedMultiplier,
+    node: EvalNode,
+    /// Value table of an ≤ 8-bit quad, flattened from its leaf tables
+    /// on the first [`BlockChar::multiplier`] call.
+    table: OnceLock<Arc<Vec<u32>>>,
 }
 
 impl BlockChar {
-    /// A cheap, exact behavioral evaluator of this block (value-table
-    /// lookups at ≤ 8 bits, recursive table composition above).
+    /// A cheap, exact behavioral evaluator of this block: value-table
+    /// lookups at ≤ 8 bits, recursive table composition above. An
+    /// ≤ 8-bit quad's table is built on the first call and kept.
     #[must_use]
     pub fn multiplier(&self) -> ComposedMultiplier {
-        self.evaluator.clone()
+        let node = match self.node.leaf_quad() {
+            Some(quad) => EvalNode::Table {
+                bits: self.bits,
+                table: Arc::clone(self.table.get_or_init(|| Arc::new(quad.table()))),
+            },
+            None => self.node.clone(),
+        };
+        ComposedMultiplier {
+            bits: self.bits,
+            name: self.key.clone(),
+            node,
+        }
     }
 }
 
@@ -116,71 +135,98 @@ impl EvalNode {
             }
         }
     }
-}
 
-/// Exhaustive value table of a quad evaluator (`table[(b << bits) | a]`),
-/// shared by the build and restore paths so both produce bit-identical
-/// tables.
-fn flatten_quad(quad: &EvalNode, bits: u32) -> Vec<u32> {
-    let mut table = vec![0u32; 1usize << (2 * bits)];
-    for b in 0..=mask_for(bits) {
-        for a in 0..=mask_for(bits) {
-            table[((b as usize) << bits) | a as usize] = quad.eval(a, b) as u32;
+    /// The node as an ≤ 8-bit quad over four value tables, if it is one.
+    fn leaf_quad(&self) -> Option<LeafQuad<'_>> {
+        match self {
+            EvalNode::Quad { summation, m, sub } if 2 * m <= 8 => match &**sub {
+                [EvalNode::Table { table: ll, .. }, EvalNode::Table { table: hl, .. }, EvalNode::Table { table: lh, .. }, EvalNode::Table { table: hh, .. }] => {
+                    Some(LeafQuad {
+                        m: *m,
+                        summation: *summation,
+                        tables: [ll, hl, lh, hh],
+                    })
+                }
+                _ => None,
+            },
+            _ => None,
         }
     }
-    table
 }
 
-/// The DSE hot loop: flattens a quad whose four children are value
-/// tables AND accumulates its exhaustive error statistics in one pass,
-/// composing products directly from hoisted child-table rows instead of
-/// walking the evaluator tree per pair. Sweep order is the canonical
-/// `b` outer / `a` fast axis and the accumulator is
-/// [`StatsBuilder`], so both outputs are bit-identical to
-/// [`flatten_quad`] + [`ErrorStats::exhaustive`].
-#[allow(clippy::too_many_arguments)]
-fn fused_quad_table_stats(
-    name: &str,
-    bits: u32,
+/// An ≤ 8-bit quad whose four children are value tables: the DSE hot
+/// loop folds its statistics from the leaf tables, and its own table
+/// is flattened from them on demand.
+struct LeafQuad<'a> {
     m: u32,
     summation: Summation,
-    ll: &[u32],
-    hl: &[u32],
-    lh: &[u32],
-    hh: &[u32],
-) -> (Vec<u32>, ErrorStats) {
-    let half = 1usize << m;
-    let mut table = vec![0u32; 1usize << (2 * bits)];
-    let mut sb = StatsBuilder::new();
-    let mut out = table.iter_mut();
-    for b in 0..1u64 << bits {
-        let bl = (b as usize) & (half - 1);
-        let bh = (b as usize) >> m;
-        let r_ll = &ll[bl << m..(bl << m) + half];
-        let r_hl = &hl[bl << m..(bl << m) + half];
-        let r_lh = &lh[bh << m..(bh << m) + half];
-        let r_hh = &hh[bh << m..(bh << m) + half];
-        for ah in 0..half {
-            let p_hl = u64::from(r_hl[ah]);
-            let p_hh = u64::from(r_hh[ah]);
-            let a_hi = (ah as u64) << m;
-            for al in 0..half {
-                let a = a_hi | al as u64;
-                let p = combine_products(
-                    u64::from(r_ll[al]),
-                    p_hl,
-                    u64::from(r_lh[al]),
-                    p_hh,
-                    m,
-                    summation,
-                );
-                // Index (b << bits) | a is exactly the write cursor.
-                *out.next().expect("table sized to the operand space") = p as u32;
-                sb.push(a, b, a * b, p);
+    /// Child tables in `LL`, `HL`, `LH`, `HH` order.
+    tables: [&'a [u32]; 4],
+}
+
+impl LeafQuad<'_> {
+    /// Calls `f(a, b, product)` for every operand pair in the canonical
+    /// sweep order (`b` outer, `a` the fast axis), composing products
+    /// from hoisted child-table rows instead of walking the evaluator
+    /// tree per pair.
+    #[inline]
+    fn for_each_product(&self, mut f: impl FnMut(u64, u64, u64)) {
+        let m = self.m;
+        let half = 1usize << m;
+        let [ll, hl, lh, hh] = self.tables;
+        for b in 0..1u64 << (2 * m) {
+            let bl = (b as usize) & (half - 1);
+            let bh = (b as usize) >> m;
+            let r_ll = &ll[bl << m..(bl << m) + half];
+            let r_hl = &hl[bl << m..(bl << m) + half];
+            let r_lh = &lh[bh << m..(bh << m) + half];
+            let r_hh = &hh[bh << m..(bh << m) + half];
+            for ah in 0..half {
+                let p_hl = u64::from(r_hl[ah]);
+                let p_hh = u64::from(r_hh[ah]);
+                let a_hi = (ah as u64) << m;
+                for al in 0..half {
+                    let p = combine_products(
+                        u64::from(r_ll[al]),
+                        p_hl,
+                        u64::from(r_lh[al]),
+                        p_hh,
+                        m,
+                        self.summation,
+                    );
+                    f(a_hi | al as u64, b, p);
+                }
             }
         }
     }
-    (table, sb.finish(name.to_string(), bits, bits))
+
+    /// Exhaustive error statistics, accumulated by [`StatsBuilder`] in
+    /// the same order as [`ErrorStats::exhaustive`], so bit-identical
+    /// to it.
+    fn stats(&self, name: &str) -> ErrorStats {
+        let mut sb = StatsBuilder::new();
+        self.for_each_product(|a, b, p| sb.push(a, b, a * b, p));
+        let bits = 2 * self.m;
+        sb.finish(name.to_string(), bits, bits)
+    }
+
+    /// Exhaustive value table, indexed `(b << bits) | a` — exactly the
+    /// sweep order.
+    fn table(&self) -> Vec<u32> {
+        let mut table = Vec::with_capacity(1usize << (4 * self.m));
+        self.for_each_product(|_, _, p| table.push(p as u32));
+        table
+    }
+}
+
+/// A quad's evaluator over its children's; an ≤ 8-bit child's table is
+/// built here if no one has asked for it yet.
+fn quad_node(summation: Summation, bits: u32, children: &[Arc<BlockChar>; 4]) -> EvalNode {
+    EvalNode::Quad {
+        summation,
+        m: bits / 2,
+        sub: Box::new(children.each_ref().map(|c| c.multiplier().node)),
+    }
 }
 
 impl Multiplier for ComposedMultiplier {
@@ -227,7 +273,8 @@ pub struct CharCache {
 /// has built, by phase (see [`CharCache::time_breakdown`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CharTimeBreakdown {
-    /// Error-statistics sweeps (exhaustive value tables / sampling).
+    /// Error-statistics sweeps (exhaustive or sampled), plus the 8×8
+    /// tables that wider parents build on demand.
     pub error: Duration,
     /// Packed-stimulus energy measurements.
     pub energy: Duration,
@@ -325,18 +372,34 @@ impl CharCache {
                 Arc::new(self.build_and_persist(cfg, &key)?)
             }
         };
-        self.map
-            .lock()
-            .expect("cache lock")
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&record));
-        Ok(record)
+        // A racing duplicate build yields to the first insert, so every
+        // caller shares one record (and one lazily built table).
+        Ok(Arc::clone(
+            self.map
+                .lock()
+                .expect("cache lock")
+                .entry(key)
+                .or_insert(record),
+        ))
+    }
+
+    /// Characterizes a quad's four sub-configurations.
+    fn characterize_quadrants(
+        &self,
+        sub: &[Config; 4],
+    ) -> Result<[Arc<BlockChar>; 4], FabricError> {
+        Ok([
+            self.characterize(&sub[0])?,
+            self.characterize(&sub[1])?,
+            self.characterize(&sub[2])?,
+            self.characterize(&sub[3])?,
+        ])
     }
 
     /// Attempts to rebuild a [`BlockChar`] from the persistent store:
     /// netlist reassembled from the key, leaf tables read back, quad
-    /// tables recomposed exactly from (recursively restored) children,
-    /// cost and stats taken from the record. `Ok(None)` = not stored.
+    /// evaluators composed from (recursively restored) children, cost
+    /// and stats taken from the record. `Ok(None)` = not stored.
     fn restore(&self, cfg: &Config, key: &str) -> Result<Option<BlockChar>, RestoreError> {
         let Some(store) = &self.store else {
             return Ok(None);
@@ -380,30 +443,10 @@ impl CharCache {
                 }
             }
             Config::Quad { summation, sub } => {
-                let children = [
-                    self.characterize(&sub[0]).map_err(RestoreError::Fabric)?,
-                    self.characterize(&sub[1]).map_err(RestoreError::Fabric)?,
-                    self.characterize(&sub[2]).map_err(RestoreError::Fabric)?,
-                    self.characterize(&sub[3]).map_err(RestoreError::Fabric)?,
-                ];
-                let quad = EvalNode::Quad {
-                    summation: *summation,
-                    m: bits / 2,
-                    sub: Box::new([
-                        children[0].evaluator.node.clone(),
-                        children[1].evaluator.node.clone(),
-                        children[2].evaluator.node.clone(),
-                        children[3].evaluator.node.clone(),
-                    ]),
-                };
-                if bits <= 8 {
-                    EvalNode::Table {
-                        bits,
-                        table: Arc::new(flatten_quad(&quad, bits)),
-                    }
-                } else {
-                    quad
-                }
+                let children = self
+                    .characterize_quadrants(sub)
+                    .map_err(RestoreError::Fabric)?;
+                quad_node(*summation, bits, &children)
             }
         };
         let cost = NetlistCost {
@@ -418,22 +461,14 @@ impl CharCache {
             energy_per_op: rec.energy_per_op,
             edp: rec.edp,
         };
-        let evaluator = ComposedMultiplier {
-            bits,
-            name: key.to_string(),
-            node,
-        };
         Ok(Some(BlockChar {
             key: key.to_string(),
             bits,
             netlist: Arc::new(netlist),
             cost,
             stats: rec.stats.clone(),
-            table: match &evaluator.node {
-                EvalNode::Table { table, .. } => Some(Arc::clone(table)),
-                EvalNode::Quad { .. } => None,
-            },
-            evaluator,
+            node,
+            table: OnceLock::new(),
         }))
     }
 
@@ -460,11 +495,11 @@ impl CharCache {
         self.builds.fetch_add(1, Ordering::Relaxed);
         let block = self.build(cfg, key)?;
         if let Some(store) = &self.store {
-            // Leaf value tables are persisted; quad tables are cheap to
-            // recompose from children, so only stats/cost are stored.
-            let table = match cfg {
-                Config::Leaf(_) => block.table.as_deref().cloned(),
-                Config::Quad { .. } => None,
+            // Leaf value tables are persisted; a quad's evaluator is
+            // composed from its children, so only stats/cost are stored.
+            let table = match (cfg, &block.node) {
+                (Config::Leaf(_), EvalNode::Table { table, .. }) => Some(table.to_vec()),
+                _ => None,
             };
             let rec = StoredChar {
                 key: key.to_string(),
@@ -508,12 +543,7 @@ impl CharCache {
                 (nl, node, prog)
             }
             Config::Quad { summation, sub } => {
-                let subs = [
-                    self.characterize(&sub[0])?,
-                    self.characterize(&sub[1])?,
-                    self.characterize(&sub[2])?,
-                    self.characterize(&sub[3])?,
-                ];
+                let subs = self.characterize_quadrants(sub)?;
                 let nl = axmul_core::structural::compose_quad_netlist(
                     key.to_string(),
                     &subs[0].netlist,
@@ -522,20 +552,13 @@ impl CharCache {
                     &subs[3].netlist,
                     *summation,
                 );
-                let m = bits / 2;
-                let sub_nodes = Box::new([
-                    subs[0].evaluator.node.clone(),
-                    subs[1].evaluator.node.clone(),
-                    subs[2].evaluator.node.clone(),
-                    subs[3].evaluator.node.clone(),
-                ]);
-                let quad = EvalNode::Quad {
-                    summation: *summation,
-                    m,
-                    sub: sub_nodes,
-                };
+                // Building a child's lazy table is error-sweep work.
+                let t_err = Instant::now();
+                let node = quad_node(*summation, bits, &subs);
+                self.time_error_ns
+                    .fetch_add(t_err.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 let prog = CompiledNetlist::compile(&nl);
-                (nl, quad, prog)
+                (nl, node, prog)
             }
         };
         let (cost, char_times) = self.characterizer.characterize_timed(&netlist, &prog)?;
@@ -544,75 +567,26 @@ impl CharCache {
         self.time_energy_ns
             .fetch_add(char_times.energy.as_nanos() as u64, Ordering::Relaxed);
         let t_err = Instant::now();
-        // For quads at ≤ 8 bits the flattening sweep and the exhaustive
-        // statistics visit the same pairs in the same order, so one pass
-        // ([`ErrorStats::exhaustive_tap`]) produces both; the table is
-        // bit-identical to [`flatten_quad`] and the restore path.
-        let (node, stats) = match node {
-            EvalNode::Quad {
-                summation,
-                m,
-                ref sub,
-            } if bits <= 8 => {
-                if let [EvalNode::Table { table: ll, .. }, EvalNode::Table { table: hl, .. }, EvalNode::Table { table: lh, .. }, EvalNode::Table { table: hh, .. }] =
-                    &**sub
-                {
-                    let (table, stats) =
-                        fused_quad_table_stats(key, bits, m, summation, ll, hl, lh, hh);
-                    let node = EvalNode::Table {
-                        bits,
-                        table: Arc::new(table),
-                    };
-                    (node, stats)
-                } else {
-                    let walker = ComposedMultiplier {
-                        bits,
-                        name: key.to_string(),
-                        node,
-                    };
-                    let mut table = vec![0u32; 1usize << (2 * bits)];
-                    let stats = ErrorStats::exhaustive_tap(&walker, |a, b, p| {
-                        table[((b as usize) << bits) | a as usize] = p as u32;
-                    });
-                    let node = EvalNode::Table {
-                        bits,
-                        table: Arc::new(table),
-                    };
-                    (node, stats)
-                }
-            }
-            node => {
-                let evaluator = ComposedMultiplier {
-                    bits,
-                    name: key.to_string(),
-                    node,
-                };
-                let stats = if 2 * bits <= 16 {
-                    ErrorStats::exhaustive(&evaluator)
-                } else {
-                    ErrorStats::sampled(&evaluator, self.samples, self.sample_seed)
-                };
-                (evaluator.node, stats)
-            }
-        };
-        self.time_error_ns
-            .fetch_add(t_err.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let evaluator = ComposedMultiplier {
             bits,
             name: key.to_string(),
             node,
         };
+        let stats = match evaluator.node.leaf_quad() {
+            Some(quad) => quad.stats(key),
+            None if 2 * bits <= 16 => ErrorStats::exhaustive(&evaluator),
+            None => ErrorStats::sampled(&evaluator, self.samples, self.sample_seed),
+        };
+        self.time_error_ns
+            .fetch_add(t_err.elapsed().as_nanos() as u64, Ordering::Relaxed);
         Ok(BlockChar {
             key: key.to_string(),
             bits,
             netlist: Arc::new(netlist),
             cost,
             stats,
-            table: match &evaluator.node {
-                EvalNode::Table { table, .. } => Some(Arc::clone(table)),
-                EvalNode::Quad { .. } => None,
-            },
-            evaluator,
+            node: evaluator.node,
+            table: OnceLock::new(),
         })
     }
 
@@ -686,5 +660,70 @@ impl CharCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::search::evaluate_on;
+
+    fn cache() -> CharCache {
+        CharCache::new(Characterizer::virtex7())
+    }
+
+    /// Keys of the 8-bit blocks in `cache` that hold a built table.
+    fn tabled_8x8(cache: &CharCache) -> Vec<String> {
+        let map = cache.map.lock().unwrap();
+        let mut keys: Vec<String> = map
+            .values()
+            .filter(|c| c.bits == 8 && c.table.get().is_some())
+            .map(|c| c.key.clone())
+            .collect();
+        keys.sort();
+        keys
+    }
+
+    #[test]
+    fn exhaustive_8x8_sweep_builds_no_8x8_table() {
+        let cache = cache();
+        let result = evaluate_on(&cache, &Config::enumerate(8), 2).unwrap();
+        assert_eq!(result.reports.len(), 1250);
+        assert_eq!(cache.len(), 1255);
+        assert_eq!(tabled_8x8(&cache), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_16x16_parent_builds_exactly_its_distinct_children_tables() {
+        let cache = cache();
+        // A spectator 8×8 block the parent does not use.
+        cache.characterize(&"(c X X X X)".parse().unwrap()).unwrap();
+        let parent: Config = "(a (a A A A A) (c T3 A X X) (a A A A A) (a X X X X))"
+            .parse()
+            .unwrap();
+        cache.characterize(&parent).unwrap();
+        assert_eq!(
+            tabled_8x8(&cache),
+            ["(a A A A A)", "(a X X X X)", "(c T3 A X X)"]
+        );
+    }
+
+    #[test]
+    fn lazy_table_matches_composition_on_every_pair() {
+        let cache = cache();
+        for key in ["(a T3 A X X)", "(c X T1 T2 A)"] {
+            let block = cache.characterize(&key.parse().unwrap()).unwrap();
+            assert!(block.table.get().is_none());
+            let lazy = block.multiplier();
+            assert!(matches!(lazy.node, EvalNode::Table { .. }), "{key}");
+            // The block's own node is still the composition of its
+            // four leaf tables via `combine_products`.
+            assert!(matches!(block.node, EvalNode::Quad { .. }), "{key}");
+            for b in 0..256 {
+                for a in 0..256 {
+                    assert_eq!(lazy.multiply(a, b), block.node.eval(a, b), "{key} {a}x{b}");
+                }
+            }
+        }
     }
 }

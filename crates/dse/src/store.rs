@@ -6,7 +6,7 @@
 //! expensive quantities — energy/EDP from the 1024-vector toggle sweep,
 //! exhaustive error statistics, leaf value tables — are read back
 //! instead of recomputed. The [`crate::CharCache`] composes everything
-//! else (parent value tables, evaluators) from the records, so restored
+//! else (quad evaluators) from the records, so restored
 //! characterizations are bit-identical to freshly computed ones.
 //!
 //! # Layout and format
@@ -144,8 +144,8 @@ impl From<std::io::Error> for StoreError {
 }
 
 /// The persisted subset of a characterization: everything expensive to
-/// recompute, nothing derivable cheaply from the key (the netlist and
-/// quad value tables are reassembled/recomposed on load).
+/// recompute, nothing derivable cheaply from the key (the netlist is
+/// reassembled and quad evaluators are composed from children on load).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredChar {
     /// Canonical configuration key.
@@ -173,8 +173,8 @@ pub struct StoredChar {
     pub edp: f64,
     /// Error statistics (exhaustive ≤ 8 bits, sampled above).
     pub stats: ErrorStats,
-    /// Exhaustive leaf value table; `None` for quads, whose tables are
-    /// recomposed exactly from their children on load.
+    /// Exhaustive leaf value table; `None` for quads, whose evaluators
+    /// are composed exactly from their children on load.
     pub table: Option<Vec<u32>>,
 }
 

@@ -78,38 +78,6 @@ impl ErrorStats {
         Self::over_pairs(m, pairs)
     }
 
-    /// [`ErrorStats::exhaustive`] that additionally invokes
-    /// `tap(a, b, approx)` for every operand pair, in the same sweep
-    /// order (`b` outer, `a` inner). Callers that need both the
-    /// statistics and an exhaustive value table (e.g. the DSE
-    /// characterization cache) build both in one pass instead of
-    /// enumerating the operand space twice; the statistics are
-    /// bit-identical to [`ErrorStats::exhaustive`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`ErrorStats::exhaustive`].
-    #[must_use]
-    pub fn exhaustive_tap(
-        m: &(impl Multiplier + ?Sized),
-        mut tap: impl FnMut(u64, u64, u64),
-    ) -> Self {
-        let (wa, wb) = (m.a_bits(), m.b_bits());
-        assert!(
-            wa + wb <= 32,
-            "exhaustive sweep over {wa}x{wb} is infeasible; use sampled()"
-        );
-        let mut sb = StatsBuilder::new();
-        for b in 0..=mask_for(wb) {
-            for a in 0..=mask_for(wa) {
-                let approx = m.multiply(a, b);
-                tap(a, b, approx);
-                sb.push(a, b, m.exact(a, b), approx);
-            }
-        }
-        sb.finish(m.name().to_string(), wa, wb)
-    }
-
     /// Characterizes `m` over `n` uniform-random operand pairs drawn
     /// from a deterministic RNG seeded with `seed`.
     #[must_use]
@@ -263,9 +231,9 @@ struct Accumulator {
 }
 
 /// Streaming builder for [`ErrorStats`] over an explicit operand
-/// stream, for callers that fuse the sweep with other per-pair work —
-/// e.g. the DSE characterization cache builds a quad's value table and
-/// its statistics in one tight loop. Pushing pairs in the canonical
+/// stream, for callers that drive the sweep themselves — e.g. the DSE
+/// characterization cache composes a quad's products from its leaf
+/// tables in one tight loop. Pushing pairs in the canonical
 /// sweep order (`b` outer, `a` the fast axis) produces statistics
 /// bit-identical to [`ErrorStats::exhaustive`]: it is the same
 /// accumulator underneath.
@@ -415,20 +383,6 @@ mod tests {
     use super::*;
     use axmul_baselines::Truncated;
     use axmul_core::Exact;
-
-    #[test]
-    fn exhaustive_tap_matches_exhaustive_and_fills_table() {
-        let m = Truncated::new(6, 3);
-        let mut table = vec![u64::MAX; 1 << 12];
-        let tapped =
-            ErrorStats::exhaustive_tap(&m, |a, b, p| table[((b as usize) << 6) | a as usize] = p);
-        assert_eq!(tapped, ErrorStats::exhaustive(&m));
-        for b in 0..64u64 {
-            for a in 0..64u64 {
-                assert_eq!(table[((b as usize) << 6) | a as usize], m.multiply(a, b));
-            }
-        }
-    }
 
     #[test]
     fn exact_multiplier_has_zero_errors() {

@@ -38,7 +38,7 @@ use axmul_dse::{static_bounds, Config};
 use axmul_fabric::export::to_verilog;
 use axmul_fabric::Netlist;
 use axmul_metrics::ErrorStats;
-use axmul_sat::{check_equiv, prove_wce, EquivOutcome, ProofOptions, WceOptions};
+use axmul_sat::{check_equiv, prove_wce, EquivOutcome, ProofOptions, WceEngine, WceOptions};
 
 use crate::report::Table;
 
@@ -115,6 +115,8 @@ struct WceRow {
     ascent_steps: u32,
     conflicts: u64,
     elapsed_ms: f64,
+    /// Which CNF the proof searched.
+    engine: WceEngine,
 }
 
 /// A structural roster design with its bracket from the generic
@@ -216,6 +218,7 @@ fn prove_case(case: WceCase) -> WceRow {
         ascent_steps: proof.ascent_steps,
         conflicts: proof.stats.conflicts,
         elapsed_ms: proof.stats.elapsed_ms,
+        engine: proof.engine,
     }
 }
 
@@ -356,6 +359,7 @@ fn render(m: &Measurements) -> String {
             "proven wce",
             "absint [lb, ub]",
             "witness",
+            "engine",
             "conflicts",
             "time ms",
             "verdict",
@@ -373,6 +377,7 @@ fn render(m: &Measurements) -> String {
             r.wce.to_string(),
             format!("[{}, {}]", r.lb, r.ub),
             format!("({:#x}, {:#x})", r.witness.0, r.witness.1),
+            r.engine.to_string(),
             r.conflicts.to_string(),
             format!("{:.1}", r.elapsed_ms),
             verdict,
@@ -436,8 +441,8 @@ fn render_json(m: &Measurements, quick: bool) -> String {
         out.push_str(&format!(
             "    {{\"design\": \"{}\", \"key\": {}, \"bits\": {}, \"wce\": {}, \
              \"wce_lb\": {}, \"wce_ub\": {}, \"certified\": {}, \
-             \"witness\": [{}, {}], \"ascent_steps\": {}, \"conflicts\": {}, \
-             \"elapsed_ms\": {:.1}}}{}\n",
+             \"witness\": [{}, {}], \"engine\": \"{}\", \"ascent_steps\": {}, \
+             \"conflicts\": {}, \"elapsed_ms\": {:.1}}}{}\n",
             r.name,
             key,
             r.bits,
@@ -447,6 +452,7 @@ fn render_json(m: &Measurements, quick: bool) -> String {
             r.certified,
             r.witness.0,
             r.witness.1,
+            r.engine,
             r.ascent_steps,
             r.conflicts,
             r.elapsed_ms,

@@ -828,14 +828,15 @@ fn verify(opts: &Opts) -> Result<String, CliError> {
         return Ok(format!(
             "{{\"name\":\"{}\",\"a_bits\":{},\"b_bits\":{},\"wce\":{},\
              \"witness\":[{},{}],\"absint_lb\":{lb},\"absint_ub\":{ub},\
-             \"contained\":{contained},\"ascent_steps\":{},\"solves\":{},\
-             \"conflicts\":{},\"elapsed_ms\":{:.3}}}\n",
+             \"contained\":{contained},\"engine\":\"{}\",\"ascent_steps\":{},\
+             \"solves\":{},\"conflicts\":{},\"elapsed_ms\":{:.3}}}\n",
             name,
             proof.a_bits,
             proof.b_bits,
             proof.wce,
             proof.witness.0,
             proof.witness.1,
+            proof.engine,
             proof.ascent_steps,
             proof.stats.solves,
             proof.stats.conflicts,
@@ -845,12 +846,13 @@ fn verify(opts: &Opts) -> Result<String, CliError> {
     let mut out = format!(
         "SAT worst-case-error proof for {name} at {}x{}\n  \
          exact wce: {} (witness {} x {}, confirmed by replay)\n  \
-         proof: {} solve(s), {} conflicts, {} ascent step(s), {:.1} ms\n",
+         proof: {} engine, {} solve(s), {} conflicts, {} ascent step(s), {:.1} ms\n",
         proof.a_bits,
         proof.b_bits,
         proof.wce,
         proof.witness.0,
         proof.witness.1,
+        proof.engine,
         proof.stats.solves,
         proof.stats.conflicts,
         proof.ascent_steps,

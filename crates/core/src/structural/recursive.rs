@@ -147,6 +147,11 @@ fn double(sub: &Netlist, sub_bits: u32, summation: Summation) -> Netlist {
 /// themselves be quad compositions, so arbitrary recursive
 /// configurations are expressible.
 ///
+/// The result claims each quadrant's output bus as the product of its
+/// operand halves ([`axmul_fabric::Netlist::product_blocks`]) and keeps
+/// the quadrants' own claims, which is what lets `axmul-sat` prove its
+/// worst-case error compositionally.
+///
 /// # Panics
 ///
 /// Panics if any quadrant's bus shape is not `M`/`M` in, `2M` out, or
@@ -200,6 +205,12 @@ fn quad_netlist(
     let hl = bld.instantiate(hl, &[ah, bl]).remove(0);
     let lh = bld.instantiate(lh, &[al, bh]).remove(0);
     let hh = bld.instantiate(hh, &[ah, bh]).remove(0);
+    // Provenance for compositional proofs: each quadrant bus is claimed
+    // as the product of its operand halves.
+    bld.claim_product(al, bl, &ll);
+    bld.claim_product(ah, bl, &hl);
+    bld.claim_product(al, bh, &lh);
+    bld.claim_product(ah, bh, &hh);
     let p = combine_partial_products(&mut bld, &ll, &hl, &lh, &hh, summation);
     debug_assert_eq!(p.len(), 2 * bits);
     bld.output_bus("p", &p);

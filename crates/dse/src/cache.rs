@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use axmul_core::behavioral::{combine_products, Summation};
@@ -257,6 +257,9 @@ pub struct CharCache {
     /// Seed of the sampled-stats stream.
     sample_seed: u64,
     map: Mutex<HashMap<String, Arc<BlockChar>>>,
+    /// Keys a worker is characterizing right now; a second worker that
+    /// misses on one waits for the first worker's record.
+    in_flight: Mutex<HashMap<String, Arc<InFlight>>>,
     store: Option<Arc<DiskStore>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -267,6 +270,45 @@ pub struct CharCache {
     time_sta_ns: AtomicU64,
     time_energy_ns: AtomicU64,
     time_error_ns: AtomicU64,
+}
+
+/// A key being characterized: waiters sleep until its builder is done,
+/// whether it succeeded, failed or panicked.
+#[derive(Debug, Default)]
+struct InFlight {
+    done: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl InFlight {
+    fn wait(&self) {
+        let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
+        while !*done {
+            done = self.wake.wait(done).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A claimed in-flight slot, released (and its waiters woken) when the
+/// build returns or unwinds.
+struct SlotGuard<'a> {
+    cache: &'a CharCache,
+    key: &'a str,
+}
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        let slot = self
+            .cache
+            .in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(self.key);
+        if let Some(slot) = slot {
+            *slot.done.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            slot.wake.notify_all();
+        }
+    }
 }
 
 /// Cumulative wall-clock split of the characterizations a [`CharCache`]
@@ -305,6 +347,7 @@ impl CharCache {
             samples: 100_000,
             sample_seed: 0x5EED,
             map: Mutex::new(HashMap::new()),
+            in_flight: Mutex::new(HashMap::new()),
             store: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -347,15 +390,44 @@ impl CharCache {
     /// Characterizes `cfg`, reusing every already-characterized
     /// sub-block (including `cfg` itself on repeat queries).
     ///
+    /// Each key is characterized once: a worker that misses on a key
+    /// another worker is building waits for that record (and counts a
+    /// hit). If the build fails or panics, waiters retry it themselves.
+    ///
     /// # Errors
     ///
     /// Propagates netlist simulation errors.
     pub fn characterize(&self, cfg: &Config) -> Result<Arc<BlockChar>, FabricError> {
         let key = cfg.key();
-        if let Some(hit) = self.map.lock().expect("cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(hit));
-        }
+        let _slot = loop {
+            if let Some(hit) = self.lookup(&key) {
+                return Ok(hit);
+            }
+            // Claim the key, or wait for the worker that holds it. The
+            // map is checked again under the in-flight lock, because a
+            // builder inserts its record before it releases its slot.
+            let mut in_flight = self
+                .in_flight
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            match in_flight.get(&key) {
+                Some(slot) => {
+                    let slot = Arc::clone(slot);
+                    drop(in_flight);
+                    slot.wait();
+                }
+                None => {
+                    if let Some(hit) = self.lookup(&key) {
+                        return Ok(hit);
+                    }
+                    in_flight.insert(key.clone(), Arc::new(InFlight::default()));
+                    break SlotGuard {
+                        cache: self,
+                        key: &key,
+                    };
+                }
+            }
+        };
         self.misses.fetch_add(1, Ordering::Relaxed);
         let record = match self.restore(cfg, &key) {
             Ok(Some(rec)) => {
@@ -372,15 +444,18 @@ impl CharCache {
                 Arc::new(self.build_and_persist(cfg, &key)?)
             }
         };
-        // A racing duplicate build yields to the first insert, so every
-        // caller shares one record (and one lazily built table).
-        Ok(Arc::clone(
-            self.map
-                .lock()
-                .expect("cache lock")
-                .entry(key)
-                .or_insert(record),
-        ))
+        self.map
+            .lock()
+            .expect("cache lock")
+            .insert(key.clone(), Arc::clone(&record));
+        Ok(record)
+    }
+
+    /// An in-memory hit, counted.
+    fn lookup(&self, key: &str) -> Option<Arc<BlockChar>> {
+        let hit = Arc::clone(self.map.lock().expect("cache lock").get(key)?);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
     }
 
     /// Characterizes a quad's four sub-configurations.
@@ -724,6 +799,37 @@ mod tests {
                     assert_eq!(lazy.multiply(a, b), block.node.eval(a, b), "{key} {a}x{b}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn racing_workers_characterize_each_key_once() {
+        let cache = cache();
+        let keys: Vec<Config> = ["(a A T1 X T3)", "(c T2 A A X)", "(a X X T3 A)"]
+            .iter()
+            .map(|k| k.parse().unwrap())
+            .collect();
+        let start = std::sync::Barrier::new(2);
+        let records: Vec<Vec<Arc<BlockChar>>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        keys.iter()
+                            .map(|k| cache.characterize(k).unwrap())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        // 5 distinct leaves plus 3 quads, each built exactly once; the
+        // calls are 6 top-level ones plus 4 children per quad build.
+        assert_eq!(cache.builds(), 8);
+        assert_eq!(cache.misses(), 8);
+        assert_eq!(cache.hits(), 2 * 3 + 3 * 4 - 8);
+        for (mine, theirs) in records[0].iter().zip(&records[1]) {
+            assert!(Arc::ptr_eq(mine, theirs), "{}", mine.key);
         }
     }
 }

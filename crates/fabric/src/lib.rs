@@ -67,4 +67,4 @@ pub mod timing;
 
 pub use error::FabricError;
 pub use init::Init;
-pub use netlist::{BitRef, Cell, CellId, Driver, NetId, Netlist, NetlistBuilder};
+pub use netlist::{BitRef, Cell, CellId, Driver, NetId, Netlist, NetlistBuilder, ProductBlock};

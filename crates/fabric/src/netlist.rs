@@ -115,6 +115,48 @@ pub enum Cell {
     },
 }
 
+impl Cell {
+    /// Evaluates the cell on one vector: reads its input nets from
+    /// `values` (indexed by [`NetId::index`]) and writes its outputs —
+    /// one LUT index, or one `CARRY4` stage at a time. This is the step
+    /// of [`Netlist::eval`]'s scalar pass.
+    pub fn eval(&self, values: &mut [bool]) {
+        match self {
+            Cell::Lut {
+                init,
+                inputs: pins,
+                o6,
+                o5,
+            } => {
+                let mut idx = 0u8;
+                for (k, net) in pins.iter().enumerate() {
+                    if values[net.index()] {
+                        idx |= 1 << k;
+                    }
+                }
+                values[o6.index()] = init.o6(idx);
+                if let Some(o5) = o5 {
+                    values[o5.index()] = init.o5(idx);
+                }
+            }
+            Cell::Carry4 { cin, s, di, o, co } => {
+                let mut carry = values[cin.index()];
+                for stage in 0..4 {
+                    let sv = values[s[stage].index()];
+                    let dv = values[di[stage].index()];
+                    if let Some(n) = o[stage] {
+                        values[n.index()] = sv ^ carry;
+                    }
+                    carry = if sv { carry } else { dv };
+                    if let Some(n) = co[stage] {
+                        values[n.index()] = carry;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Weighted bit-group metadata: where a net sits inside a named
 /// primary bus (see [`Netlist::bit_of`]).
 ///
@@ -140,6 +182,46 @@ impl BitRef<'_> {
     }
 }
 
+/// A claimed product block: "bus `p` is the product of operand nets
+/// `a` and `b`", recorded by the code that composed the design (see
+/// [`NetlistBuilder::claim_product`]).
+///
+/// A claim is provenance, not a fact: nothing in this crate checks it,
+/// and `axmul-sat` verifies every claim it uses before relying on it.
+/// Netlists from [`Netlist::from_parts`] (and so every imported
+/// netlist) carry none.
+#[derive(Debug, Clone)]
+pub struct ProductBlock {
+    /// `a`, then `b`, then `p`, back to back.
+    nets: Box<[NetId]>,
+    a_bits: u16,
+    b_bits: u16,
+}
+
+impl ProductBlock {
+    /// The first operand's nets, LSB-first.
+    #[must_use]
+    pub fn a(&self) -> &[NetId] {
+        &self.nets[..usize::from(self.a_bits)]
+    }
+
+    /// The second operand's nets, LSB-first.
+    #[must_use]
+    pub fn b(&self) -> &[NetId] {
+        &self.nets[usize::from(self.a_bits)..self.operand_bits()]
+    }
+
+    /// The product bus, LSB-first.
+    #[must_use]
+    pub fn p(&self) -> &[NetId] {
+        &self.nets[self.operand_bits()..]
+    }
+
+    fn operand_bits(&self) -> usize {
+        usize::from(self.a_bits) + usize::from(self.b_bits)
+    }
+}
+
 /// An elaborated, validated LUT-level netlist.
 ///
 /// Create one with [`NetlistBuilder`]. The cell list is guaranteed to be
@@ -157,6 +239,7 @@ pub struct Netlist {
     cells: Vec<Cell>,
     inputs: Vec<(String, Vec<NetId>)>,
     outputs: Vec<(String, Vec<NetId>)>,
+    blocks: Vec<ProductBlock>,
 }
 
 impl Netlist {
@@ -227,6 +310,14 @@ impl Netlist {
         find(&self.outputs, net, true).or_else(|| find(&self.inputs, net, false))
     }
 
+    /// The product blocks claimed while the design was composed, in
+    /// the order they were claimed (sub-netlists' claims first). Claims
+    /// take no part in simulation, export or fingerprints.
+    #[must_use]
+    pub fn product_blocks(&self) -> &[ProductBlock] {
+        &self.blocks
+    }
+
     /// Number of LUT cells — the paper's area unit.
     #[must_use]
     pub fn lut_count(&self) -> usize {
@@ -260,6 +351,9 @@ impl Netlist {
     /// deliberately-ill-formed fixtures, and importers of
     /// externally-generated netlists can construct first and let lint
     /// judge. Everything else should go through [`NetlistBuilder`].
+    ///
+    /// The result claims no product blocks
+    /// ([`Netlist::product_blocks`] is empty).
     #[must_use]
     pub fn from_parts(
         name: impl Into<String>,
@@ -275,6 +369,7 @@ impl Netlist {
             cells,
             inputs,
             outputs,
+            blocks: Vec::new(),
         }
     }
 
@@ -401,39 +496,7 @@ impl Netlist {
         };
         force(&mut values);
         for cell in &self.cells {
-            match cell {
-                Cell::Lut {
-                    init,
-                    inputs: pins,
-                    o6,
-                    o5,
-                } => {
-                    let mut idx = 0u8;
-                    for (k, net) in pins.iter().enumerate() {
-                        if values[net.index()] {
-                            idx |= 1 << k;
-                        }
-                    }
-                    values[o6.index()] = init.o6(idx);
-                    if let Some(o5) = o5 {
-                        values[o5.index()] = init.o5(idx);
-                    }
-                }
-                Cell::Carry4 { cin, s, di, o, co } => {
-                    let mut carry = values[cin.index()];
-                    for stage in 0..4 {
-                        let sv = values[s[stage].index()];
-                        let dv = values[di[stage].index()];
-                        if let Some(n) = o[stage] {
-                            values[n.index()] = sv ^ carry;
-                        }
-                        carry = if sv { carry } else { dv };
-                        if let Some(n) = co[stage] {
-                            values[n.index()] = carry;
-                        }
-                    }
-                }
-            }
+            cell.eval(&mut values);
             force(&mut values);
         }
         Ok(self
@@ -461,6 +524,7 @@ pub struct NetlistBuilder {
     cells: Vec<Cell>,
     inputs: Vec<(String, Vec<NetId>)>,
     outputs: Vec<(String, Vec<NetId>)>,
+    blocks: Vec<ProductBlock>,
     const0: Option<NetId>,
     const1: Option<NetId>,
 }
@@ -475,6 +539,7 @@ impl NetlistBuilder {
             cells: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
+            blocks: Vec::new(),
             const0: None,
             const1: None,
         }
@@ -639,12 +704,30 @@ impl NetlistBuilder {
         (sums, final_cout)
     }
 
+    /// Records the claim that `p` is the product of operands `a` and
+    /// `b` (see [`ProductBlock`]). Composition code claims each
+    /// sub-multiplier's output bus right after instantiating it, so a
+    /// checker can prove the design from its parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand is wider than 65 535 bits.
+    pub fn claim_product(&mut self, a: &[NetId], b: &[NetId], p: &[NetId]) {
+        let width = |bits: &[NetId]| u16::try_from(bits.len()).expect("operand width fits u16");
+        self.blocks.push(ProductBlock {
+            nets: a.iter().chain(b).chain(p).copied().collect(),
+            a_bits: width(a),
+            b_bits: width(b),
+        });
+    }
+
     /// Inlines (flattens) a sub-netlist into this builder.
     ///
     /// `inputs[k]` supplies the nets driving the `k`-th input bus of
     /// `sub` (same width). Every cell of `sub` is copied with its nets
-    /// remapped; constants are re-memoized. Returns the nets of each
-    /// output bus of `sub`, in declaration order.
+    /// remapped; constants are re-memoized. `sub`'s claimed product
+    /// blocks are carried across on the remapped nets. Returns the nets
+    /// of each output bus of `sub`, in declaration order.
     ///
     /// This is how hierarchical designs (e.g. an 8×8 multiplier built
     /// from four 4×4 blocks plus summation logic) are composed.
@@ -729,6 +812,16 @@ impl NetlistBuilder {
                 }
             }
         }
+        for block in &sub.blocks {
+            let nets: Option<Box<[NetId]>> = block.nets.iter().map(|n| map[n.index()]).collect();
+            if let Some(nets) = nets {
+                self.blocks.push(ProductBlock {
+                    nets,
+                    a_bits: block.a_bits,
+                    b_bits: block.b_bits,
+                });
+            }
+        }
         sub.output_buses()
             .iter()
             .map(|(_, bits)| {
@@ -794,6 +887,9 @@ impl NetlistBuilder {
         for (_, bits) in self.outputs.iter() {
             bits.iter().try_for_each(|&b| check(b))?;
         }
+        for block in &self.blocks {
+            block.nets.iter().try_for_each(|&b| check(b))?;
+        }
         Ok(Netlist {
             name: self.name,
             net_count: n,
@@ -801,6 +897,7 @@ impl NetlistBuilder {
             cells: self.cells,
             inputs: self.inputs,
             outputs: self.outputs,
+            blocks: self.blocks,
         })
     }
 }

@@ -20,6 +20,12 @@
 //!   encoding with explicit net ids, hex INIT strings, and an embedded
 //!   fingerprint so corruption is detected at read time.
 //!
+//! Neither format carries product-block provenance
+//! ([`axmul_fabric::Netlist::product_blocks`]): an imported netlist
+//! claims no blocks, so `axmul-sat` proves its worst-case error with
+//! the netlist CEGAR, and exports and fingerprints of a composed design
+//! are the same as those of its provenance-free twin.
+//!
 //! All failures are typed [`NetioError`] values with source locations
 //! (Verilog) or JSON paths (`axnl`) — hostile input can produce an
 //! error, never a panic or a silently-wrong netlist. The generic JSON

@@ -103,19 +103,69 @@ pub fn encode_netlist(
         }
     }
 
-    let fetch =
-        |nets: &[Sig], defined: &[bool], id: axmul_fabric::NetId| -> Result<Sig, SatError> {
-            if defined.get(id.index()).copied().unwrap_or(false) {
-                Ok(nets[id.index()])
-            } else {
-                Err(SatError::Encode(format!(
-                    "net {id} used before it is driven (netlist `{}` is not topologically ordered)",
-                    netlist.name()
-                )))
-            }
-        };
+    encode_cells(solver, netlist, &mut nets, &mut defined, Cone::default())?;
 
-    for cell in netlist.cells() {
+    let mut outputs: Vec<(String, Vec<Sig>)> = Vec::new();
+    for (name, bits) in netlist.output_buses() {
+        let mut sigs = Vec::with_capacity(bits.len());
+        for &net in bits {
+            sigs.push(fetch(netlist, &nets, &defined, net)?);
+        }
+        outputs.push((name.clone(), sigs));
+    }
+    Ok(Encoded {
+        inputs,
+        outputs,
+        nets,
+    })
+}
+
+fn fetch(
+    netlist: &Netlist,
+    nets: &[Sig],
+    defined: &[bool],
+    id: axmul_fabric::NetId,
+) -> Result<Sig, SatError> {
+    if defined.get(id.index()).copied().unwrap_or(false) {
+        Ok(nets[id.index()])
+    } else {
+        Err(SatError::Encode(format!(
+            "net {id} used before it is driven (netlist `{}` is not topologically ordered)",
+            netlist.name()
+        )))
+    }
+}
+
+/// Which cells to encode, and which nets keep the signal the caller
+/// gave them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Cone<'a> {
+    /// Per cell: encode it (`None` = every cell).
+    pub(crate) keep: Option<&'a [bool]>,
+    /// Per net: a cut point pinned by the caller, never overwritten by
+    /// its driving cell (`None` = no cuts).
+    pub(crate) cut: Option<&'a [bool]>,
+}
+
+/// Encodes `netlist`'s cells in order into per-net signals, restricted
+/// to `cone`.
+pub(crate) fn encode_cells(
+    solver: &mut Solver,
+    netlist: &Netlist,
+    nets: &mut [Sig],
+    defined: &mut [bool],
+    cone: Cone<'_>,
+) -> Result<(), SatError> {
+    let set = |nets: &mut [Sig], defined: &mut [bool], id: axmul_fabric::NetId, sig: Sig| {
+        if !cone.cut.is_some_and(|cut| cut[id.index()]) {
+            nets[id.index()] = sig;
+            defined[id.index()] = true;
+        }
+    };
+    for (index, cell) in netlist.cells().iter().enumerate() {
+        if cone.keep.is_some_and(|keep| !keep[index]) {
+            continue;
+        }
         match cell {
             Cell::Lut {
                 init,
@@ -125,11 +175,10 @@ pub fn encode_netlist(
             } => {
                 let mut pin_sigs = [Sig::FALSE; 6];
                 for (k, p) in pins.iter().enumerate() {
-                    pin_sigs[k] = fetch(&nets, &defined, *p)?;
+                    pin_sigs[k] = fetch(netlist, nets, defined, *p)?;
                 }
                 let o6_sig = lut_output(solver, init.raw(), &pin_sigs);
-                nets[o6.index()] = o6_sig;
-                defined[o6.index()] = true;
+                set(nets, defined, *o6, o6_sig);
                 if let Some(o5_net) = o5 {
                     // O5 is the lower 32 INIT bits as a 5-input
                     // function; lift it to a 6-pin table that ignores
@@ -142,49 +191,33 @@ pub fn encode_netlist(
                         }
                     }
                     let o5_sig = lut_output(solver, t5, &pin_sigs);
-                    nets[o5_net.index()] = o5_sig;
-                    defined[o5_net.index()] = true;
+                    set(nets, defined, *o5_net, o5_sig);
                 }
             }
             Cell::Carry4 { cin, s, di, o, co } => {
-                let mut carry = fetch(&nets, &defined, *cin)?;
+                let mut carry = fetch(netlist, nets, defined, *cin)?;
                 for i in 0..4 {
-                    let s_sig = fetch(&nets, &defined, s[i])?;
-                    let di_sig = fetch(&nets, &defined, di[i])?;
+                    let s_sig = fetch(netlist, nets, defined, s[i])?;
+                    let di_sig = fetch(netlist, nets, defined, di[i])?;
                     if let Some(o_net) = o[i] {
                         let sum = gates::xor(solver, s_sig, carry);
-                        nets[o_net.index()] = sum;
-                        defined[o_net.index()] = true;
+                        set(nets, defined, o_net, sum);
                     }
                     carry = gates::mux(solver, s_sig, carry, di_sig);
                     if let Some(co_net) = co[i] {
-                        nets[co_net.index()] = carry;
-                        defined[co_net.index()] = true;
+                        set(nets, defined, co_net, carry);
                     }
                 }
             }
         }
     }
-
-    let mut outputs: Vec<(String, Vec<Sig>)> = Vec::new();
-    for (name, bits) in netlist.output_buses() {
-        let mut sigs = Vec::with_capacity(bits.len());
-        for &net in bits {
-            sigs.push(fetch(&nets, &defined, net)?);
-        }
-        outputs.push((name.clone(), sigs));
-    }
-    Ok(Encoded {
-        inputs,
-        outputs,
-        nets,
-    })
+    Ok(())
 }
 
 /// Encodes one LUT output: reduces the 64-bit table over the distinct
 /// variable pins, folds constants/copies, otherwise emits ISOP
 /// cofactor clauses for a fresh output variable.
-fn lut_output(solver: &mut Solver, table: u64, pins: &[Sig; 6]) -> Sig {
+pub(crate) fn lut_output(solver: &mut Solver, table: u64, pins: &[Sig; 6]) -> Sig {
     // Distinct support variables. A pin is either constant, or a
     // literal over some variable (possibly negated, possibly shared
     // with another pin).

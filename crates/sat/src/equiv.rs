@@ -300,7 +300,7 @@ fn finish_miter_ref<R: ReplayRhs>(
             solver.add_clause(&[l]);
         }
     }
-    let splits = split_order(enc_l);
+    let splits = split_order(&enc_l.inputs);
     let mut assumps = Vec::new();
     let outcome = solve_with_split(&mut solver, &mut assumps, &splits, opts)?;
     let after = solver.stats();
@@ -362,9 +362,8 @@ fn replay<R: ReplayRhs>(
 }
 
 /// Input variables in case-split order: MSB-first, alternating buses.
-pub(crate) fn split_order(enc: &Encoded) -> Vec<Lit> {
-    let mut per_bus: Vec<Vec<Lit>> = enc
-        .inputs
+pub(crate) fn split_order(inputs: &[(String, Vec<Sig>)]) -> Vec<Lit> {
+    let mut per_bus: Vec<Vec<Lit>> = inputs
         .iter()
         .map(|(_, sigs)| {
             sigs.iter()

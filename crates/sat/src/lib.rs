@@ -23,7 +23,10 @@
 //!   case-splitting when a budget runs dry.
 //! * [`wce`] — exact worst-case-error proofs: `|approx − exact| > m`
 //!   comparator miters driven by a CEGAR ascent whose final UNSAT
-//!   answer *is* the certificate `wce = m`.
+//!   answer *is* the certificate `wce = m`. A quad-composed design
+//!   whose product-block provenance verifies is proven over its leaf
+//!   error tables instead of a gate-level multiplier miter (the
+//!   private `compose` module).
 //! * [`oracle`] — an incremental per-netlist constant oracle for
 //!   lint's dead-logic pass past the truth-table cap.
 //! * [`dimacs`] — DIMACS CNF parsing with typed errors for hostile
@@ -32,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod compose;
 pub mod dimacs;
 pub mod encode;
 pub mod equiv;
@@ -49,7 +53,7 @@ pub use equiv::{
 pub use gates::Sig;
 pub use oracle::NetOracle;
 pub use solver::{Lit, Model, SolveResult, Solver, SolverStats};
-pub use wce::{prove_wce, WceOptions, WceProof};
+pub use wce::{prove_wce, WceEngine, WceOptions, WceProof};
 
 /// Typed error taxonomy: every failure mode of parsing, encoding and
 /// proving is a variant, and no public entry point panics on hostile

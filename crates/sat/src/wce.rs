@@ -15,11 +15,18 @@
 //! refutation cost, and by then the solver has learned the instance.
 //! The result is the exact worst-case error with a witness input that
 //! achieves it, both independently confirmed by replay.
+//!
+//! When the design carries product-block provenance that checks out
+//! (see the private `compose` module), the same ascent runs over a CNF
+//! with no multiplier in it: per-leaf error tables, weighted by their
+//! shifts, plus the carry-drop terms of carry-free levels.
+//! [`WceProof::engine`] says which CNF the proof used.
 
 use std::time::Instant;
 
 use axmul_fabric::Netlist;
 
+use crate::compose;
 use crate::equiv::{multiplier_interface, solve_with_split, split_order, ProofOptions, ProofStats};
 use crate::gates::{self, Sig};
 use crate::solver::Solver;
@@ -47,6 +54,26 @@ impl Default for WceOptions {
     }
 }
 
+/// Which CNF a worst-case-error proof searched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WceEngine {
+    /// The design's product-block claims were verified, and the error
+    /// was solved over leaf error tables and carry-drop terms.
+    Compositional,
+    /// The whole netlist, mitred against a shift-add exact product.
+    Netlist,
+}
+
+/// Prints `compositional` or `netlist`, as reports show it.
+impl std::fmt::Display for WceEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            WceEngine::Compositional => "compositional",
+            WceEngine::Netlist => "netlist",
+        })
+    }
+}
+
 /// A proven exact worst-case error.
 #[derive(Debug, Clone)]
 pub struct WceProof {
@@ -60,11 +87,18 @@ pub struct WceProof {
     pub witness: (u64, u64),
     /// How many SAT models raised the bound past its seed.
     pub ascent_steps: u32,
-    /// Search effort (the final UNSAT proof included).
+    /// Search effort (the final UNSAT proof included, and the
+    /// cut-point proofs of a compositional proof).
     pub stats: ProofStats,
+    /// The CNF the proof searched.
+    pub engine: WceEngine,
 }
 
 /// Proves the exact worst-case error of a multiplier netlist.
+///
+/// A design whose product-block provenance verifies is proven
+/// compositionally; any other design, or one whose claims fail a
+/// check, takes the netlist miter. Both report the same wce.
 ///
 /// # Errors
 ///
@@ -137,13 +171,23 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
         consider(&mut m, &mut witness, a, b)?;
     }
 
-    // Encode netlist + reference once; comparators accrete per round.
+    // Encode |P − E| once; comparators accrete per round.
+    let decomposition = compose::decompose(netlist, &opts.proof)?;
     let mut solver = Solver::new();
     let before = solver.stats();
-    let enc = crate::encode::encode_netlist(&mut solver, netlist, None)?;
-    let exact = gates::exact_product(&mut solver, &enc.inputs[0].1, &enc.inputs[1].1);
-    let abs = gates::abs_diff(&mut solver, &enc.outputs[0].1, &exact);
-    let splits = split_order(&enc);
+    let (engine, effort, inputs, abs) = match &decomposition {
+        Some(d) => {
+            let (inputs, abs) = compose::encode_error(&mut solver, netlist, d)?;
+            (WceEngine::Compositional, d.effort, inputs, abs)
+        }
+        None => {
+            let enc = crate::encode::encode_netlist(&mut solver, netlist, None)?;
+            let exact = gates::exact_product(&mut solver, &enc.inputs[0].1, &enc.inputs[1].1);
+            let abs = gates::abs_diff(&mut solver, &enc.outputs[0].1, &exact);
+            (WceEngine::Netlist, ProofStats::default(), enc.inputs, abs)
+        }
+    };
+    let splits = split_order(&inputs);
 
     let mut ascent_steps = 0u32;
     loop {
@@ -164,8 +208,8 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
         match model {
             None => break,
             Some(model) => {
-                let a = gates::decode(&model, &enc.inputs[0].1) as u64;
-                let b = gates::decode(&model, &enc.inputs[1].1) as u64;
+                let a = gates::decode(&model, &inputs[0].1) as u64;
+                let b = gates::decode(&model, &inputs[1].1) as u64;
                 let e = err_at(a, b)?;
                 if e <= m {
                     return Err(SatError::Replay(format!(
@@ -187,12 +231,13 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
         witness,
         ascent_steps,
         stats: ProofStats {
-            solves: after.solves - before.solves,
-            conflicts: after.conflicts - before.conflicts,
-            decisions: after.decisions - before.decisions,
-            propagations: after.propagations - before.propagations,
+            solves: after.solves - before.solves + effort.solves,
+            conflicts: after.conflicts - before.conflicts + effort.conflicts,
+            decisions: after.decisions - before.decisions + effort.decisions,
+            propagations: after.propagations - before.propagations + effort.propagations,
             elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
         },
+        engine,
     })
 }
 

@@ -4,11 +4,17 @@
 //! build. A refactor of the solver's data layout (clause storage,
 //! watch lists) has to keep every number here; a change that alters
 //! the search on purpose updates them in the same commit and says why.
+//!
+//! Each design is pinned twice. The assembled netlists carry
+//! product-block provenance, so they are proven compositionally; a
+//! provenance-free copy of the same parts (`Netlist::from_parts`) is
+//! proven by the netlist CEGAR, whose pins date from before
+//! compositional proofs existed.
 
 use axmul_baselines::kulkarni_netlist;
 use axmul_dse::Config;
 use axmul_fabric::Netlist;
-use axmul_sat::{prove_wce, WceOptions};
+use axmul_sat::{prove_wce, WceEngine, WceOptions};
 
 /// One pinned proof: the design, then what proving it must yield.
 struct Pinned {
@@ -30,7 +36,18 @@ fn netlist(name: &str) -> Netlist {
     }
 }
 
-const PINNED: [Pinned; 3] = [
+/// The same cells and buses with no product-block claims.
+fn provenance_free(nl: &Netlist) -> Netlist {
+    Netlist::from_parts(
+        nl.name(),
+        nl.drivers().to_vec(),
+        nl.cells().to_vec(),
+        nl.input_buses().to_vec(),
+        nl.output_buses().to_vec(),
+    )
+}
+
+const NETLIST_PINS: [Pinned; 3] = [
     Pinned {
         name: "kulkarni8",
         wce: 14450,
@@ -63,10 +80,44 @@ const PINNED: [Pinned; 3] = [
     },
 ];
 
-#[test]
-fn wce_proofs_repeat_their_pinned_search() {
-    for pin in &PINNED {
-        let proof = prove_wce(&netlist(pin.name), &WceOptions::default()).expect("provable");
+const COMPOSITIONAL_PINS: [Pinned; 3] = [
+    Pinned {
+        name: "kulkarni8",
+        wce: 14450,
+        witness: (255, 255),
+        ascent_steps: 0,
+        solves: 11,
+        conflicts: 1284,
+        decisions: 2554,
+        propagations: 26_630,
+    },
+    Pinned {
+        name: "(c A T2 T1 T1)",
+        wce: 8400,
+        witness: (188, 219),
+        ascent_steps: 2,
+        solves: 4,
+        conflicts: 464,
+        decisions: 874,
+        propagations: 26_048,
+    },
+    Pinned {
+        name: "(c T3 A T3 T1)",
+        wce: 8413,
+        witness: (191, 219),
+        ascent_steps: 2,
+        solves: 4,
+        conflicts: 547,
+        decisions: 989,
+        propagations: 31_902,
+    },
+];
+
+fn check(pins: &[Pinned], engine: WceEngine, prepare: impl Fn(Netlist) -> Netlist) {
+    for pin in pins {
+        let proof =
+            prove_wce(&prepare(netlist(pin.name)), &WceOptions::default()).expect("provable");
+        assert_eq!(proof.engine, engine, "{}", pin.name);
         let got = (
             proof.wce,
             proof.witness,
@@ -87,8 +138,18 @@ fn wce_proofs_repeat_their_pinned_search() {
         );
         assert_eq!(
             got, want,
-            "{}: (wce, witness, ascent_steps, solves, conflicts, decisions, propagations)",
+            "{} ({engine}): (wce, witness, ascent_steps, solves, conflicts, decisions, propagations)",
             pin.name
         );
     }
+}
+
+#[test]
+fn wce_proofs_repeat_their_pinned_search() {
+    check(&NETLIST_PINS, WceEngine::Netlist, |nl| provenance_free(&nl));
+}
+
+#[test]
+fn compositional_proofs_repeat_their_pinned_search() {
+    check(&COMPOSITIONAL_PINS, WceEngine::Compositional, |nl| nl);
 }

@@ -3,7 +3,7 @@
 //! `cargo bench` both re-measures the library's performance and
 //! re-derives every experimental result.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use axmul_baselines::{Kulkarni, RehmanW};
@@ -12,7 +12,7 @@ use axmul_core::behavioral::{approx_4x4, Ca, Cc};
 use axmul_core::structural::{approx_4x4_netlist, ca_netlist, verify_table3};
 use axmul_core::{Exact, Multiplier};
 use axmul_fabric::compile::CompiledNetlist;
-use axmul_fabric::sim::{for_each_operand_pair, WideSim};
+use axmul_fabric::sim::for_each_operand_pair;
 use axmul_fabric::timing::{analyze, DelayModel};
 use axmul_metrics::{bit_accuracy, pareto_front, DesignPoint, ErrorPmf, ErrorStats};
 use axmul_susan::{operand_histogram, susan_smooth, synthetic_test_image, Recording, SusanParams};
@@ -175,21 +175,6 @@ fn bench_multiplier_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_netlist_sim(c: &mut Criterion) {
-    let mut g = c.benchmark_group("netlist_simulation");
-    let nl = ca_netlist(8).expect("valid");
-    let a_vals: Vec<u64> = (0..64).map(|i| i * 3 % 256).collect();
-    let b_vals: Vec<u64> = (0..64).map(|i| i * 7 % 256).collect();
-    g.bench_function("wide_sim_64_lanes_ca8", |b| {
-        b.iter_batched(
-            || WideSim::new(&nl),
-            |mut sim| sim.eval(&[&a_vals, &b_vals]).expect("simulates"),
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
 fn bench_sim_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_throughput");
     g.sample_size(10);
@@ -243,7 +228,6 @@ criterion_group!(
     bench_fig12_trace,
     bench_table1_apps,
     bench_multiplier_throughput,
-    bench_netlist_sim,
     bench_sim_throughput,
     bench_dse
 );

@@ -120,7 +120,7 @@ const EXPERIMENTS: &[Experiment] = &[
     (
         "sim-bench",
         experiments::sim_bench,
-        "compiled-simulator throughput vs legacy",
+        "compiled-simulator throughput vs the scalar oracle",
     ),
     (
         "serve-bench",

@@ -25,7 +25,6 @@ use axmul_absint::analyze_netlist;
 use axmul_core::Multiplier;
 use axmul_dse::{run, static_bounds, CharCache, Config, DseOptions, PruneOptions, Strategy};
 use axmul_fabric::cost::Characterizer;
-use axmul_fabric::fault::eval_with_faults;
 use axmul_metrics::ErrorStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -151,7 +150,7 @@ fn sweep_roster(widths: &[u32], samples_16: u64) -> Vec<RosterRow> {
                 for _ in 0..samples_16 {
                     let a = rng.random::<u64>() & mask;
                     let b = rng.random::<u64>() & mask;
-                    let out = eval_with_faults(nl, &[a, b], &[]).expect("valid vector")[0];
+                    let out = nl.eval(&[a, b]).expect("valid vector")[0];
                     let dev = out as i128 - (a as i128) * (b as i128);
                     contained &= value.contains(out as u128);
                     contained &= err

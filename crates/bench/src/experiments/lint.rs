@@ -98,7 +98,7 @@ pub fn lint_all_reports(opts: LintOptions) -> Vec<LintReport> {
 
 /// **Static analysis gate.** Lints the full roster and prints one row
 /// per netlist. Any netlist with an error or an *unexpected* warning
-/// (outside the [`expected_waste`] allowance) gets its full report
+/// (outside the `expected_waste` allowance) gets its full report
 /// appended. Ends with a `lint verdict:` line — `CLEAN` only if there
 /// are zero errors and zero unexpected warnings.
 #[must_use]

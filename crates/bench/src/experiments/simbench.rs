@@ -1,28 +1,22 @@
 //! The `repro sim-bench` experiment: compiled bit-sliced simulator
-//! throughput versus the interpretive [`WideSim`] path it replaced.
+//! throughput, checked against the scalar [`Netlist::eval`] oracle.
 //!
-//! For every 8×8 architecture in the Fig. 7 roster the experiment runs
-//! the exhaustive 65 536-pair error-characterization sweep twice —
-//! once through a faithful replica of the legacy interpretive loop
-//! (64-lane [`WideSim`] passes with per-lane transpose and gather) and
-//! once through the compiled instruction stream
-//! ([`CompiledNetlist::for_each_operand_pair_in`]) — with the *same*
-//! visitor workload, asserts the two product streams are bit-identical,
-//! and reports pairs/second and the speedup. It also cross-checks that
-//! [`ErrorStats`] built from the legacy product stream equal
-//! [`ErrorStats::exhaustive_wide`] exactly, and times the NN product
-//! table build (129×129 scalar [`eval_with_faults`] before the rework)
-//! both ways.
+//! For every 8×8 architecture in the Fig. 7 roster the experiment times
+//! the exhaustive 65 536-pair error-characterization sweep through the
+//! compiled instruction stream
+//! ([`CompiledNetlist::for_each_operand_pair_in`]) and reports
+//! pairs/second. It then sweeps the same pairs through the scalar
+//! oracle and checks that both product streams agree and that
+//! [`ErrorStats`] built from the oracle's products equal
+//! [`ErrorStats::exhaustive_wide`] exactly (`"stats_identical"` — gated
+//! in CI).
 //!
-//! The energy section does the same for characterization: a faithful
-//! replica of the pre-rework energy loop (scalar 64-lane passes,
-//! per-batch bus transpose and boundary snapshot, per-batch float
-//! accumulation, duplicate STA) against the packed wide-lane
-//! [`measure_packed`] path, reporting net-transitions/second, the
-//! roster-level characterize speedup, and whether the packed report is
-//! bit-identical to the scalar interpretive [`measure_reference`] for
-//! worker counts 1–4 (`"energy_identical"` — gated in CI). Full mode
-//! also times a cold exhaustive 8×8 DSE end to end.
+//! The energy section times the packed wide-lane characterization
+//! ([`measure_packed`] behind `Characterizer::characterize_timed`),
+//! reports net-transitions/second, and checks that the packed report is
+//! bit-identical to the scalar [`measure_reference`] for worker counts
+//! 1–4 (`"energy_identical"` — gated in CI). It also times the NN
+//! product-table build.
 //!
 //! `sim_bench_json` renders the same measurements as the
 //! `BENCH_sim.json` machine-readable artifact.
@@ -30,55 +24,22 @@
 use std::time::Instant;
 
 use axmul_core::behavioral::Summation;
-use axmul_core::Multiplier;
-use axmul_dse::{run as dse_run, CharCache, Config, DseOptions};
-use axmul_fabric::area::AreaReport;
-use axmul_fabric::compile::{CompiledNetlist, CompiledSim};
+use axmul_core::{Multiplier, TableMultiplier};
+use axmul_dse::{CharCache, Config};
+use axmul_fabric::compile::CompiledNetlist;
 use axmul_fabric::cost::Characterizer;
-use axmul_fabric::fault::eval_with_faults;
-use axmul_fabric::power::{
-    measure_packed, measure_reference, uniform_stimulus, EnergyReport, PackedStimulus,
-};
-use axmul_fabric::sim::WideSim;
+use axmul_fabric::power::{measure_packed, measure_reference, uniform_stimulus, PackedStimulus};
 use axmul_fabric::timing::analyze;
-use axmul_fabric::{Driver, NetId, Netlist};
+use axmul_fabric::{Driver, Netlist};
 use axmul_metrics::ErrorStats;
 use axmul_nn::ProductTable;
 
 use crate::report::{f, Table};
 use crate::roster::{fig7_roster, RosterEntry};
 
-/// Faithful replica of the pre-rework exhaustive sweep: 64 lanes per
-/// interpretive `WideSim` pass, lane-major operand transpose on the way
-/// in, per-lane output gather on the way out.
-fn legacy_for_each_operand_pair(netlist: &Netlist, mut visit: impl FnMut(u64, u64, &[u64])) {
-    let buses = netlist.input_buses();
-    assert_eq!(buses.len(), 2, "sweep needs exactly two operand buses");
-    let a_bits = buses[0].1.len() as u32;
-    let b_bits = buses[1].1.len() as u32;
-    let total: u64 = 1 << (a_bits + b_bits);
-    let a_mask = (1u64 << a_bits) - 1;
-    let mut sim = WideSim::new(netlist);
-    let mut out_buf = vec![0u64; netlist.output_buses().len()];
-    let mut idx = 0u64;
-    while idx < total {
-        let lanes = (total - idx).min(64);
-        let a_vals: Vec<u64> = (0..lanes).map(|l| (idx + l) & a_mask).collect();
-        let b_vals: Vec<u64> = (0..lanes).map(|l| (idx + l) >> a_bits).collect();
-        let outs = sim.eval(&[&a_vals, &b_vals]).expect("valid lanes");
-        for l in 0..lanes as usize {
-            for (slot, bus) in out_buf.iter_mut().zip(&outs) {
-                *slot = bus[l];
-            }
-            visit(a_vals[l], b_vals[l], &out_buf);
-        }
-        idx += lanes;
-    }
-}
-
-/// The shared visitor workload: the same running quantities the error
-/// characterization accumulates, so both paths pay identical per-pair
-/// cost and any output divergence changes the digest.
+/// The timed visitor workload: the running quantities the error
+/// characterization accumulates, so a divergence in any product
+/// changes the digest.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct SweepDigest {
     pairs: u64,
@@ -101,17 +62,16 @@ impl SweepDigest {
     }
 }
 
-/// Table-backed [`Multiplier`] over the legacy sweep's products: feeds
-/// [`ErrorStats::exhaustive`] the interpretive simulator's outputs so
-/// the statistics cross-check is end-to-end bit-identical or not.
-struct LegacyProducts {
-    name: String,
+/// [`Netlist::eval`] as a [`Multiplier`]: feeds [`ErrorStats`] and the
+/// digest the scalar oracle's products, so the cross-check against the
+/// compiled engine is end-to-end bit-identical or not.
+struct ScalarOracle<'a> {
+    netlist: &'a Netlist,
     a_bits: u32,
     b_bits: u32,
-    products: Vec<u64>,
 }
 
-impl Multiplier for LegacyProducts {
+impl Multiplier for ScalarOracle<'_> {
     fn a_bits(&self) -> u32 {
         self.a_bits
     }
@@ -119,10 +79,10 @@ impl Multiplier for LegacyProducts {
         self.b_bits
     }
     fn multiply(&self, a: u64, b: u64) -> u64 {
-        self.products[((b << self.a_bits) | a) as usize]
+        self.netlist.eval(&[a, b]).expect("two-bus netlist")[0]
     }
     fn name(&self) -> &str {
-        &self.name
+        self.netlist.name()
     }
 }
 
@@ -130,9 +90,7 @@ impl Multiplier for LegacyProducts {
 struct ArchBench {
     name: String,
     pairs: u64,
-    legacy_pairs_per_sec: f64,
     compiled_pairs_per_sec: f64,
-    speedup: f64,
     stats_identical: bool,
 }
 
@@ -152,12 +110,6 @@ fn bench_arch(entry: &RosterEntry, reps: u32) -> ArchBench {
     let b_bits = nl.input_buses()[1].1.len() as u32;
     let pairs: u64 = 1 << (a_bits + b_bits);
 
-    let mut legacy_digest = SweepDigest::default();
-    let legacy_s = time_runs(reps, || {
-        let mut d = SweepDigest::default();
-        legacy_for_each_operand_pair(nl, |a, b, out| d.push(a, b, out));
-        legacy_digest = d;
-    });
     let mut compiled_digest = SweepDigest::default();
     let compiled_s = time_runs(reps, || {
         let mut d = SweepDigest::default();
@@ -166,145 +118,44 @@ fn bench_arch(entry: &RosterEntry, reps: u32) -> ArchBench {
             .expect("two-bus netlist");
         compiled_digest = d;
     });
-    assert_eq!(
-        legacy_digest, compiled_digest,
-        "{}: compiled sweep diverged from the interpretive reference",
-        entry.name
-    );
 
-    // Statistics cross-check: ErrorStats over the legacy products must
-    // equal the compiled exhaustive_wide record exactly, float bits
-    // included.
-    let mut products = vec![0u64; pairs as usize];
-    legacy_for_each_operand_pair(nl, |a, b, out| {
-        products[((b << a_bits) | a) as usize] = out[0];
-    });
-    let legacy_stats = ErrorStats::exhaustive(&LegacyProducts {
-        name: nl.name().to_string(),
+    // One scalar-oracle sweep, tabulated: its product stream must give
+    // the compiled digest, and its ErrorStats the compiled
+    // exhaustive_wide record, float bits included.
+    let oracle = TableMultiplier::new(&ScalarOracle {
+        netlist: nl,
         a_bits,
         b_bits,
-        products,
     });
+    let mut oracle_digest = SweepDigest::default();
+    for (idx, &product) in oracle.table().iter().enumerate() {
+        let idx = idx as u64;
+        oracle_digest.push(idx & ((1 << a_bits) - 1), idx >> a_bits, &[product]);
+    }
+    let oracle_stats = ErrorStats::exhaustive(&oracle);
     let compiled_stats = ErrorStats::exhaustive_wide(nl).expect("two-bus netlist");
-    let stats_identical = legacy_stats == compiled_stats
-        && legacy_stats.avg_relative_error.to_bits() == compiled_stats.avg_relative_error.to_bits();
+    let stats_identical = oracle_digest == compiled_digest
+        && oracle_stats == compiled_stats
+        && oracle_stats.avg_relative_error.to_bits() == compiled_stats.avg_relative_error.to_bits();
 
     ArchBench {
         name: entry.name.clone(),
         pairs,
-        legacy_pairs_per_sec: pairs as f64 / legacy_s,
         compiled_pairs_per_sec: pairs as f64 / compiled_s,
-        speedup: legacy_s / compiled_s,
         stats_identical,
-    }
-}
-
-/// Faithful replica of the pre-rework `characterize_with`: area walk,
-/// the STA it ran for its cost record, step-major stimulus generation
-/// (one heap `Vec` per vector), then the old `measure_with` loop —
-/// scalar 64-lane passes with a `Vec<Vec<u64>>` bus transpose per
-/// batch, a freshly allocated per-net `Vec<bool>` boundary snapshot
-/// per batch, float weight accumulation inside the per-net loop, and a
-/// *second* STA for the report's delay field.
-fn legacy_characterize_energy(
-    netlist: &Netlist,
-    prog: &CompiledNetlist,
-    ch: &Characterizer,
-) -> EnergyReport {
-    let (energy, delay) = (&ch.energy, &ch.delay);
-    let area = AreaReport::of(netlist);
-    std::hint::black_box(area.luts);
-    let cost_timing = analyze(netlist, delay);
-    std::hint::black_box(cost_timing.critical_path_ns);
-    let stimulus = uniform_stimulus(netlist, ch.stimulus_len, ch.stimulus_seed);
-    let n_buses = netlist.input_buses().len();
-    let fanouts = netlist.fanouts();
-    let drivers = netlist.drivers();
-    let weights: Vec<f64> = drivers
-        .iter()
-        .enumerate()
-        .map(|(net, d)| match d {
-            Driver::Const(_) => 0.0,
-            Driver::CarrySum(..) | Driver::CarryCout(..) => {
-                energy.c_carry + energy.c_fanout * f64::from(fanouts[net])
-            }
-            _ => energy.c_lut + energy.c_fanout * f64::from(fanouts[net]),
-        })
-        .collect();
-
-    let mut sim: CompiledSim<'_, 1> = prog.simulator();
-    let mut total = 0.0f64;
-    let mut transitions = 0u64;
-    let mut boundary: Option<Vec<bool>> = None;
-    let mut pos = 0usize;
-    while pos < stimulus.len() {
-        let n = (stimulus.len() - pos).min(64);
-        let mut buses: Vec<Vec<u64>> = vec![Vec::with_capacity(n); n_buses];
-        for step in &stimulus[pos..pos + n] {
-            for (bus, &val) in step.iter().enumerate() {
-                buses[bus].push(val);
-            }
-        }
-        let refs: Vec<&[u64]> = buses.iter().map(Vec::as_slice).collect();
-        sim.load(&refs).expect("stimulus matches netlist");
-        sim.run();
-        for (net, &weight) in weights.iter().enumerate() {
-            if weight == 0.0 {
-                continue;
-            }
-            let word = sim.net_word(NetId::new(net as u32))[0];
-            let within = (word ^ (word >> 1)) & ((1u64 << (n - 1)) - 1);
-            let mut t = u64::from(within.count_ones());
-            if let Some(prev) = &boundary {
-                if prev[net] != (word & 1 == 1) {
-                    t += 1;
-                }
-            }
-            total += weight * t as f64;
-        }
-        transitions += (n - 1) as u64 + u64::from(boundary.is_some());
-        boundary = Some(
-            (0..netlist.net_count())
-                .map(|net| (sim.net_word(NetId::new(net as u32))[0] >> (n - 1)) & 1 == 1)
-                .collect::<Vec<bool>>(),
-        );
-        pos += n;
-    }
-
-    let transitions = transitions.max(1);
-    let energy_per_op = total / transitions as f64;
-    let critical_path_ns = analyze(netlist, delay).critical_path_ns;
-    EnergyReport {
-        energy_per_op,
-        critical_path_ns,
-        edp: energy_per_op * critical_path_ns,
-        transitions,
     }
 }
 
 /// One architecture's energy-characterization measurements.
 struct EnergyBench {
     name: String,
-    /// Scalar interpretive characterize: STA for the cost record, then
-    /// a step-at-a-time [`measure_reference`] (with its own STA) — the
-    /// pre-compiled-simulator shape of the energy path.
-    scalar_char_s: f64,
-    /// Compiled 64-lane batch characterize (the immediate
-    /// predecessor): [`legacy_characterize_energy`].
-    legacy_char_s: f64,
     /// Packed wide-lane characterize: `Characterizer::characterize_timed`.
     packed_char_s: f64,
-    /// `scalar_char_s / packed_char_s` — the headline speedup against
-    /// the scalar reference the report is gated bit-identical to.
-    speedup: f64,
-    /// `legacy_char_s / packed_char_s`.
-    speedup_vs_batched: f64,
     /// Net-level adjacent-step transitions examined per second, in
     /// millions: `non-const nets × (steps − 1) / seconds / 1e6`.
-    legacy_mtrans_per_sec: f64,
     packed_mtrans_per_sec: f64,
     /// Packed path bit-identical (`energy_per_op`, `edp`) to the
-    /// scalar interpretive reference for worker counts 1–4.
+    /// scalar reference for worker counts 1–4.
     energy_identical: bool,
 }
 
@@ -315,17 +166,6 @@ fn bench_energy(entry: &RosterEntry, reps: u32) -> EnergyBench {
     let stimulus = uniform_stimulus(nl, ch.stimulus_len, ch.stimulus_seed);
     let packed = PackedStimulus::uniform(nl, ch.stimulus_len, ch.stimulus_seed);
 
-    let scalar_s = time_runs(reps, || {
-        let cost_timing = analyze(nl, &ch.delay);
-        std::hint::black_box(cost_timing.critical_path_ns);
-        let stim = uniform_stimulus(nl, ch.stimulus_len, ch.stimulus_seed);
-        let r = measure_reference(nl, &ch.energy, &ch.delay, &stim).expect("reference measures");
-        std::hint::black_box(r.edp);
-    });
-    let legacy_s = time_runs(reps, || {
-        let r = legacy_characterize_energy(nl, &prog, &ch);
-        std::hint::black_box(r.edp);
-    });
     let packed_s = time_runs(reps, || {
         let (cost, _) = ch
             .characterize_timed(nl, &prog)
@@ -351,49 +191,27 @@ fn bench_energy(entry: &RosterEntry, reps: u32) -> EnergyBench {
     let net_transitions = (tracked * (ch.stimulus_len as u64 - 1)) as f64;
     EnergyBench {
         name: entry.name.clone(),
-        scalar_char_s: scalar_s,
-        legacy_char_s: legacy_s,
         packed_char_s: packed_s,
-        speedup: scalar_s / packed_s,
-        speedup_vs_batched: legacy_s / packed_s,
-        legacy_mtrans_per_sec: net_transitions / legacy_s / 1e6,
         packed_mtrans_per_sec: net_transitions / packed_s / 1e6,
         energy_identical,
     }
 }
 
-/// NN product-table build: the pre-rework path evaluated 129×129
-/// magnitude pairs through scalar [`eval_with_faults`]; the compiled
-/// path sweeps all 2¹⁶ pairs bit-sliced.
-fn bench_nn_table(reps: u32) -> (f64, f64) {
+/// NN product-table build: the compiled path sweeps all 2¹⁶ pairs
+/// bit-sliced.
+fn bench_nn_table(reps: u32) -> f64 {
     let nl = axmul_core::structural::ca_netlist(8).expect("8-bit Ca");
-    let legacy_s = time_runs(reps, || {
-        let mut mags = vec![0i64; 129 * 129];
-        for am in 0..=128u64 {
-            for bm in 0..=128u64 {
-                let out = eval_with_faults(&nl, &[am, bm], &[]).expect("valid vector");
-                mags[(am * 129 + bm) as usize] = out[0] as i64;
-            }
-        }
-        std::hint::black_box(&mags);
-    });
-    let compiled_s = time_runs(reps, || {
+    time_runs(reps, || {
         let t = ProductTable::from_netlist_with_faults(&nl, &[], "ca8").expect("8x8 netlist");
         std::hint::black_box(&t);
-    });
-    (legacy_s, compiled_s)
+    })
 }
 
 /// Everything one `sim-bench` invocation measures.
 struct SimBench {
     archs: Vec<ArchBench>,
     energy: Vec<EnergyBench>,
-    nn_legacy_s: f64,
     nn_compiled_s: f64,
-    /// Cold exhaustive 8×8 DSE wall clock (full mode only): the
-    /// end-to-end number the characterization rework is accountable
-    /// for.
-    ext_dse_cold_s: Option<f64>,
 }
 
 fn run(quick: bool) -> SimBench {
@@ -419,110 +237,58 @@ fn run(quick: bool) -> SimBench {
         });
     }
     let energy: Vec<EnergyBench> = roster.iter().map(|e| bench_energy(e, reps)).collect();
-    let (nn_legacy_s, nn_compiled_s) = bench_nn_table(reps);
-    let ext_dse_cold_s = (!quick).then(|| {
-        let t = Instant::now();
-        let result = dse_run(&DseOptions::exhaustive_8x8()).expect("generated netlists simulate");
-        std::hint::black_box(result.reports.len());
-        t.elapsed().as_secs_f64()
-    });
     SimBench {
         archs,
         energy,
-        nn_legacy_s,
-        nn_compiled_s,
-        ext_dse_cold_s,
+        nn_compiled_s: bench_nn_table(reps),
     }
 }
 
+fn verdict(identical: bool) -> String {
+    let word = if identical {
+        "bit-identical"
+    } else {
+        "DIVERGED"
+    };
+    word.to_string()
+}
+
 fn render(b: &SimBench) -> String {
-    let SimBench {
-        archs,
-        nn_legacy_s,
-        nn_compiled_s,
-        ..
-    } = b;
-    let (nn_legacy_s, nn_compiled_s) = (*nn_legacy_s, *nn_compiled_s);
     let mut t = Table::new(
         "Simulator throughput: exhaustive 8x8 characterization sweep",
-        &[
-            "design",
-            "pairs",
-            "legacy pairs/s",
-            "compiled pairs/s",
-            "speedup",
-            "stats",
-        ],
+        &["design", "pairs", "compiled pairs/s", "stats"],
     );
-    for a in archs {
+    for a in &b.archs {
         t.row_owned(vec![
             a.name.clone(),
             a.pairs.to_string(),
-            f(a.legacy_pairs_per_sec, 0),
             f(a.compiled_pairs_per_sec, 0),
-            format!("{}x", f(a.speedup, 1)),
-            if a.stats_identical {
-                "bit-identical".to_string()
-            } else {
-                "DIVERGED".to_string()
-            },
+            verdict(a.stats_identical),
         ]);
     }
     let mut out = t.render();
     let mut e = Table::new(
-        "Energy characterization: packed wide-lane vs scalar reference and 64-lane batch loop",
-        &[
-            "design",
-            "scalar ms",
-            "batch ms",
-            "packed ms",
-            "vs scalar",
-            "vs batch",
-            "packed Mtr/s",
-            "report",
-        ],
+        "Energy characterization: packed wide-lane vs scalar reference",
+        &["design", "packed ms", "packed Mtr/s", "report"],
     );
     for a in &b.energy {
         e.row_owned(vec![
             a.name.clone(),
-            f(a.scalar_char_s * 1e3, 3),
-            f(a.legacy_char_s * 1e3, 3),
             f(a.packed_char_s * 1e3, 3),
-            format!("{}x", f(a.speedup, 1)),
-            format!("{}x", f(a.speedup_vs_batched, 1)),
             f(a.packed_mtrans_per_sec, 1),
-            if a.energy_identical {
-                "bit-identical".to_string()
-            } else {
-                "DIVERGED".to_string()
-            },
+            verdict(a.energy_identical),
         ]);
     }
     out.push('\n');
     out.push_str(&e.render());
-    let scalar_total: f64 = b.energy.iter().map(|a| a.scalar_char_s).sum();
-    let legacy_total: f64 = b.energy.iter().map(|a| a.legacy_char_s).sum();
     let packed_total: f64 = b.energy.iter().map(|a| a.packed_char_s).sum();
     out.push_str(&format!(
-        "\ncharacterize (STA + energy) over the roster: scalar {} s, 64-lane batch {} s, \
-         packed {} s ({}x vs scalar, {}x vs batch)\n",
-        f(scalar_total, 4),
-        f(legacy_total, 4),
+        "\ncharacterize (STA + energy) over the roster: packed {} s\n",
         f(packed_total, 4),
-        f(scalar_total / packed_total, 1),
-        f(legacy_total / packed_total, 1),
     ));
-    if let Some(cold) = b.ext_dse_cold_s {
-        out.push_str(&format!(
-            "cold exhaustive 8x8 DSE (repro ext-dse): {} s\n",
-            f(cold, 2),
-        ));
-    }
     out.push_str(&format!(
-        "\nNN product table build (Ca 8x8, fault-free): legacy {} s, compiled {} s ({}x)\n",
-        f(nn_legacy_s, 3),
-        f(nn_compiled_s, 3),
-        f(nn_legacy_s / nn_compiled_s, 1),
+        "\nNN product table build (Ca 8x8, fault-free): compiled {} s\n",
+        f(b.nn_compiled_s, 3),
     ));
     out
 }
@@ -535,13 +301,11 @@ fn render_json(b: &SimBench, quick: bool) -> String {
     ));
     for (i, a) in b.archs.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"pairs\": {}, \"legacy_pairs_per_sec\": {:.1}, \
-             \"compiled_pairs_per_sec\": {:.1}, \"speedup\": {:.2}, \"stats_identical\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"pairs\": {}, \"compiled_pairs_per_sec\": {:.1}, \
+             \"stats_identical\": {}}}{}\n",
             a.name,
             a.pairs,
-            a.legacy_pairs_per_sec,
             a.compiled_pairs_per_sec,
-            a.speedup,
             a.stats_identical,
             if i + 1 < b.archs.len() { "," } else { "" },
         ));
@@ -549,40 +313,22 @@ fn render_json(b: &SimBench, quick: bool) -> String {
     s.push_str("  ],\n  \"energy\": [\n");
     for (i, a) in b.energy.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scalar_char_s\": {:.6}, \"legacy_char_s\": {:.6}, \
-             \"packed_char_s\": {:.6}, \"speedup_vs_scalar\": {:.2}, \
-             \"speedup_vs_batched\": {:.2}, \"legacy_mtrans_per_sec\": {:.1}, \
+            "    {{\"name\": \"{}\", \"packed_char_s\": {:.6}, \
              \"packed_mtrans_per_sec\": {:.1}}}{}\n",
             a.name,
-            a.scalar_char_s,
-            a.legacy_char_s,
             a.packed_char_s,
-            a.speedup,
-            a.speedup_vs_batched,
-            a.legacy_mtrans_per_sec,
             a.packed_mtrans_per_sec,
             if i + 1 < b.energy.len() { "," } else { "" },
         ));
     }
     s.push_str("  ],\n");
-    let scalar_total: f64 = b.energy.iter().map(|a| a.scalar_char_s).sum();
-    let legacy_total: f64 = b.energy.iter().map(|a| a.legacy_char_s).sum();
-    let packed_total: f64 = b.energy.iter().map(|a| a.packed_char_s).sum();
     s.push_str(&format!(
-        "  \"characterize_speedup\": {:.2},\n  \"characterize_speedup_vs_batched\": {:.2},\n  \
-         \"energy_identical\": {},\n",
-        scalar_total / packed_total,
-        legacy_total / packed_total,
+        "  \"energy_identical\": {},\n",
         b.energy.iter().all(|a| a.energy_identical),
     ));
-    if let Some(cold) = b.ext_dse_cold_s {
-        s.push_str(&format!("  \"ext_dse_cold_s\": {cold:.3},\n"));
-    }
     s.push_str(&format!(
-        "  \"nn_table_build\": {{\"legacy_s\": {:.4}, \"compiled_s\": {:.4}, \"speedup\": {:.2}}}\n",
-        b.nn_legacy_s,
+        "  \"nn_table_build\": {{\"compiled_s\": {:.4}}}\n",
         b.nn_compiled_s,
-        b.nn_legacy_s / b.nn_compiled_s,
     ));
     s.push_str("}\n");
     s
@@ -627,22 +373,5 @@ mod tests {
         assert!(!json.contains("\"stats_identical\": false"));
         assert!(json.contains("\"energy_identical\": true"));
         assert!(!json.contains("\"energy_identical\": false"));
-        // The cold DSE run is a full-mode measurement only.
-        assert!(!json.contains("\"ext_dse_cold_s\""));
-    }
-
-    #[test]
-    fn legacy_energy_replica_agrees_on_totals() {
-        // The replica's float accumulation order differs from the new
-        // end-of-run fold, so the values agree to rounding, not bits —
-        // which is exactly why the store records carry an algorithm
-        // version.
-        let entry = &fig7_roster(8)[0];
-        let ch = Characterizer::virtex7();
-        let prog = CompiledNetlist::compile(&entry.netlist);
-        let legacy = legacy_characterize_energy(&entry.netlist, &prog, &ch);
-        let (cost, _) = ch.characterize_timed(&entry.netlist, &prog).unwrap();
-        assert!((legacy.energy_per_op - cost.energy_per_op).abs() / cost.energy_per_op < 1e-12);
-        assert!((legacy.edp - cost.edp).abs() / cost.edp < 1e-12);
     }
 }

@@ -1,8 +1,9 @@
-//! Compiled bit-sliced netlist simulation.
+//! Compiled bit-sliced netlist simulation: the engine behind every
+//! sweep, energy measurement and fault campaign in the workspace.
 //!
-//! [`crate::sim::WideSim`] interprets the cell list on every pass and
-//! evaluates each `LUT6_2` with a scalar 64-iteration per-lane loop.
-//! This module removes both costs with a one-time compilation step:
+//! A naive simulator interprets the cell list on every pass and
+//! evaluates each `LUT6_2` one lane at a time. This module removes both
+//! costs with a one-time compilation step:
 //!
 //! * **Mux-tree LUT kernels** — every LUT's INIT vector is expanded at
 //!   compile time through a Shannon decomposition into a handful of
@@ -11,7 +12,7 @@
 //!   subexpressions shared), so one pass evaluates the LUT for *all*
 //!   lanes at once instead of 64 iterations of 6 shifts each.
 //! * **A dense instruction stream** — [`CompiledNetlist::compile`]
-//!   flattens the netlist into a flat vector of [`Op`]s over
+//!   flattens the netlist into a flat vector of `Op`s over
 //!   slot-allocated value storage. Constants are broadcast once at
 //!   simulator construction, every op overwrites its own slot, and no
 //!   per-pass `O(nets)` clear remains.
@@ -24,12 +25,11 @@
 //!   word instead of transposing lane-major vectors bit by bit
 //!   ([`CompiledSim::load_sweep`]).
 //!
-//! The per-net visibility of the interpreter is preserved: every net
-//! maps to a slot (constants and aliases share slots), so toggle
-//! counting ([`crate::power`]) and truth-table extraction read the
-//! same values the interpretive simulator would have produced —
-//! bit-identically, which the crate's tests assert across the whole
-//! design roster.
+//! Per-net visibility is kept: every net maps to a slot (constants and
+//! aliases share slots), so toggle counting ([`crate::power`]) and
+//! truth-table extraction read, on every lane, the value the scalar
+//! oracle [`Netlist::eval_nets`] gives that net — bit-identically,
+//! which the crate's tests assert across the whole design roster.
 
 use std::collections::HashMap;
 
@@ -767,9 +767,9 @@ impl<'p, const W: usize> CompiledSim<'p, W> {
         }
     }
 
-    /// The lane words of `net` after [`CompiledSim::run`] — the same
-    /// per-net visibility [`crate::sim::WideSim::eval_nets`] offers,
-    /// read through the net-to-slot map.
+    /// The lane words of `net` after [`CompiledSim::run`]: lane `l` of
+    /// the words holds the value [`Netlist::eval_nets`] gives `net` on
+    /// lane `l`'s input vector, read through the net-to-slot map.
     #[must_use]
     pub fn net_word(&self, net: NetId) -> [u64; W] {
         self.values[self.prog.net_src[net.index()] as usize]
@@ -793,9 +793,9 @@ impl<'p, const W: usize> CompiledSim<'p, W> {
         self.values[self.prog.outputs[bus][bit] as usize]
     }
 
-    /// Loads, runs, and gathers outputs as `outputs[bus][lane]` — the
-    /// drop-in equivalent of [`crate::sim::WideSim::eval`] with
-    /// `64 * W` lanes.
+    /// Loads, runs, and gathers outputs as `outputs[bus][lane]`: up to
+    /// `64 * W` vectors per call, each lane equal to [`Netlist::eval`]
+    /// on that lane's inputs.
     ///
     /// # Errors
     ///
@@ -829,7 +829,6 @@ impl<'p, const W: usize> CompiledSim<'p, W> {
 mod tests {
     use super::*;
     use crate::fault::eval_with_faults;
-    use crate::sim::WideSim;
     use crate::{Init, NetlistBuilder};
 
     fn adder4() -> Netlist {
@@ -879,18 +878,20 @@ mod tests {
     }
 
     #[test]
-    fn net_words_match_wide_sim_nets() {
+    fn net_words_match_scalar_nets() {
         let nl = adder4();
         let prog = CompiledNetlist::compile(&nl);
         let mut sim: CompiledSim<'_, 1> = prog.simulator();
-        let mut wide = WideSim::new(&nl);
         let a: Vec<u64> = (0..64u64).map(|v| v % 16).collect();
         let c: Vec<u64> = (0..64u64).map(|v| (v / 16) % 16).collect();
         sim.load(&[&a, &c]).unwrap();
         sim.run();
-        let nets = wide.eval_nets(&[&a, &c]).unwrap();
-        for (net, &want) in nets.iter().enumerate() {
-            assert_eq!(sim.net_word(NetId::new(net as u32))[0], want, "net {net}");
+        for lane in 0..64 {
+            let nets = nl.eval_nets(&[a[lane], c[lane]]).unwrap();
+            for (net, &want) in nets.iter().enumerate() {
+                let word = sim.net_word(NetId::new(net as u32))[0];
+                assert_eq!(word >> lane & 1 == 1, want, "net {net} lane {lane}");
+            }
         }
     }
 

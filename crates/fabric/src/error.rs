@@ -44,8 +44,9 @@ pub enum FabricError {
         name: String,
     },
     /// A bus is wider than the 64-bit word that carries its value in
-    /// word-per-bus simulation ([`crate::Netlist::eval`], the compiled
-    /// simulator's `load`/`eval` and operand sweeps, and `WideSim`).
+    /// word-per-bus simulation ([`crate::Netlist::eval`] and
+    /// [`crate::Netlist::eval_nets`], and the compiled simulator's
+    /// `load`/`eval` and operand sweeps).
     BusTooWide {
         /// `true` for an output bus, `false` for an input bus.
         output: bool,

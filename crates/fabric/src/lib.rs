@@ -10,8 +10,10 @@
 //! * [`Init`] — 64-bit LUT truth tables ("INIT values") with the exact
 //!   `LUT6_2` dual-output semantics of the 7-series CLB (`O6`/`O5`).
 //! * [`Netlist`] / [`NetlistBuilder`] — a cell/net graph of `LUT6_2` and
-//!   `CARRY4` primitives with primary inputs/outputs and constants.
-//! * [`sim`] — scalar and 64-lane bit-parallel netlist simulation.
+//!   `CARRY4` primitives with primary inputs/outputs and constants;
+//!   [`Netlist::eval`] and [`Netlist::eval_nets`] are the scalar
+//!   one-vector reference every engine is checked against.
+//! * [`sim`] — exhaustive operand sweeps over the compiled simulator.
 //! * [`compile`] — the compiled bit-sliced simulator: mux-tree LUT
 //!   kernels over const-generic multi-word lane blocks, the backend of
 //!   every exhaustive sweep in the workspace.

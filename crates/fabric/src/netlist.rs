@@ -462,6 +462,21 @@ impl Netlist {
         self.eval_forced(inputs, &[])
     }
 
+    /// The scalar walk behind [`Netlist::eval`], returning the value of
+    /// *every* net (indexed by [`NetId::index`]) for analyses that need
+    /// internal visibility: toggle counting, and the per-net checks of
+    /// the compiled simulator.
+    ///
+    /// # Errors
+    ///
+    /// [`FabricError::InputArity`] if `inputs.len()` differs from the
+    /// number of input buses; [`FabricError::BusTooWide`] if an input
+    /// bus is wider than 64 bits. Output widths are not checked, since
+    /// no output word is assembled.
+    pub fn eval_nets(&self, inputs: &[u64]) -> Result<Vec<bool>, FabricError> {
+        self.walk(inputs, &[], false)
+    }
+
     /// [`Netlist::eval`] with every net in `faults` pinned to its stuck
     /// value wherever it is read (the backend of
     /// [`crate::fault::eval_with_faults`]).
@@ -470,6 +485,28 @@ impl Netlist {
         inputs: &[u64],
         faults: &[Fault],
     ) -> Result<Vec<u64>, FabricError> {
+        let values = self.walk(inputs, faults, true)?;
+        Ok(self
+            .outputs
+            .iter()
+            .map(|(_, bits)| {
+                bits.iter()
+                    .enumerate()
+                    .map(|(bit, net)| u64::from(values[net.index()]) << bit)
+                    .sum()
+            })
+            .collect())
+    }
+
+    /// One scalar pass: loads `inputs`, then the constants, then
+    /// evaluates every cell in order with `faults` re-pinned after each.
+    /// `word_outputs` also rejects output buses wider than a word.
+    fn walk(
+        &self,
+        inputs: &[u64],
+        faults: &[Fault],
+        word_outputs: bool,
+    ) -> Result<Vec<bool>, FabricError> {
         if inputs.len() != self.inputs.len() {
             return Err(FabricError::InputArity {
                 expected: self.inputs.len(),
@@ -477,7 +514,9 @@ impl Netlist {
             });
         }
         check_word_buses(self.inputs.iter().map(|(_, bits)| bits.len()), false)?;
-        check_word_buses(self.outputs.iter().map(|(_, bits)| bits.len()), true)?;
+        if word_outputs {
+            check_word_buses(self.outputs.iter().map(|(_, bits)| bits.len()), true)?;
+        }
         let mut values = vec![false; self.net_count()];
         for ((_, bits), &word) in self.inputs.iter().zip(inputs) {
             for (bit, net) in bits.iter().enumerate() {
@@ -499,16 +538,7 @@ impl Netlist {
             cell.eval(&mut values);
             force(&mut values);
         }
-        Ok(self
-            .outputs
-            .iter()
-            .map(|(_, bits)| {
-                bits.iter()
-                    .enumerate()
-                    .map(|(bit, net)| u64::from(values[net.index()]) << bit)
-                    .sum()
-            })
-            .collect())
+        Ok(values)
     }
 }
 
@@ -1073,6 +1103,13 @@ mod tests {
             Err(FabricError::InputArity {
                 expected: 1,
                 got: 0
+            })
+        ));
+        assert!(matches!(
+            nl.eval_nets(&[0, 1]),
+            Err(FabricError::InputArity {
+                expected: 1,
+                got: 2
             })
         ));
     }

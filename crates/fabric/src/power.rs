@@ -21,7 +21,6 @@
 
 use crate::compile::{CompiledNetlist, CompiledSim, SWEEP_WORDS};
 use crate::netlist::Driver;
-use crate::sim::WideSim;
 use crate::timing::{analyze, DelayModel};
 use crate::{FabricError, Netlist};
 
@@ -364,33 +363,10 @@ pub fn measure(
     delay: &DelayModel,
     stimulus: &[Vec<u64>],
 ) -> Result<EnergyReport, FabricError> {
-    measure_with(
-        netlist,
-        &CompiledNetlist::compile(netlist),
-        energy,
-        delay,
-        stimulus,
-    )
-}
-
-/// [`measure`] over an already-compiled program, for callers that also
-/// sweep the same netlist (e.g. the DSE characterization cache) and
-/// want to compile it exactly once. Packs the stimulus, runs one STA,
-/// and delegates to [`measure_packed`] with one worker.
-///
-/// # Errors
-///
-/// Same as [`measure`].
-pub fn measure_with(
-    netlist: &Netlist,
-    prog: &CompiledNetlist,
-    energy: &EnergyModel,
-    delay: &DelayModel,
-    stimulus: &[Vec<u64>],
-) -> Result<EnergyReport, FabricError> {
     let stim = PackedStimulus::pack(netlist, stimulus)?;
     let critical_path_ns = analyze(netlist, delay).critical_path_ns;
-    measure_packed(netlist, prog, energy, critical_path_ns, &stim, 1)
+    let prog = CompiledNetlist::compile(netlist);
+    measure_packed(netlist, &prog, energy, critical_path_ns, &stim, 1)
 }
 
 /// The wide-lane measurement core: evaluates the packed stimulus
@@ -435,11 +411,11 @@ pub fn measure_packed(
     Ok(finish_report(total, stim.steps, critical_path_ns))
 }
 
-/// Scalar single-step reference measurement: the interpretive
-/// [`WideSim`] evaluates one stimulus step per call, toggles are
-/// counted as integers per net, and the same end-of-run weighted fold
-/// as [`measure_packed`] produces the report. This is the ground truth
-/// the wide-lane path is gated bit-identical against (tests and the
+/// Scalar single-step reference measurement: [`Netlist::eval_nets`]
+/// evaluates one stimulus step per call, toggles are counted as
+/// integers per net, and the same end-of-run weighted fold as
+/// [`measure_packed`] produces the report. This is the ground truth the
+/// wide-lane path is gated bit-identical against (tests and the
 /// `sim-bench` CI gate) — it shares no lane-word machinery with it.
 ///
 /// # Errors
@@ -452,21 +428,16 @@ pub fn measure_reference(
     stimulus: &[Vec<u64>],
 ) -> Result<EnergyReport, FabricError> {
     let weights = net_weights(netlist, energy);
-    let mut sim = WideSim::new(netlist);
     let mut counts = vec![0u64; netlist.net_count()];
-    let mut prev: Vec<u64> = Vec::new();
-    for (step, v) in stimulus.iter().enumerate() {
-        let lanes: Vec<[u64; 1]> = v.iter().map(|&val| [val]).collect();
-        let refs: Vec<&[u64]> = lanes.iter().map(|l| &l[..]).collect();
-        let nets = sim.eval_nets(&refs)?;
-        if step > 0 {
-            for (count, (&now, &was)) in counts.iter_mut().zip(nets.iter().zip(&prev)) {
-                *count += (now ^ was) & 1;
+    let mut prev: Option<Vec<bool>> = None;
+    for v in stimulus {
+        let nets = netlist.eval_nets(v)?;
+        if let Some(prev) = &prev {
+            for (count, (&now, &was)) in counts.iter_mut().zip(nets.iter().zip(prev)) {
+                *count += u64::from(now != was);
             }
-        } else {
-            prev = vec![0; nets.len()];
         }
-        prev.copy_from_slice(nets);
+        prev = Some(nets);
     }
     let total = weighted_total(&weights, |net| counts[net]);
     let critical_path_ns = analyze(netlist, delay).critical_path_ns;

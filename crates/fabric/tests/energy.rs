@@ -1,5 +1,5 @@
 //! Property-based bit-identity tests of the packed wide-lane energy
-//! path against the scalar interpretive reference.
+//! path against the scalar reference.
 //!
 //! The wide path packs the stimulus into lane words, counts toggles as
 //! integer popcounts per pass (optionally sharded across workers), and
@@ -10,7 +10,7 @@
 
 use axmul_fabric::compile::CompiledNetlist;
 use axmul_fabric::power::{
-    measure_packed, measure_reference, measure_with, uniform_stimulus, EnergyModel, EnergyReport,
+    measure, measure_packed, measure_reference, uniform_stimulus, EnergyModel, EnergyReport,
     PackedStimulus,
 };
 use axmul_fabric::timing::{analyze, DelayModel};
@@ -80,7 +80,7 @@ proptest! {
         let stimulus = uniform_stimulus(&nl, steps, seed);
         let reference = measure_reference(&nl, &energy, &delay, &stimulus).unwrap();
 
-        let single = measure_with(&nl, &prog, &energy, &delay, &stimulus).unwrap();
+        let single = measure(&nl, &energy, &delay, &stimulus).unwrap();
         assert_reports_identical(&single, &reference);
 
         let packed = PackedStimulus::pack(&nl, &stimulus).unwrap();

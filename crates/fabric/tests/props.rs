@@ -1,6 +1,6 @@
 //! Property-based tests of the fabric model's core invariants.
 
-use axmul_fabric::sim::WideSim;
+use axmul_fabric::compile::{CompiledNetlist, CompiledSim};
 use axmul_fabric::timing::{analyze, DelayModel};
 use axmul_fabric::{Init, NetId, NetlistBuilder};
 use proptest::prelude::*;
@@ -26,21 +26,26 @@ fn random_netlist(n_inputs: usize, luts: &[(u64, [u8; 6])]) -> axmul_fabric::Net
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// 64-lane bit-parallel simulation agrees with scalar simulation on
-    /// arbitrary LUT networks and inputs.
+    /// The compiled 64-lane simulator agrees with the scalar oracle on
+    /// arbitrary LUT networks and inputs, on every output and every net.
     #[test]
-    fn wide_sim_equals_scalar(
+    fn compiled_sim_equals_scalar(
         luts in prop::collection::vec((any::<u64>(), any::<[u8; 6]>()), 1..20),
         stim in prop::collection::vec(0u64..256, 1..64),
     ) {
         let nl = random_netlist(8, &luts);
-        let mut sim = WideSim::new(&nl);
-        let lanes: Vec<u64> = stim.clone();
-        let wide = sim.eval(&[&lanes]).unwrap();
+        let prog = CompiledNetlist::compile(&nl);
+        let mut sim: CompiledSim<'_, 1> = prog.simulator();
+        let wide = sim.eval(&[&stim]).unwrap();
         for (lane, &value) in stim.iter().enumerate() {
             let scalar = nl.eval(&[value]).unwrap();
             prop_assert_eq!(wide[0][lane], scalar[0], "lane {}", lane);
             prop_assert_eq!(wide[1][lane], scalar[1], "lane {}", lane);
+            let nets = nl.eval_nets(&[value]).unwrap();
+            for (net, &want) in nets.iter().enumerate() {
+                let word = sim.net_word(NetId::new(net as u32))[0];
+                prop_assert_eq!(word >> lane & 1 == 1, want, "net {} lane {}", net, lane);
+            }
         }
     }
 

@@ -62,7 +62,7 @@ pub const TABLE2_PAIRS: [(u64, u64); 6] = [(15, 5), (7, 6), (15, 6), (15, 7), (1
 /// Checks structural-vs-behavioral equivalence of `netlist` against
 /// `model`, appending findings to `diags`. Past the exhaustive window
 /// the sampled sweep is followed by a SAT escalation
-/// ([`escalate_equivalence_sat`]), so every outcome is a diagnostic
+/// (`escalate_equivalence_sat`), so every outcome is a diagnostic
 /// with an engine tag — this pass never records a skip.
 ///
 /// The netlist must expose two input buses (`a`, then `b`) matching the

@@ -44,7 +44,7 @@ pub struct ErrorStats {
     /// Root of [`ErrorStats::mean_squared_error`].
     pub rmse: f64,
     /// Operand pairs `(a, b)` achieving [`ErrorStats::max_error`]: the
-    /// first [`WITNESS_CAP`] such pairs in sample order (empty when no
+    /// first `WITNESS_CAP` such pairs in sample order (empty when no
     /// sample errs). Deterministic across worker counts — sharded
     /// sweeps reproduce the sequential list exactly — and the hook
     /// that lets static analyses check their worst-case-error bounds
@@ -139,7 +139,7 @@ impl ErrorStats {
     /// the per-shard partial sums are merged in fixed shard order. The
     /// result is **byte-identical** for every worker count — and to the
     /// scalar [`ErrorStats::exhaustive`] path — because the float
-    /// accumulation order is preserved exactly (see [`Accumulator`]).
+    /// accumulation order is preserved exactly (see `Accumulator`).
     ///
     /// # Errors
     ///

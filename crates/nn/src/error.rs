@@ -5,7 +5,7 @@ use axmul_fabric::FabricError;
 /// Errors surfaced by the inference engine.
 ///
 /// Every malformed model or input is reported as a typed error — layer
-/// shape validation happens up front in [`crate::Model::validate`], so
+/// shape validation happens up front in [`crate::Model::new`], so
 /// the MAC inner loops never panic on fixture mistakes.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]

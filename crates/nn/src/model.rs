@@ -5,7 +5,7 @@ use crate::layers::{avg_pool, relu, Layer, Shape};
 use crate::table::MacBackend;
 
 /// An int8 feed-forward network: an input shape and a layer stack
-/// ending in a logits-producing [`Dense`] (one with `requant: None`).
+/// ending in a logits-producing [`Dense`](crate::Dense) (one with `requant: None`).
 ///
 /// Construct with [`Model::new`], which validates every parameter
 /// buffer against its declared shape and the activation shapes across

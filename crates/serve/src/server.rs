@@ -32,9 +32,11 @@ use crate::service::Service;
 /// How long the accept loop sleeps between polls of its listeners.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
-/// Per-connection socket read timeout: an idle client is eventually
-/// dropped so it cannot pin a worker forever.
-const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// Per-connection socket read and write timeout: an idle client, or one
+/// that pipelines requests and never reads its replies (so a reply
+/// blocks in `write_frame` once the socket buffer fills), is eventually
+/// dropped, so it cannot pin a worker, or a shutdown joining it, forever.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Where the daemon listens.
 #[derive(Debug, Clone, Default)]
@@ -73,10 +75,16 @@ enum Conn {
 }
 
 impl Conn {
-    fn set_read_timeout(&self) -> io::Result<()> {
+    fn set_timeouts(&self) -> io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.set_read_timeout(Some(READ_TIMEOUT)),
-            Conn::Unix(s) => s.set_read_timeout(Some(READ_TIMEOUT)),
+            Conn::Tcp(s) => {
+                s.set_read_timeout(Some(IO_TIMEOUT))?;
+                s.set_write_timeout(Some(IO_TIMEOUT))
+            }
+            Conn::Unix(s) => {
+                s.set_read_timeout(Some(IO_TIMEOUT))?;
+                s.set_write_timeout(Some(IO_TIMEOUT))
+            }
         }
     }
 }
@@ -313,7 +321,7 @@ fn worker_loop(
 
 /// Serves one connection to completion. Never panics on peer behavior.
 fn serve_connection(mut conn: Conn, service: &Service, shutdown: &AtomicBool, max_frame: u32) {
-    if conn.set_read_timeout().is_err() {
+    if conn.set_timeouts().is_err() {
         return;
     }
     loop {
@@ -343,6 +351,34 @@ fn serve_connection(mut conn: Conn, service: &Service, shutdown: &AtomicBool, ma
                 }
                 return;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn timeouts(conn: &Conn) -> io::Result<(Option<Duration>, Option<Duration>)> {
+        match conn {
+            Conn::Tcp(s) => Ok((s.read_timeout()?, s.write_timeout()?)),
+            Conn::Unix(s) => Ok((s.read_timeout()?, s.write_timeout()?)),
+        }
+    }
+
+    #[test]
+    fn accepted_connections_time_out_reads_and_writes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (tcp, _) = listener.accept().unwrap();
+        let (unix, _peer) = UnixStream::pair().unwrap();
+        for conn in [Conn::Tcp(tcp), Conn::Unix(unix)] {
+            assert_eq!(timeouts(&conn).unwrap(), (None, None));
+            conn.set_timeouts().unwrap();
+            assert_eq!(
+                timeouts(&conn).unwrap(),
+                (Some(IO_TIMEOUT), Some(IO_TIMEOUT))
+            );
         }
     }
 }

@@ -13,7 +13,7 @@
 //!   since no image assets ship with this repository.
 //! * [`SusanParams`] / [`susan_smooth`] — the integer SUSAN smoothing
 //!   datapath; every product in the inner loop goes through the
-//!   supplied [`Multiplier`].
+//!   supplied [`Multiplier`](axmul_core::Multiplier).
 //! * [`Recording`] — a multiplier adapter that captures the operand
 //!   trace (Fig. 12).
 //! * [`accelerator_area`] — the datapath area model behind the paper's

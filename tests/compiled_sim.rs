@@ -3,9 +3,9 @@
 //! every baseline family, the EvoApprox-style library, the adder
 //! netlists and a stride of the 1 250 enumerated recursive 8×8
 //! configurations — the compiled program's outputs and *per-net* words
-//! are bit-identical to the scalar [`Netlist::eval`] reference and the
-//! interpretive [`WideSim`]. Net-word equality over all nets subsumes
-//! toggle-count equality, so the energy proxy is covered too.
+//! are bit-identical to the scalar [`Netlist::eval`] reference and its
+//! per-net walk [`Netlist::eval_nets`]. Net-word equality over all nets
+//! subsumes toggle-count equality, so the energy proxy is covered too.
 //!
 //! The scalar oracle's edge cases are pinned against the compiled
 //! program as well: three input buses, input words with bits set above
@@ -23,7 +23,6 @@ use approx_multipliers::core::structural::{
 };
 use approx_multipliers::dse::Config;
 use approx_multipliers::fabric::compile::{CompiledNetlist, CompiledSim};
-use approx_multipliers::fabric::sim::WideSim;
 use approx_multipliers::fabric::{Cell, CellId, Driver, Init, NetId, Netlist};
 
 fn roster() -> Vec<Netlist> {
@@ -110,7 +109,7 @@ fn assert_eval_matches_compiled(netlist: &Netlist, lanes: &[Vec<u64>]) -> Vec<Ve
 }
 
 /// Asserts the compiled program reproduces `Netlist::eval` outputs and
-/// every `WideSim` net word exactly, on a 128-lane stimulus.
+/// every `Netlist::eval_nets` net value exactly, on a 128-lane stimulus.
 fn assert_compiled_matches(netlist: &Netlist) {
     let name = netlist.name();
     let lanes = lanes_for(netlist, 0x0D0C_5EED ^ netlist.net_count() as u64);
@@ -122,18 +121,15 @@ fn assert_compiled_matches(netlist: &Netlist) {
     assert_eq!(sim.load(&refs).unwrap(), 128);
     sim.run();
 
-    // Every net word versus the interpretive WideSim, 64 lanes at a
-    // time (equality over all nets subsumes toggle-count equality).
-    let mut wide = WideSim::new(netlist);
-    for half in 0..2 {
-        let half_refs: Vec<&[u64]> = lanes
-            .iter()
-            .map(|bus| &bus[64 * half..64 * (half + 1)])
-            .collect();
-        let nets = wide.eval_nets(&half_refs).unwrap();
+    // Every net on every lane versus the scalar per-net walk (equality
+    // over all nets subsumes toggle-count equality).
+    for lane in 0..128 {
+        let vector: Vec<u64> = lanes.iter().map(|bus| bus[lane]).collect();
+        let nets = netlist.eval_nets(&vector).unwrap();
         for (net, &want) in nets.iter().enumerate() {
-            let got = sim.net_word(NetId::new(net as u32))[half];
-            assert_eq!(got, want, "{name}: net {net}, half {half}");
+            let word = sim.net_word(NetId::new(net as u32))[lane / 64];
+            let got = word >> (lane % 64) & 1 == 1;
+            assert_eq!(got, want, "{name}: net {net}, lane {lane}");
         }
     }
 }

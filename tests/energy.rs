@@ -4,8 +4,8 @@
 //! enumerated recursive 8×8 configurations, the packed integer-toggle
 //! measurement ([`measure_packed`]) produces an [`EnergyReport`] whose
 //! `energy_per_op` and `edp` are **bit-identical** to the scalar
-//! interpretive reference ([`measure_reference`]) for every worker
-//! count, and the production `characterize` path agrees with both.
+//! reference ([`measure_reference`]) for every worker count, and the
+//! production `characterize` path agrees with both.
 
 use approx_multipliers::adders::{carry_free_adder_netlist, exact_adder_netlist, loa_netlist};
 use approx_multipliers::baselines::{
@@ -17,7 +17,7 @@ use approx_multipliers::dse::{CharCache, Config};
 use approx_multipliers::fabric::compile::CompiledNetlist;
 use approx_multipliers::fabric::cost::Characterizer;
 use approx_multipliers::fabric::power::{
-    measure_packed, measure_reference, measure_with, uniform_stimulus, PackedStimulus,
+    measure, measure_packed, measure_reference, uniform_stimulus, PackedStimulus,
 };
 use approx_multipliers::fabric::timing::analyze;
 use approx_multipliers::fabric::Netlist;
@@ -52,12 +52,12 @@ fn assert_bit_identical(netlist: &Netlist) {
         let stimulus = uniform_stimulus(netlist, steps, ch.stimulus_seed);
         let reference = measure_reference(netlist, &ch.energy, &ch.delay, &stimulus)
             .expect("reference measures");
-        let compat = measure_with(netlist, &prog, &ch.energy, &ch.delay, &stimulus)
-            .expect("compat wrapper measures");
+        let one_shot =
+            measure(netlist, &ch.energy, &ch.delay, &stimulus).expect("one-shot measures");
         assert_eq!(
-            compat.energy_per_op.to_bits(),
+            one_shot.energy_per_op.to_bits(),
             reference.energy_per_op.to_bits(),
-            "{}: measure_with diverged at {} steps",
+            "{}: measure diverged at {} steps",
             netlist.name(),
             steps
         );

@@ -7,8 +7,8 @@ use approx_multipliers::core::behavioral::{Ca, Cc, Summation};
 use approx_multipliers::core::structural::compose_netlist;
 use approx_multipliers::core::{Exact, Multiplier};
 use approx_multipliers::fabric::area::AreaReport;
+use approx_multipliers::fabric::compile::{CompiledNetlist, CompiledSim};
 use approx_multipliers::fabric::power::{measure, uniform_stimulus, EnergyModel};
-use approx_multipliers::fabric::sim::WideSim;
 use approx_multipliers::fabric::timing::{analyze, DelayModel};
 use approx_multipliers::metrics::{ErrorPmf, ErrorStats};
 use approx_multipliers::susan::{
@@ -51,7 +51,8 @@ fn fabric_services_compose() {
     let area = AreaReport::of(&nl);
     assert_eq!(area.luts, 57);
 
-    let mut sim = WideSim::new(&nl);
+    let prog = CompiledNetlist::compile(&nl);
+    let mut sim: CompiledSim<'_, 1> = prog.simulator();
     let a: Vec<u64> = (0..64).collect();
     let b: Vec<u64> = (0..64).map(|i| 255 - i).collect();
     let out = sim.eval(&[&a, &b]).expect("simulates");

@@ -23,15 +23,23 @@
 //! assert.
 //!
 //! An 8×8 quad's statistics are folded straight from its four leaf
-//! tables; its own 65 536-entry table is built only when something asks
-//! for the block's evaluator ([`BlockChar::multiplier`]) and then kept.
+//! tables by [`ErrorStats::exhaustive_quad`], whose sixteen lanes are
+//! the sixteen 4096-sample relative-error chunks of the sweep: chunk
+//! `bh` is the rows `b = (bh << 4) | bl`, each lane takes its chunk's
+//! samples in the original order, a pair the per-pair fold would skip
+//! adds `+0.0` to its lane's chain (a no-op, since the chain is never
+//! below `+0.0`), and the counts and error sums are exact integers in
+//! any order. So the statistics are bit-identical to
+//! [`ErrorStats::exhaustive`]. The quad's own 65 536-entry table is
+//! built only when something asks for the block's evaluator
+//! ([`BlockChar::multiplier`]) and then kept.
 //! An exhaustive 8×8 sweep therefore holds 1 KiB per leaf instead of
 //! 256 KiB per candidate, while a 16×16 parent still evaluates its
 //! 8×8 children by table lookup.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use axmul_core::behavioral::{combine_products, Summation};
@@ -40,7 +48,7 @@ use axmul_fabric::area::AreaReport;
 use axmul_fabric::compile::CompiledNetlist;
 use axmul_fabric::cost::{Characterizer, NetlistCost};
 use axmul_fabric::{FabricError, Netlist};
-use axmul_metrics::{ErrorStats, StatsBuilder};
+use axmul_metrics::ErrorStats;
 
 /// Version of the characterization algorithm, mixed into every
 /// persisted record's hash. Bump it whenever a change alters the float
@@ -136,13 +144,12 @@ impl EvalNode {
         }
     }
 
-    /// The node as an ≤ 8-bit quad over four value tables, if it is one.
+    /// The node as an 8×8 quad over four value tables, if it is one.
     fn leaf_quad(&self) -> Option<LeafQuad<'_>> {
         match self {
-            EvalNode::Quad { summation, m, sub } if 2 * m <= 8 => match &**sub {
+            EvalNode::Quad { summation, m, sub } if *m == 4 => match &**sub {
                 [EvalNode::Table { table: ll, .. }, EvalNode::Table { table: hl, .. }, EvalNode::Table { table: lh, .. }, EvalNode::Table { table: hh, .. }] => {
                     Some(LeafQuad {
-                        m: *m,
                         summation: *summation,
                         tables: [ll, hl, lh, hh],
                     })
@@ -154,67 +161,55 @@ impl EvalNode {
     }
 }
 
-/// An ≤ 8-bit quad whose four children are value tables: the DSE hot
+/// An 8×8 quad whose four children are 4×4 value tables: the DSE hot
 /// loop folds its statistics from the leaf tables, and its own table
 /// is flattened from them on demand.
 struct LeafQuad<'a> {
-    m: u32,
     summation: Summation,
     /// Child tables in `LL`, `HL`, `LH`, `HH` order.
     tables: [&'a [u32]; 4],
 }
 
 impl LeafQuad<'_> {
-    /// Calls `f(a, b, product)` for every operand pair in the canonical
-    /// sweep order (`b` outer, `a` the fast axis), composing products
-    /// from hoisted child-table rows instead of walking the evaluator
-    /// tree per pair.
+    /// Calls `f(product)` for every operand pair in the canonical sweep
+    /// order (`b` outer, `a` the fast axis), composing products from
+    /// hoisted child-table rows instead of walking the evaluator tree
+    /// per pair.
     #[inline]
-    fn for_each_product(&self, mut f: impl FnMut(u64, u64, u64)) {
-        let m = self.m;
-        let half = 1usize << m;
+    fn for_each_product(&self, mut f: impl FnMut(u64)) {
+        const M: u32 = 4;
+        const HALF: usize = 1 << M;
         let [ll, hl, lh, hh] = self.tables;
-        for b in 0..1u64 << (2 * m) {
-            let bl = (b as usize) & (half - 1);
-            let bh = (b as usize) >> m;
-            let r_ll = &ll[bl << m..(bl << m) + half];
-            let r_hl = &hl[bl << m..(bl << m) + half];
-            let r_lh = &lh[bh << m..(bh << m) + half];
-            let r_hh = &hh[bh << m..(bh << m) + half];
-            for ah in 0..half {
+        for b in 0..HALF * HALF {
+            let (bl, bh) = (b % HALF, b / HALF);
+            let r_ll = &ll[bl * HALF..][..HALF];
+            let r_hl = &hl[bl * HALF..][..HALF];
+            let r_lh = &lh[bh * HALF..][..HALF];
+            let r_hh = &hh[bh * HALF..][..HALF];
+            for ah in 0..HALF {
                 let p_hl = u64::from(r_hl[ah]);
                 let p_hh = u64::from(r_hh[ah]);
-                let a_hi = (ah as u64) << m;
-                for al in 0..half {
-                    let p = combine_products(
-                        u64::from(r_ll[al]),
-                        p_hl,
-                        u64::from(r_lh[al]),
-                        p_hh,
-                        m,
-                        self.summation,
-                    );
-                    f(a_hi | al as u64, b, p);
+                for al in 0..HALF {
+                    let p_ll = u64::from(r_ll[al]);
+                    let p_lh = u64::from(r_lh[al]);
+                    f(combine_products(p_ll, p_hl, p_lh, p_hh, M, self.summation));
                 }
             }
         }
     }
 
-    /// Exhaustive error statistics, accumulated by [`StatsBuilder`] in
-    /// the same order as [`ErrorStats::exhaustive`], so bit-identical
-    /// to it.
+    /// Exhaustive error statistics, from the lane-parallel quad kernel
+    /// ([`ErrorStats::exhaustive_quad`]), bit-identical to
+    /// [`ErrorStats::exhaustive`].
     fn stats(&self, name: &str) -> ErrorStats {
-        let mut sb = StatsBuilder::new();
-        self.for_each_product(|a, b, p| sb.push(a, b, a * b, p));
-        let bits = 2 * self.m;
-        sb.finish(name.to_string(), bits, bits)
+        ErrorStats::exhaustive_quad(name.to_string(), self.tables, self.summation)
     }
 
     /// Exhaustive value table, indexed `(b << bits) | a` — exactly the
     /// sweep order.
     fn table(&self) -> Vec<u32> {
-        let mut table = Vec::with_capacity(1usize << (4 * self.m));
-        self.for_each_product(|_, _, p| table.push(p as u32));
+        let mut table = Vec::with_capacity(1 << 16);
+        self.for_each_product(|p| table.push(p as u32));
         table
     }
 }
@@ -256,6 +251,9 @@ pub struct CharCache {
     samples: u64,
     /// Seed of the sampled-stats stream.
     sample_seed: u64,
+    /// Every lock of the cache tolerates poisoning: each critical
+    /// section is one lookup or insert, which leaves the data valid
+    /// even when its holder panics.
     map: Mutex<HashMap<String, Arc<BlockChar>>>,
     /// Keys a worker is characterizing right now; a second worker that
     /// misses on one waits for the first worker's record.
@@ -440,20 +438,25 @@ impl CharCache {
                 // Truncated, corrupt, version-mismatched or stale
                 // record: rebuild cleanly and overwrite it.
                 self.store_failures.fetch_add(1, Ordering::Relaxed);
-                *self.last_store_error.lock().expect("store error lock") = Some(e.to_string());
+                *self
+                    .last_store_error
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner) = Some(e.to_string());
                 Arc::new(self.build_and_persist(cfg, &key)?)
             }
         };
-        self.map
-            .lock()
-            .expect("cache lock")
-            .insert(key.clone(), Arc::clone(&record));
+        self.map().insert(key.clone(), Arc::clone(&record));
         Ok(record)
+    }
+
+    /// The locked record map (poison-tolerant, see the `map` field).
+    fn map(&self) -> MutexGuard<'_, HashMap<String, Arc<BlockChar>>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// An in-memory hit, counted.
     fn lookup(&self, key: &str) -> Option<Arc<BlockChar>> {
-        let hit = Arc::clone(self.map.lock().expect("cache lock").get(key)?);
+        let hit = Arc::clone(self.map().get(key)?);
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(hit)
     }
@@ -713,7 +716,7 @@ impl CharCache {
     pub fn last_store_error(&self) -> Option<String> {
         self.last_store_error
             .lock()
-            .expect("store error lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 
@@ -729,7 +732,7 @@ impl CharCache {
 
     /// Number of distinct sub-blocks characterized.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache lock").len()
+        self.map().len()
     }
 
     /// Whether the cache is empty.
@@ -831,5 +834,34 @@ mod tests {
         for (mine, theirs) in records[0].iter().zip(&records[1]) {
             assert!(Arc::ptr_eq(mine, theirs), "{}", mine.key);
         }
+    }
+
+    #[test]
+    fn a_panic_under_the_map_lock_leaves_the_cache_usable() {
+        let cache = cache();
+        let (seen, unseen): (Config, Config) = (
+            "(a T3 A X X)".parse().unwrap(),
+            "(c X T1 T2 A)".parse().unwrap(),
+        );
+        let before = cache.characterize(&seen).unwrap();
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _map = cache.map.lock().unwrap();
+                    panic!("worker dies holding the map lock");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(cache.map.is_poisoned());
+        // A hit, a fresh build over cached leaves, and the counters.
+        let hit = cache.characterize(&seen).unwrap();
+        assert!(Arc::ptr_eq(&hit, &before));
+        let built = cache.characterize(&unseen).unwrap();
+        let fresh = CharCache::new(Characterizer::virtex7());
+        assert_eq!(built.stats, fresh.characterize(&unseen).unwrap().stats);
+        // All five leaves and the two quads.
+        assert_eq!(cache.len(), 7);
+        assert_eq!(cache.last_store_error(), None);
     }
 }

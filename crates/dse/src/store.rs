@@ -61,7 +61,7 @@ use std::fs;
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use axmul_fabric::Netlist;
 use axmul_metrics::ErrorStats;
@@ -288,8 +288,13 @@ impl DiskStore {
         &self.root
     }
 
-    fn shard_of(&self, hash: u64) -> &Mutex<LruShard> {
-        &self.shards[(hash as usize) % LRU_SHARDS]
+    /// The locked LRU shard of a key hash. A poisoned lock is taken
+    /// over: every step of an LRU update leaves the shard valid, at
+    /// worst above capacity.
+    fn shard_of(&self, hash: u64) -> MutexGuard<'_, LruShard> {
+        self.shards[(hash as usize) % LRU_SHARDS]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// On-disk path of `key`'s record.
@@ -312,7 +317,7 @@ impl DiskStore {
     /// error as a miss and rebuild.
     pub fn load(&self, key: &str) -> Result<Option<Arc<StoredChar>>, StoreError> {
         let hash = fnv1a(key.as_bytes());
-        if let Some(rec) = self.shard_of(hash).lock().expect("lru lock").get(key) {
+        if let Some(rec) = self.shard_of(hash).get(key) {
             self.hot_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Some(rec));
         }
@@ -328,7 +333,7 @@ impl DiskStore {
             return Ok(None);
         }
         let rec = Arc::new(rec);
-        self.shard_of(hash).lock().expect("lru lock").insert(
+        self.shard_of(hash).insert(
             key.to_string(),
             Arc::clone(&rec),
             self.hot_capacity / LRU_SHARDS,
@@ -363,7 +368,7 @@ impl DiskStore {
             return Err(StoreError::Io(e));
         }
         self.saves.fetch_add(1, Ordering::Relaxed);
-        self.shard_of(hash).lock().expect("lru lock").insert(
+        self.shard_of(hash).insert(
             rec.key.clone(),
             Arc::new(rec.clone()),
             self.hot_capacity / LRU_SHARDS,

@@ -40,6 +40,20 @@ fn assert_stats_match_netlist(cache: &CharCache, cfg: &Config) {
     // Full structural equality: every field including the float
     // accumulators and the name (both are the canonical key).
     assert_eq!(c.stats, wide, "composed stats diverge for {}", cfg.key());
+    // `==` would equate `+0.0` and `-0.0`; the float fields must match
+    // to the last bit.
+    let floats = |s: &ErrorStats| {
+        [
+            s.avg_error,
+            s.avg_relative_error,
+            s.error_probability,
+            s.normalized_mean_error_distance,
+            s.mean_squared_error,
+            s.rmse,
+        ]
+        .map(f64::to_bits)
+    };
+    assert_eq!(floats(&c.stats), floats(&wide), "{}", cfg.key());
 }
 
 #[test]

@@ -39,4 +39,4 @@ pub use bits::{bit_accuracy, bit_accuracy_sampled};
 pub use pareto::{pareto_front, DesignPoint};
 pub use pmf::ErrorPmf;
 pub use quality::{mean_squared_error, psnr};
-pub use stats::{ErrorStats, StatsBuilder};
+pub use stats::{ErrorStats, WITNESS_CAP};

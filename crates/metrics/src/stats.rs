@@ -1,5 +1,6 @@
 use std::fmt;
 
+use axmul_core::behavioral::{combine_products, Summation};
 use axmul_core::{mask_for, Multiplier};
 use axmul_fabric::compile::CompiledNetlist;
 use axmul_fabric::{FabricError, Netlist};
@@ -192,6 +193,37 @@ impl ErrorStats {
         };
         Ok(acc.finish(netlist.name().to_string(), wa, wb))
     }
+
+    /// Exhaustively characterizes the 8×8 multiplier composed, under
+    /// `summation`, from four 4×4 value tables in `LL`, `HL`, `LH`,
+    /// `HH` order, each indexed `(b << 4) | a` — the DSE's quad over
+    /// four leaves. Bit-identical to [`ErrorStats::exhaustive`] of the
+    /// same composition, floats included, but the sixteen
+    /// relative-error chunks of the sweep run side by side as lanes
+    /// (see `Accumulator`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every table has 256 entries, each below 256 (a
+    /// 4×4 product's range).
+    #[must_use]
+    pub fn exhaustive_quad(name: String, tables: [&[u32]; 4], summation: Summation) -> Self {
+        for t in tables {
+            assert!(
+                t.len() == QUAD_ROW * QUAD_ROW && t.iter().all(|&v| v < 256),
+                "a 4x4 value table has 256 entries below 256"
+            );
+        }
+        // One kernel per summation, so the composition is a constant.
+        let compose = |[ll, hl, lh, hh]: [u32; 4], s| {
+            combine_products(ll.into(), hl.into(), lh.into(), hh.into(), 4, s) as u32
+        };
+        let acc = match summation {
+            Summation::Accurate => fold_quad(tables, |p| compose(p, Summation::Accurate)),
+            Summation::CarryFree => fold_quad(tables, |p| compose(p, Summation::CarryFree)),
+        };
+        acc.finish(name, 8, 8)
+    }
 }
 
 /// Samples per relative-error accumulation chunk (a power of two so
@@ -211,6 +243,23 @@ const REL_CHUNK: u64 = 4096;
 /// folds the chunk sums left-to-right. A parallel merge of shards whose
 /// boundaries fall on chunk multiples therefore reproduces the exact
 /// sequence of float additions the single-threaded sweep performs.
+///
+/// The 8×8 quad kernel behind [`ErrorStats::exhaustive_quad`] runs the
+/// chunks of one sweep side by side instead. In the canonical order
+/// (`b` outer, `a` the fast axis) an 8×8 sweep's chunk `c` is exactly
+/// the sixteen rows `b ∈ [16c, 16c + 16)`, i.e. the rows whose high
+/// operand nibble is `bh = c`. The kernel keeps one lane per chunk and
+/// walks `bl`, then `ah`, then `al`, so every lane sees its chunk's
+/// samples in the original order and makes the same roundings. Where
+/// [`Accumulator::push`] skips a sample (`err == 0` or `exact == 0`),
+/// the lane adds `+0.0`, which leaves a chain that is always `≥ +0.0`
+/// unchanged. Counts and error sums are order-independent; the lanes
+/// hold them, like the products, as `f64` values that stay exact
+/// integers (`err < 2¹⁷`, so a lane's sum of squares stays below
+/// 2⁴⁶ < 2⁵³). The kernel records each row's maximum error and finds
+/// the maximum's occurrences and witnesses by rescanning, in sample
+/// order, only the rows that reach it. The result is the accumulator
+/// the sequential pushes would have left.
 #[derive(Debug, Default)]
 struct Accumulator {
     samples: u64,
@@ -228,40 +277,6 @@ struct Accumulator {
     /// First [`WITNESS_CAP`] operand pairs achieving the current
     /// maximum, in sample order.
     witnesses: Vec<(u64, u64)>,
-}
-
-/// Streaming builder for [`ErrorStats`] over an explicit operand
-/// stream, for callers that drive the sweep themselves — e.g. the DSE
-/// characterization cache composes a quad's products from its leaf
-/// tables in one tight loop. Pushing pairs in the canonical
-/// sweep order (`b` outer, `a` the fast axis) produces statistics
-/// bit-identical to [`ErrorStats::exhaustive`]: it is the same
-/// accumulator underneath.
-#[derive(Debug, Default)]
-pub struct StatsBuilder {
-    acc: Accumulator,
-}
-
-impl StatsBuilder {
-    /// An empty builder.
-    #[must_use]
-    pub fn new() -> Self {
-        StatsBuilder::default()
-    }
-
-    /// Accounts one operand pair with its exact and approximate
-    /// products. Hot: inlined into the caller's sweep loop.
-    #[inline]
-    pub fn push(&mut self, a: u64, b: u64, exact: u64, approx: u64) {
-        self.acc.push(a, b, exact, approx);
-    }
-
-    /// Finalizes the statistics for a `wa`×`wb` multiplier named
-    /// `name`.
-    #[must_use]
-    pub fn finish(self, name: String, wa: u32, wb: u32) -> ErrorStats {
-        self.acc.finish(name, wa, wb)
-    }
 }
 
 impl Accumulator {
@@ -359,6 +374,116 @@ impl Accumulator {
             rmse: mse.sqrt(),
             worst_case_inputs: self.witnesses,
         }
+    }
+}
+
+/// Row length of an 8×8 sweep and lane count of its quad kernel: one
+/// lane per relative-error chunk.
+const QUAD_ROW: usize = 16;
+
+// A chunk is exactly sixteen rows of 256 pairs.
+const _: () = assert!(REL_CHUNK as usize == QUAD_ROW * QUAD_ROW * QUAD_ROW);
+
+/// The 8×8 quad kernel (see `Accumulator`): lane `bh` accumulates the
+/// relative-error chunk of the rows `b = (bh << 4) | bl`, and
+/// `combine([ll, hl, lh, hh])` composes one product from the four
+/// quadrant products. The lanes are plain arrays that the compiler
+/// turns into vector instructions.
+fn fold_quad(tables: [&[u32]; 4], combine: impl Fn([u32; 4]) -> u32) -> Accumulator {
+    const N: usize = QUAD_ROW;
+    let [ll, hl, lh, hh] = tables;
+    // `LH` and `HH` are indexed by `bh`, so their lane values are
+    // columns: transposed, a row `[x]` holds `t[(bh << 4) | x]` for
+    // every lane `bh` side by side.
+    let transpose = |t: &[u32]| -> [[u32; N]; N] {
+        std::array::from_fn(|x| std::array::from_fn(|bh| t[bh * N + x]))
+    };
+    let (lh_t, hh_t) = (transpose(lh), transpose(hh));
+    let product = |a: usize, b: usize| {
+        let (al, ah, bl, bh) = (a % N, a / N, b % N, b / N);
+        combine([
+            ll[bl * N + al],
+            hl[bl * N + ah],
+            lh[bh * N + al],
+            hh[bh * N + ah],
+        ])
+    };
+
+    let mut rel = [0.0f64; N];
+    let mut occ = [0.0f64; N];
+    let mut sum = [0.0f64; N];
+    let mut sum_sq = [0.0f64; N];
+    // Largest error of each row `b`.
+    let mut row_max = [0u32; N * N];
+    for bl in 0..N {
+        let b: [f64; N] = std::array::from_fn(|bh| (bh * N + bl) as f64);
+        let mut stripe_max = [0.0f64; N];
+        for ah in 0..N {
+            let p_hl = hl[bl * N + ah];
+            let p_hh = &hh_t[ah];
+            // `a·b` for `a = ah << 4`; each `al` step adds `b`.
+            let mut exact: [f64; N] = std::array::from_fn(|l| (ah * N) as f64 * b[l]);
+            for al in 0..N {
+                let p_ll = ll[bl * N + al];
+                let p_lh = &lh_t[al];
+                for l in 0..N {
+                    // Below 2¹⁷, so the `i32` conversion is exact.
+                    let approx = f64::from(combine([p_ll, p_hl, p_lh[l], p_hh[l]]) as i32);
+                    let err = (exact[l] - approx).abs();
+                    // `+0.0` where the sequential push adds nothing;
+                    // `0.0 / exact` is `+0.0` when only `err` is 0.
+                    let (num, den) = if exact[l] == 0.0 {
+                        (0.0, 1.0)
+                    } else {
+                        (err, exact[l])
+                    };
+                    rel[l] += num / den;
+                    occ[l] += if err != 0.0 { 1.0 } else { 0.0 };
+                    sum[l] += err;
+                    sum_sq[l] += err * err;
+                    // A plain compare: no NaN occurs, and `f64::max` would
+                    // pay to handle one.
+                    stripe_max[l] = if err > stripe_max[l] {
+                        err
+                    } else {
+                        stripe_max[l]
+                    };
+                    exact[l] += b[l];
+                }
+            }
+        }
+        for (bh, &m) in stripe_max.iter().enumerate() {
+            row_max[bh * N + bl] = m as u32;
+        }
+    }
+
+    let max = row_max.iter().copied().max().unwrap_or(0);
+    let mut max_occ = 0;
+    let mut witnesses = Vec::new();
+    if max > 0 {
+        for (b, _) in row_max.iter().enumerate().filter(|&(_, &m)| m == max) {
+            for a in 0..N * N {
+                if ((a * b) as u32).abs_diff(product(a, b)) == max {
+                    max_occ += 1;
+                    if witnesses.len() < WITNESS_CAP {
+                        witnesses.push((a as u64, b as u64));
+                    }
+                }
+            }
+        }
+    }
+    let (done, last) = rel.split_at(N - 1);
+    Accumulator {
+        samples: REL_CHUNK * N as u64,
+        occ: occ.iter().map(|&n| n as u64).sum(),
+        max: i64::from(max),
+        max_occ,
+        sum: sum.iter().map(|&s| s as u128).sum(),
+        sum_sq: sum_sq.iter().map(|&s| s as u128).sum(),
+        rel_chunks: done.to_vec(),
+        chunk_rel: last[0],
+        in_chunk: REL_CHUNK,
+        witnesses,
     }
 }
 

@@ -549,35 +549,108 @@ impl CompiledNetlist {
             sim.run();
             let block_lanes = ((range.end - idx) as usize).min(64 * SWEEP_WORDS);
             for wi in 0..block_lanes.div_ceil(64) {
-                let lanes_here = (block_lanes - 64 * wi).min(64);
-                let lane_mask = if lanes_here == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << lanes_here) - 1
-                };
-                rows[..64 * n_buses].fill(0);
-                // Scatter output bits lane-by-set-lane: for the sparse
-                // high product bits this visits only the lanes where
-                // the bit is actually 1.
-                for (j, bus) in self.outputs.iter().enumerate() {
-                    for (bit, &slot) in bus.iter().enumerate() {
-                        let mut word = sim.values[slot as usize][wi] & lane_mask;
-                        while word != 0 {
-                            let l = word.trailing_zeros() as usize;
-                            rows[l * n_buses + j] |= 1u64 << bit;
-                            word &= word - 1;
-                        }
-                    }
-                }
+                let lanes_here = self.gather_rows(&sim, wi, block_lanes, &mut rows);
                 let lane0 = idx + (64 * wi) as u64;
-                for (l, row) in rows.chunks_exact(n_buses).take(lanes_here).enumerate() {
+                for l in 0..lanes_here {
                     let v = lane0 + l as u64;
-                    visit(v & a_mask, v >> a_bits, row);
+                    visit(v & a_mask, v >> a_bits, &rows[l * n_buses..][..n_buses]);
                 }
             }
             idx += block_lanes as u64;
         }
         Ok(())
+    }
+
+    /// Evaluates a list of operand pairs of a two-input-bus netlist,
+    /// invoking `visit(a, b, outputs)` for each pair in list order —
+    /// the list-driven twin of
+    /// [`CompiledNetlist::for_each_operand_pair_in`] for inputs that are
+    /// not a consecutive range (proof seeds, sampled checks).
+    ///
+    /// Pairs are packed `64 * SWEEP_WORDS` to a [`CompiledSim`] pass, and
+    /// each visit sees the outputs [`Netlist::eval`] gives that pair.
+    /// Operand bits above a bus's width are ignored, as in
+    /// [`Netlist::eval`], and `visit` receives each pair as listed. The
+    /// buffers are fixed-size, whatever the list's length; an empty
+    /// list visits nothing.
+    ///
+    /// # Errors
+    ///
+    /// Checked before any pair is drawn, so even an empty list reports
+    /// them: [`FabricError::InputArity`] unless the netlist has exactly
+    /// two input buses; [`FabricError::BusTooWide`] if an input or
+    /// output bus is wider than 64 bits.
+    pub fn for_each_listed_pair(
+        &self,
+        pairs: impl IntoIterator<Item = (u64, u64)>,
+        mut visit: impl FnMut(u64, u64, &[u64]),
+    ) -> Result<(), FabricError> {
+        const LANES: usize = 64 * SWEEP_WORDS;
+        self.operand_widths()?;
+        check_word_buses(self.inputs.iter().map(Vec::len), false)?;
+        check_word_buses(self.outputs.iter().map(Vec::len), true)?;
+        let n_buses = self.outputs.len();
+        let mut sim: CompiledSim<'_, SWEEP_WORDS> = self.simulator();
+        let mut rows = vec![0u64; 64 * n_buses];
+        let (mut a, mut b) = ([0u64; LANES], [0u64; LANES]);
+        let mut pairs = pairs.into_iter();
+        loop {
+            let mut n = 0;
+            for (x, y) in pairs.by_ref().take(LANES) {
+                (a[n], b[n]) = (x, y);
+                n += 1;
+            }
+            if n == 0 {
+                return Ok(());
+            }
+            sim.load(&[&a[..n], &b[..n]])?;
+            sim.run();
+            for wi in 0..n.div_ceil(64) {
+                let lanes_here = self.gather_rows(&sim, wi, n, &mut rows);
+                for l in 0..lanes_here {
+                    let lane = 64 * wi + l;
+                    visit(a[lane], b[lane], &rows[l * n_buses..][..n_buses]);
+                }
+            }
+            if n < LANES {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Transposes word `wi` of `sim`'s output slots into lane-major
+    /// `rows` (`rows[l * buses + j]` = output bus `j` on lane `l` of the
+    /// word), for the lanes among the first `block_lanes` of the pass.
+    /// Returns how many lanes of the word that is.
+    fn gather_rows<const W: usize>(
+        &self,
+        sim: &CompiledSim<'_, W>,
+        wi: usize,
+        block_lanes: usize,
+        rows: &mut [u64],
+    ) -> usize {
+        let lanes_here = (block_lanes - 64 * wi).min(64);
+        let lane_mask = if lanes_here == 64 {
+            u64::MAX
+        } else {
+            (1u64 << lanes_here) - 1
+        };
+        let n_buses = self.outputs.len();
+        rows[..64 * n_buses].fill(0);
+        // Scatter output bits lane-by-set-lane: for the sparse high
+        // product bits this visits only the lanes where the bit is
+        // actually 1.
+        for (j, bus) in self.outputs.iter().enumerate() {
+            for (bit, &slot) in bus.iter().enumerate() {
+                let mut word = sim.values[slot as usize][wi] & lane_mask;
+                while word != 0 {
+                    let l = word.trailing_zeros() as usize;
+                    rows[l * n_buses + j] |= 1u64 << bit;
+                    word &= word - 1;
+                }
+            }
+        }
+        lanes_here
     }
 }
 
@@ -655,9 +728,14 @@ impl<'p, const W: usize> CompiledSim<'p, W> {
         }
         for (bus, slots) in inputs.iter().zip(&self.prog.inputs) {
             for (bit, &slot) in slots.iter().enumerate() {
+                // One register accumulator per 64-lane word: no
+                // read-modify-write of `word` through memory per lane.
                 let mut word = [0u64; W];
-                for (lane, &val) in bus.iter().enumerate() {
-                    word[lane / 64] |= ((val >> bit) & 1) << (lane % 64);
+                for (w, chunk) in word.iter_mut().zip(bus.chunks(64)) {
+                    *w = chunk
+                        .iter()
+                        .enumerate()
+                        .fold(0, |acc, (l, &val)| acc | ((val >> bit) & 1) << l);
                 }
                 self.values[slot as usize] = word;
             }

@@ -32,9 +32,9 @@
 
 use axmul_core::structural::{verify_table3, TABLE3};
 use axmul_core::Multiplier;
+use axmul_fabric::compile::CompiledNetlist;
 use axmul_fabric::sim::for_each_operand_pair;
-use axmul_fabric::Cell;
-use axmul_fabric::Netlist;
+use axmul_fabric::{Cell, FabricError, Netlist};
 
 use crate::diag::{Diagnostic, Locus, Pass, Severity};
 use crate::LintOptions;
@@ -112,12 +112,7 @@ pub fn check_equivalence(
             }
         });
         if let Err(e) = result {
-            diags.push(diag(
-                Severity::Error,
-                "equiv-sim",
-                "sim",
-                format!("simulation failed during equivalence check: {e}"),
-            ));
+            diags.push(sim_failure(&e));
             return;
         }
         if let Some(w) = witness {
@@ -148,37 +143,43 @@ pub fn check_equivalence(
             ));
         }
     } else {
-        // Deterministic SplitMix64 sampling: same verdict every run.
-        // Alongside agreement, track each side's worst deviation from
-        // the exact product — the netlist's argmax seeds the SAT
-        // ascent, the model's maximum is checked against the proven
-        // ceiling afterwards.
-        let mut state = 0x5EED_BA5E_D00Du64 ^ (u64::from(total_bits) << 32);
+        // Deterministic SplitMix64 sampling: same verdict every run,
+        // simulated bit-parallel in draw order. Alongside agreement,
+        // track each side's worst deviation from the exact product —
+        // the netlist's argmax seeds the SAT ascent, the model's
+        // maximum is checked against the proven ceiling afterwards.
+        let state = 0x5EED_BA5E_D00Du64 ^ (u64::from(total_bits) << 32);
         let a_mask = (1u64 << model.a_bits()) - 1;
         let b_mask = (1u64 << model.b_bits()) - 1;
+        let samples = (0..opts.samples).scan(state, |state, _| {
+            let r = splitmix64(state);
+            Some((r & a_mask, (r >> model.a_bits()) & b_mask))
+        });
         let mut nl_worst: (u128, (u64, u64)) = (0, (0, 0));
         let mut model_worst: (u128, (u64, u64)) = (0, (0, 0));
-        for _ in 0..opts.samples {
-            let r = splitmix64(&mut state);
-            let a = r & a_mask;
-            let b = (r >> model.a_bits()) & b_mask;
-            let got = eval_product(netlist, a, b);
-            let want = model.multiply(a, b);
-            if got != want {
-                mismatches += 1;
-                if witness.is_none() {
-                    witness = Some((a, b));
+        let result =
+            CompiledNetlist::compile(netlist).for_each_listed_pair(samples, |a, b, out| {
+                let got = out[0];
+                let want = model.multiply(a, b);
+                if got != want {
+                    mismatches += 1;
+                    if witness.is_none() {
+                        witness = Some((a, b));
+                    }
                 }
-            }
-            let exact = u128::from(a) * u128::from(b);
-            let nl_err = u128::from(got).abs_diff(exact);
-            if nl_err > nl_worst.0 {
-                nl_worst = (nl_err, (a, b));
-            }
-            let model_err = u128::from(want).abs_diff(exact);
-            if model_err > model_worst.0 {
-                model_worst = (model_err, (a, b));
-            }
+                let exact = u128::from(a) * u128::from(b);
+                let nl_err = u128::from(got).abs_diff(exact);
+                if nl_err > nl_worst.0 {
+                    nl_worst = (nl_err, (a, b));
+                }
+                let model_err = u128::from(want).abs_diff(exact);
+                if model_err > model_worst.0 {
+                    model_worst = (model_err, (a, b));
+                }
+            });
+        if let Err(e) = result {
+            diags.push(sim_failure(&e));
+            return;
         }
         if let Some(w) = witness {
             let (a, b) = minimize(netlist, model, w);
@@ -338,6 +339,17 @@ fn escalate_equivalence_sat(
             format!("SAT escalation of the equivalence claim failed: {e}"),
         )),
     }
+}
+
+/// The `equiv-sim` error of an equivalence check whose simulation
+/// failed.
+fn sim_failure(e: &FabricError) -> Diagnostic {
+    diag(
+        Severity::Error,
+        "equiv-sim",
+        "sim",
+        format!("simulation failed during equivalence check: {e}"),
+    )
 }
 
 fn eval_product(netlist: &Netlist, a: u64, b: u64) -> u64 {

@@ -6,11 +6,15 @@
 //! `|P − E| > m` for a candidate bound `m`.
 //!
 //! The search is a CEGAR-style *ascent* rather than a blind binary
-//! search: `m` is seeded by replaying deterministic corner/sample
-//! inputs (plus any caller hint, e.g. an absint witness), then each
-//! SAT answer to `|P − E| > m` is decoded and replayed through
+//! search: `m` is seeded by simulating deterministic corner/sample
+//! inputs (plus any caller hint, e.g. an absint witness) in one
+//! bit-parallel pass of the compiled simulator
+//! ([`CompiledNetlist::for_each_listed_pair`]), then each SAT answer to
+//! `|P − E| > m` is decoded and replayed through the scalar
 //! `Netlist::eval` to a concrete error `e > m`, which becomes the new
-//! `m` together with its witness. Only the final query — the UNSAT one
+//! `m` together with its witness. The replay shares no code with the
+//! compiled engine, so the soundness self-check stays independent of
+//! the seeding. Only the final query — the UNSAT one
 //! that *proves* no input errs by more than `m` — pays the full
 //! refutation cost, and by then the solver has learned the instance.
 //! The result is the exact worst-case error with a witness input that
@@ -24,6 +28,7 @@
 
 use std::time::Instant;
 
+use axmul_fabric::compile::CompiledNetlist;
 use axmul_fabric::Netlist;
 
 use crate::compose;
@@ -37,7 +42,9 @@ use crate::SatError;
 pub struct WceOptions {
     /// Solver budget/splitting knobs.
     pub proof: ProofOptions,
-    /// Random seed-sample count for the initial lower bound.
+    /// Random seed-sample count for the initial lower bound. The
+    /// samples follow the corner pairs and the hint through the
+    /// compiled simulator, 256 pairs to a bit-parallel pass.
     pub samples: u64,
     /// Optional witness hint (e.g. absint's `ErrorBound::witness`):
     /// replayed into the seed bound.
@@ -119,57 +126,53 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
         Ok(p.abs_diff(e))
     };
 
-    // Seed the lower bound from deterministic corners, a splitmix
-    // stream, and the caller's hint.
+    // Seed the lower bound from deterministic corners, the caller's
+    // hint and a splitmix stream, in that order, evaluated bit-parallel
+    // by the compiled simulator. The strict `>` keeps the first maximal
+    // seed.
+    let mask = |w: u32| ((1u128 << w) - 1) as u64;
     let corners = |w: u32| -> Vec<u64> {
-        let max = (1u128 << w) - 1;
+        let max = mask(w);
         let mut v = vec![
             0u64,
             1,
-            max as u64,
-            (max >> 1) as u64,
-            ((max >> 1) + 1) as u64,
-            (0x5555_5555_5555_5555u64) & max as u64,
-            (0xAAAA_AAAA_AAAA_AAAAu64) & max as u64,
-            (0x3333_3333_3333_3333u64) & max as u64,
-            (0x7777_7777_7777_7777u64) & max as u64,
-            (0x6666_6666_6666_6666u64) & max as u64,
+            max,
+            max >> 1,
+            (max >> 1) + 1,
+            0x5555_5555_5555_5555u64 & max,
+            0xAAAA_AAAA_AAAA_AAAAu64 & max,
+            0x3333_3333_3333_3333u64 & max,
+            0x7777_7777_7777_7777u64 & max,
+            0x6666_6666_6666_6666u64 & max,
         ];
         v.dedup();
         v
     };
-    let mut m: u128 = 0;
-    let mut witness = (0u64, 0u64);
-    let consider =
-        |m: &mut u128, witness: &mut (u64, u64), a: u64, b: u64| -> Result<(), SatError> {
-            let e = err_at(a, b)?;
-            if e > *m {
-                *m = e;
-                *witness = (a, b);
-            }
-            Ok(())
-        };
-    for &a in &corners(wa) {
-        for &b in &corners(wb) {
-            consider(&mut m, &mut witness, a, b)?;
-        }
-    }
-    if let Some((a, b)) = opts.hint {
-        let mask_a = if wa == 64 { u64::MAX } else { (1u64 << wa) - 1 };
-        let mask_b = if wb == 64 { u64::MAX } else { (1u64 << wb) - 1 };
-        consider(&mut m, &mut witness, a & mask_a, b & mask_b)?;
-    }
-    let mut state = 0x05EE_D5A7_u64 ^ ((wa as u64) << 32) ^ (wb as u64);
-    for _ in 0..opts.samples {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
+    let (corners_a, corners_b) = (corners(wa), corners(wb));
+    let corner_pairs = corners_a
+        .iter()
+        .flat_map(|&a| corners_b.iter().map(move |&b| (a, b)));
+    let hint = opts.hint.map(|(a, b)| (a & mask(wa), b & mask(wb)));
+    let state = 0x05EE_D5A7_u64 ^ ((wa as u64) << 32) ^ (wb as u64);
+    let samples = (0..opts.samples).scan(state, |state, _| {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
-        let a = z & ((1u128 << wa) - 1) as u64;
-        let b = (z >> 32) & ((1u128 << wb) - 1) as u64;
-        consider(&mut m, &mut witness, a, b)?;
-    }
+        Some((z & mask(wa), (z >> 32) & mask(wb)))
+    });
+    let mut m: u128 = 0;
+    let mut witness = (0u64, 0u64);
+    CompiledNetlist::compile(netlist)
+        .for_each_listed_pair(corner_pairs.chain(hint).chain(samples), |a, b, out| {
+            let e = u128::from(out[0]).abs_diff(u128::from(a) * u128::from(b));
+            if e > m {
+                m = e;
+                witness = (a, b);
+            }
+        })
+        .map_err(|e| SatError::Replay(e.to_string()))?;
 
     // Encode |P − E| once; comparators accrete per round.
     let decomposition = compose::decompose(netlist, &opts.proof)?;

@@ -10,6 +10,14 @@
 //! provenance-free copy of the same parts (`Netlist::from_parts`) is
 //! proven by the netlist CEGAR, whose pins date from before
 //! compositional proofs existed.
+//!
+//! The seeded pins run `prove_wce` with 1000 samples and a hint whose
+//! error ties the best seed's. Seeds are folded in a fixed order
+//! (corners × corners, the hint, the samples) with a strict `>`, so the
+//! first maximal seed wins. On the Ca design a corner already reaches
+//! the wce, so the tying hint must lose to it and the witness shows the
+//! order. On the Cc design the hint ties a later sample below the wce,
+//! so the pins cover the ascent from that seed bound.
 
 use axmul_baselines::kulkarni_netlist;
 use axmul_dse::Config;
@@ -113,10 +121,100 @@ const COMPOSITIONAL_PINS: [Pinned; 3] = [
     },
 ];
 
+/// Pinned proofs under `WceOptions { samples: 1000, hint }`: each pin
+/// with its hint.
+const SEEDED_PINS: [(Pinned, (u64, u64)); 2] = [
+    (
+        Pinned {
+            name: "(a A A A A)",
+            wce: 2312,
+            witness: (255, 85),
+            ascent_steps: 0,
+            solves: 3,
+            conflicts: 748,
+            decisions: 1557,
+            propagations: 14_811,
+        },
+        (221, 221),
+    ),
+    (
+        Pinned {
+            name: "(c A A A A)",
+            wce: 8288,
+            witness: (223, 223),
+            ascent_steps: 1,
+            solves: 3,
+            conflicts: 171,
+            decisions: 551,
+            propagations: 6557,
+        },
+        (188, 217),
+    ),
+];
+
+/// [`SEEDED_PINS`]' designs and hints through their provenance-free
+/// copies.
+const SEEDED_NETLIST_PINS: [(Pinned, (u64, u64)); 2] = [
+    (
+        Pinned {
+            name: "(a A A A A)",
+            wce: 2312,
+            witness: (255, 85),
+            ascent_steps: 0,
+            solves: 1,
+            conflicts: 15600,
+            decisions: 18875,
+            propagations: 1_394_720,
+        },
+        (221, 221),
+    ),
+    (
+        Pinned {
+            name: "(c A A A A)",
+            wce: 8288,
+            witness: (223, 223),
+            ascent_steps: 4,
+            solves: 5,
+            conflicts: 1908,
+            decisions: 2705,
+            propagations: 153_232,
+        },
+        (188, 217),
+    ),
+];
+
 fn check(pins: &[Pinned], engine: WceEngine, prepare: impl Fn(Netlist) -> Netlist) {
-    for pin in pins {
-        let proof =
-            prove_wce(&prepare(netlist(pin.name)), &WceOptions::default()).expect("provable");
+    check_with(
+        pins.iter().map(|pin| (pin, WceOptions::default())),
+        engine,
+        prepare,
+    );
+}
+
+fn check_seeded(
+    pins: &[(Pinned, (u64, u64))],
+    engine: WceEngine,
+    prepare: impl Fn(Netlist) -> Netlist,
+) {
+    let opts = |hint| WceOptions {
+        samples: 1000,
+        hint: Some(hint),
+        ..WceOptions::default()
+    };
+    check_with(
+        pins.iter().map(|(pin, hint)| (pin, opts(*hint))),
+        engine,
+        prepare,
+    );
+}
+
+fn check_with<'p>(
+    pins: impl IntoIterator<Item = (&'p Pinned, WceOptions)>,
+    engine: WceEngine,
+    prepare: impl Fn(Netlist) -> Netlist,
+) {
+    for (pin, opts) in pins {
+        let proof = prove_wce(&prepare(netlist(pin.name)), &opts).expect("provable");
         assert_eq!(proof.engine, engine, "{}", pin.name);
         let got = (
             proof.wce,
@@ -152,4 +250,16 @@ fn wce_proofs_repeat_their_pinned_search() {
 #[test]
 fn compositional_proofs_repeat_their_pinned_search() {
     check(&COMPOSITIONAL_PINS, WceEngine::Compositional, |nl| nl);
+}
+
+#[test]
+fn seeded_compositional_proofs_repeat_their_pinned_search() {
+    check_seeded(&SEEDED_PINS, WceEngine::Compositional, |nl| nl);
+}
+
+#[test]
+fn seeded_netlist_proofs_repeat_their_pinned_search() {
+    check_seeded(&SEEDED_NETLIST_PINS, WceEngine::Netlist, |nl| {
+        provenance_free(&nl)
+    });
 }

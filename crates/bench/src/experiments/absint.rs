@@ -17,8 +17,8 @@
 //!    error budget, reporting how many candidates static pruning
 //!    skipped before any exact characterization.
 //!
-//! `absint_json` renders the same measurements as the
-//! `BENCH_absint.json` artifact the CI gate greps for
+//! [`absint`] returns the same measurements as the
+//! `BENCH_absint.json` record the CI gate greps for
 //! `"sound": true` and a nonzero `"pruned_16x16"`.
 
 use axmul_absint::analyze_netlist;
@@ -29,7 +29,7 @@ use axmul_metrics::ErrorStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::report::Table;
+use crate::report::{mode, BenchRecord, Table};
 use crate::roster::fig7_roster;
 
 /// Aggregate verdict of the 8×8 configuration-space sweep.
@@ -308,55 +308,40 @@ fn render(m: &Measurements) -> String {
     out
 }
 
-fn render_json(m: &Measurements, quick: bool) -> String {
+fn record(m: &Measurements, quick: bool) -> BenchRecord {
     let s = &m.sweep;
     let p = &m.search;
-    format!(
-        "{{\n  \"bench\": \"absint\",\n  \"mode\": \"{}\",\n\
-         \x20 \"configs_checked\": {},\n  \"contained\": {},\n\
-         \x20 \"certificates_verified\": {},\n  \"witnesses_ok\": {},\n\
-         \x20 \"exact_brackets\": {},\n  \"max_bracket_gap\": {},\n\
-         \x20 \"paper_exact\": {},\n\
-         \x20 \"roster_designs\": {},\n  \"roster_contained\": {},\n\
-         \x20 \"pruned_16x16\": {},\n  \"pruned_constraint\": {},\n\
-         \x20 \"pruned_dominance\": {},\n  \"evaluated_16x16\": {},\n\
-         \x20 \"sound\": {}\n}}\n",
-        if quick { "quick" } else { "full" },
-        s.checked,
-        s.contained,
-        s.certified,
-        s.witness_ok,
-        s.exact_brackets,
-        s.max_gap,
-        s.paper_exact,
-        m.roster.len(),
-        m.roster.iter().filter(|r| r.contained).count(),
-        p.pruned,
-        p.pruned_constraint,
-        p.pruned_dominance,
-        p.evaluated,
-        m.sound(),
-    )
+    BenchRecord::new("absint")
+        .field("mode", mode(quick))
+        .field("configs_checked", s.checked)
+        .field("contained", s.contained)
+        .field("certificates_verified", s.certified)
+        .field("witnesses_ok", s.witness_ok)
+        .field("exact_brackets", s.exact_brackets)
+        .field("max_bracket_gap", s.max_gap)
+        .field("paper_exact", s.paper_exact)
+        .field("roster_designs", m.roster.len())
+        .field(
+            "roster_contained",
+            m.roster.iter().filter(|r| r.contained).count(),
+        )
+        .field("pruned_16x16", p.pruned)
+        .field("pruned_constraint", p.pruned_constraint)
+        .field("pruned_dominance", p.pruned_dominance)
+        .field("evaluated_16x16", p.evaluated)
+        .field("sound", m.sound())
 }
 
-/// Full report: all 1250 configurations, the roster at 4/8/16 bits,
-/// and a 2×24-step bound-guided 16×16 hill-climb.
+/// Runs the experiment and returns its report with its
+/// `BENCH_absint.json` record. The full form checks all 1250
+/// configurations, the roster at 4/8/16 bits, and a 2×24-step
+/// bound-guided 16×16 hill-climb; `quick` (the CI smoke) checks every
+/// 25th configuration plus the paper designs, the roster at 4/8 bits,
+/// and a single 8-step hill-climb.
 #[must_use]
-pub fn absint_report() -> String {
-    render(&measure(false))
-}
-
-/// CI smoke variant: every 25th configuration plus the paper designs,
-/// roster at 4/8 bits, a single 8-step 16×16 hill-climb.
-#[must_use]
-pub fn absint_quick() -> String {
-    render(&measure(true))
-}
-
-/// The same measurements as a `BENCH_absint.json` payload.
-#[must_use]
-pub fn absint_json(quick: bool) -> String {
-    render_json(&measure(quick), quick)
+pub fn absint(quick: bool) -> (String, String) {
+    let m = measure(quick);
+    (render(&m), record(&m, quick).render())
 }
 
 #[cfg(test)]
@@ -375,13 +360,12 @@ mod tests {
         let report = render(&m);
         assert!(report.contains("absint verdict: SOUND"));
         assert!(!report.contains("VIOLATED"));
-    }
 
-    #[test]
-    fn json_payload_carries_the_gate_fields() {
-        let json = absint_json(true);
+        let json = record(&m, true).render();
         assert!(json.contains("\"bench\": \"absint\""));
         assert!(json.contains("\"sound\": true"));
         assert!(!json.contains("\"pruned_16x16\": 0,"));
+        let parsed = axmul_netio::json::parse(&json).expect("the record is JSON");
+        assert_eq!(parsed.get("sound").and_then(|v| v.as_bool()), Some(true));
     }
 }

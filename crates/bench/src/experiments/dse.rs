@@ -5,17 +5,21 @@ use std::path::Path;
 use std::sync::Arc;
 
 use axmul_core::behavioral::Summation;
-use axmul_dse::{evaluate, run, Config, DiskStore, DseOptions, Leaf};
+use axmul_dse::{evaluate, run, Config, DiskStore, DseOptions, DseResult, Leaf};
 
-use crate::report::{f, Table};
+use crate::report::{f, BenchRecord, Field, Table};
 
 /// **Extension: 8×8 design-space exploration.** The paper evaluates the
 /// homogeneous approx-Ca / approx-Cc points; this sweeps all 1250
 /// heterogeneous configurations (per-quadrant kernel choice × summation)
 /// and reports the error-vs-LUT Pareto front the paper's two designs
 /// live in.
+///
+/// Returns the report with its `BENCH_extdse.json` record, which adds
+/// the wall-clock split of where the characterization time went (error
+/// sweeps vs energy measurements vs STA).
 #[must_use]
-pub fn ext_dse() -> String {
+pub fn ext_dse() -> (String, String) {
     let opts = DseOptions::exhaustive_8x8();
     let result = run(&opts).expect("generated netlists simulate");
     let mut t = Table::new(
@@ -66,35 +70,43 @@ pub fn ext_dse() -> String {
         result.char_time.sta.as_secs_f64(),
         result.elapsed.as_secs_f64(),
     ));
-    s
+    (s, ext_dse_record(&result).render())
 }
 
-/// [`ext_dse`] as a machine-readable JSON digest, including the
-/// wall-clock split of where the characterization time went (error
-/// sweeps vs energy measurements vs STA) so future optimization passes
-/// can see the hot path without re-profiling.
-#[must_use]
-pub fn ext_dse_json() -> String {
-    let opts = DseOptions::exhaustive_8x8();
-    let result = run(&opts).expect("generated netlists simulate");
+/// The `BENCH_extdse.json` record of one exploration.
+fn ext_dse_record(result: &DseResult) -> BenchRecord {
     let elapsed = result.elapsed.as_secs_f64();
-    format!(
-        "{{\n  \"bench\": \"ext-dse\",\n  \"configs\": {},\n  \"elapsed_s\": {:.4},\n  \
-         \"cand_per_s\": {:.1},\n  \"char_time_s\": {{\"error\": {:.4}, \"energy\": {:.4}, \
-         \"sta\": {:.4}}},\n  \"cache\": {{\"hits\": {}, \"misses\": {}, \"builds\": {}}},\n  \
-         \"lut_front\": {},\n  \"edp_front\": {}\n}}\n",
-        result.reports.len(),
-        elapsed,
-        result.reports.len() as f64 / elapsed.max(1e-9),
-        result.char_time.error.as_secs_f64(),
-        result.char_time.energy.as_secs_f64(),
-        result.char_time.sta.as_secs_f64(),
-        result.cache_hits,
-        result.cache_misses,
-        result.cache_builds,
-        result.lut_front().len(),
-        result.edp_front().len(),
-    )
+    BenchRecord::new("ext-dse")
+        .field("configs", result.reports.len())
+        .field("elapsed_s", Field::Fixed(elapsed, 4))
+        .field(
+            "cand_per_s",
+            Field::Fixed(result.reports.len() as f64 / elapsed.max(1e-9), 1),
+        )
+        .field(
+            "char_time_s",
+            Field::Obj(vec![
+                (
+                    "error",
+                    Field::Fixed(result.char_time.error.as_secs_f64(), 4),
+                ),
+                (
+                    "energy",
+                    Field::Fixed(result.char_time.energy.as_secs_f64(), 4),
+                ),
+                ("sta", Field::Fixed(result.char_time.sta.as_secs_f64(), 4)),
+            ]),
+        )
+        .field(
+            "cache",
+            Field::Obj(vec![
+                ("hits", result.cache_hits.into()),
+                ("misses", result.cache_misses.into()),
+                ("builds", result.cache_builds.into()),
+            ]),
+        )
+        .field("lut_front", result.lut_front().len())
+        .field("edp_front", result.edp_front().len())
 }
 
 /// **Extension: 8×8 DSE with a persistent store.** The same exhaustive
@@ -222,6 +234,14 @@ mod tests {
         let exact = result.find("(a X X X X)").unwrap();
         assert_eq!(exact.avg_error, 0.0);
         assert!(exact.on_lut_front);
+    }
+
+    #[test]
+    fn ext_dse_record_parses_with_the_gate_field() {
+        let json = ext_dse_record(&dse_subset()).render();
+        let parsed = axmul_netio::json::parse(&json).expect("the record is JSON");
+        assert_eq!(parsed.get("configs").and_then(|v| v.as_u64()), Some(10));
+        assert!(parsed.get("char_time_s").is_some(), "{json}");
     }
 
     #[test]

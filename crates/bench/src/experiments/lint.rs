@@ -11,7 +11,8 @@
 //! solver time to the release-build run.
 //!
 //! The gate: **zero errors everywhere**, and zero warnings outside the
-//! documented waste allowance of [`expected_waste`] — the proposed
+//! documented waste allowance of [`expected_waste`] (keyed by each
+//! netlist's own name, as in `axmul lint --deny warnings`) — the proposed
 //! designs (Ca/Cc/Trunc, the elementary blocks, every DSE sample) and
 //! the W baseline must be completely warning-free. The closing
 //! `lint verdict:` line is what the CI gate greps for.
@@ -20,7 +21,7 @@ use axmul_baselines::{Kulkarni, RehmanW};
 use axmul_core::behavioral::{Ca, Cc};
 use axmul_core::{Exact, Multiplier};
 use axmul_dse::Config;
-use axmul_lint::{check_paper_claims, LintOptions, LintReport, Linter, Severity};
+use axmul_lint::{check_paper_claims, expected_waste, LintOptions, LintReport, Linter, Severity};
 
 use crate::report::Table;
 use crate::roster::fig7_roster;
@@ -46,32 +47,11 @@ fn model_for(name: &str, bits: u32) -> Option<Box<dyn Multiplier>> {
     }
 }
 
-/// Whether a warning is *expected by design* rather than a defect.
-///
-/// Two families of netlists deliberately carry waste the linter is
-/// right to flag:
-///
-/// * **K** — Kulkarni's 2×2 kernel deletes the `P3` product bit, so
-///   the constant 0 it exports feeds the ternary summation and leaves
-///   a provably-constant adder LUT per composition level
-///   (`const-lut`). Folding it would shrink K below the LUT counts our
-///   tests calibrate against the paper's figures, so the generator
-///   keeps the LUT and lint records the fold opportunity.
-/// * **VivadoIP** — the IP emulations reproduce the Vivado multiplier
-///   macro's wasteful mapping on purpose; quantifying exactly that
-///   waste (`const-lut`, `stuck-carry`, `unreachable-cell`) is the
-///   paper's motivation. See EXPERIMENTS.md for the counts.
+/// Lints every roster/claim/DSE netlist with `opts`; returns each
+/// netlist's own name (the key of [`expected_waste`]) with its report,
+/// in a stable order. Shared by the experiment and the tests.
 #[must_use]
-pub fn expected_waste(netlist: &str, code: &str) -> bool {
-    (netlist.starts_with("K ") && code == "const-lut")
-        || (netlist.starts_with("VivadoIP")
-            && matches!(code, "const-lut" | "stuck-carry" | "unreachable-cell"))
-}
-
-/// Lints every roster/claim/DSE netlist with `opts`; returns the
-/// reports in a stable order. Shared by the experiment and the tests.
-#[must_use]
-pub fn lint_all_reports(opts: LintOptions) -> Vec<LintReport> {
+pub fn lint_all_reports(opts: LintOptions) -> Vec<(String, LintReport)> {
     let linter = Linter::with_options(opts);
     let mut reports = Vec::new();
     for bits in [4u32, 8, 16] {
@@ -81,17 +61,22 @@ pub fn lint_all_reports(opts: LintOptions) -> Vec<LintReport> {
                 None => linter.lint(&entry.netlist),
             };
             report.netlist = entry.name;
-            reports.push(report);
+            reports.push((entry.netlist.name().to_string(), report));
         }
     }
-    reports.extend(check_paper_claims(opts));
+    reports.extend(
+        check_paper_claims(opts)
+            .into_iter()
+            .map(|r| (r.netlist.clone(), r)),
+    );
     // Every 100th enumerated 8x8 DSE configuration (deterministic, 13
     // of 1250): generated netlists must satisfy the same rules as the
     // hand-built ones.
     for cfg in Config::enumerate(8).into_iter().step_by(100) {
-        let mut report = linter.lint(&cfg.assemble());
+        let netlist = cfg.assemble();
+        let mut report = linter.lint(&netlist);
         report.netlist = format!("dse {}", cfg.key());
-        reports.push(report);
+        reports.push((netlist.name().to_string(), report));
     }
     reports
 }
@@ -118,13 +103,13 @@ pub fn lint_roster() -> String {
     );
     let mut problems = String::new();
     let (mut errors, mut warnings, mut unexpected) = (0usize, 0usize, 0usize);
-    for r in &reports {
+    for (name, r) in &reports {
         errors += r.errors();
         warnings += r.warnings();
         let stray = r
             .diagnostics
             .iter()
-            .filter(|d| d.severity == Severity::Warning && !expected_waste(&r.netlist, d.code))
+            .filter(|d| d.severity == Severity::Warning && !expected_waste(name, d.code))
             .count();
         unexpected += stray;
         let codes: Vec<String> = r
@@ -185,7 +170,7 @@ mod tests {
 
     #[test]
     fn every_roster_netlist_is_error_free() {
-        for r in lint_all_reports(fast_opts()) {
+        for (_, r) in lint_all_reports(fast_opts()) {
             assert!(r.is_clean(false), "{r}");
         }
     }
@@ -195,11 +180,11 @@ mod tests {
         // Proposed designs, W, Trunc, the claim fixtures and every DSE
         // sample must be completely warning-free; K and the VivadoIP
         // emulations may only carry their documented waste codes.
-        for r in lint_all_reports(fast_opts()) {
+        for (name, r) in lint_all_reports(fast_opts()) {
             for d in &r.diagnostics {
                 if d.severity == Severity::Warning {
                     assert!(
-                        expected_waste(&r.netlist, d.code),
+                        expected_waste(&name, d.code),
                         "unexpected warning in `{}`: {d}",
                         r.netlist
                     );
@@ -213,10 +198,11 @@ mod tests {
         // The finding behind the K allowance: the kernel's deleted P3
         // bit leaves a provably-constant summation LUT.
         let reports = lint_all_reports(fast_opts());
-        let k4 = reports
+        let (name, k4) = reports
             .iter()
-            .find(|r| r.netlist == "K 4x4")
+            .find(|(_, r)| r.netlist == "K 4x4")
             .expect("roster contains K 4x4");
+        assert!(name.starts_with("kulkarni2x2"), "{name}");
         assert_eq!(k4.by_code().get("const-lut"), Some(&1), "{k4}");
         assert!(!k4.by_code().contains_key("ignored-pin"), "{k4}");
     }
@@ -224,14 +210,14 @@ mod tests {
     #[test]
     fn equivalence_runs_for_modeled_entries() {
         let reports = lint_all_reports(fast_opts());
-        let ca8 = reports
+        let (_, ca8) = reports
             .iter()
-            .find(|r| r.netlist == "Ca 8x8")
+            .find(|(_, r)| r.netlist == "Ca 8x8")
             .expect("roster contains Ca 8x8");
         assert!(ca8.by_code().contains_key("equiv-verified"), "{ca8}");
-        let ca16 = reports
+        let (_, ca16) = reports
             .iter()
-            .find(|r| r.netlist == "Ca 16x16")
+            .find(|(_, r)| r.netlist == "Ca 16x16")
             .expect("roster contains Ca 16x16");
         assert!(ca16.by_code().contains_key("equiv-sampled"), "{ca16}");
     }

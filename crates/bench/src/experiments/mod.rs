@@ -16,16 +16,16 @@ mod simbench;
 mod tables;
 
 pub use ablations::{ablate_4x2_trunc, ablate_cc_depth, ablate_elem, ablate_swap};
-pub use absint::{absint_json, absint_quick, absint_report};
-pub use dse::{dse_scaling, dse_subset, ext_dse, ext_dse_cached, ext_dse_json};
+pub use absint::absint;
+pub use dse::{dse_scaling, dse_subset, ext_dse, ext_dse_cached};
 pub use extensions::{ablate_cfree_op, ext_adders, ext_correction, ext_signed};
 pub use figures::{fig1, fig10, fig12, fig7, fig8, fig9};
 pub use lint::{lint_all_reports, lint_roster};
-pub use netio::{netio_json, netio_quick, netio_report};
-pub use nn::{nn_full, nn_quick};
-pub use sat::{sat_json, sat_quick, sat_report};
-pub use serve::{serve_bench, serve_bench_json, serve_bench_quick, serve_smoke};
-pub use simbench::{sim_bench, sim_bench_json, sim_bench_quick};
+pub use netio::netio;
+pub use nn::nn;
+pub use sat::sat;
+pub use serve::{serve_bench, serve_smoke};
+pub use simbench::sim_bench;
 pub use tables::{susan_area, table1, table2, table3, table4, table5, table6};
 
 /// Runs every experiment in paper order and concatenates the reports.
@@ -53,13 +53,13 @@ pub fn all() -> String {
         ext_correction(),
         ext_adders(),
         ext_signed(),
-        ext_dse(),
+        ext_dse().0,
         dse_scaling(),
-        nn_full(),
+        nn(false),
         lint_roster(),
-        absint_report(),
-        netio_report(),
-        sat_report(),
+        absint(false).0,
+        netio(false).0,
+        sat(false).0,
     ]
     .join("\n")
 }

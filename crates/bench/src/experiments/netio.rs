@@ -14,8 +14,8 @@
 //! 3. **Import throughput** — repeated parses of the roster's Verilog,
 //!    reported in MiB/s and designs/s.
 //!
-//! `netio_json` renders the same measurements as the
-//! `BENCH_netio.json` artifact the CI gate greps for
+//! [`netio`] returns the same measurements as the
+//! `BENCH_netio.json` record the CI gate greps for
 //! `"fixpoint": true`.
 
 use std::time::Instant;
@@ -24,7 +24,7 @@ use axmul_dse::Config;
 use axmul_fabric::export::to_verilog;
 use axmul_netio::{fingerprint, from_axnl, from_verilog, to_axnl};
 
-use crate::report::Table;
+use crate::report::{mode, BenchRecord, Field, Table};
 use crate::roster::fig7_roster;
 
 /// One design's round-trip verdict.
@@ -182,45 +182,35 @@ fn render(m: &Measurements) -> String {
     out
 }
 
-fn render_json(m: &Measurements, quick: bool) -> String {
+fn record(m: &Measurements, quick: bool) -> BenchRecord {
     let p = &m.throughput;
-    format!(
-        "{{\n  \"bench\": \"netio\",\n  \"mode\": \"{}\",\n\
-         \x20 \"roster_designs\": {},\n  \"roster_fixpoint\": {},\n\
-         \x20 \"roster_axnl_lossless\": {},\n\
-         \x20 \"configs_checked\": {},\n  \"configs_ok\": {},\n\
-         \x20 \"import_designs_per_s\": {:.1},\n  \"import_mib_per_s\": {:.2},\n\
-         \x20 \"fixpoint\": {}\n}}\n",
-        if quick { "quick" } else { "full" },
-        m.roster.len(),
-        m.roster.iter().filter(|r| r.fixpoint).count(),
-        m.roster.iter().filter(|r| r.lossless_json).count(),
-        m.configs_checked,
-        m.configs_ok,
-        p.designs_per_s,
-        p.mib_per_s,
-        m.fixpoint(),
-    )
+    BenchRecord::new("netio")
+        .field("mode", mode(quick))
+        .field("roster_designs", m.roster.len())
+        .field(
+            "roster_fixpoint",
+            m.roster.iter().filter(|r| r.fixpoint).count(),
+        )
+        .field(
+            "roster_axnl_lossless",
+            m.roster.iter().filter(|r| r.lossless_json).count(),
+        )
+        .field("configs_checked", m.configs_checked)
+        .field("configs_ok", m.configs_ok)
+        .field("import_designs_per_s", Field::Fixed(p.designs_per_s, 1))
+        .field("import_mib_per_s", Field::Fixed(p.mib_per_s, 2))
+        .field("fixpoint", m.fixpoint())
 }
 
-/// Full report: roster at 4/8/16 bits, every 25th 8×8 configuration,
-/// 20 throughput repetitions.
+/// Runs the experiment and returns its report with its
+/// `BENCH_netio.json` record. The full form round-trips the roster at
+/// 4/8/16 bits and every 25th 8×8 configuration, with 20 throughput
+/// repetitions; `quick` (the CI smoke) the roster at 4/8 bits, every
+/// 125th configuration and 3 repetitions.
 #[must_use]
-pub fn netio_report() -> String {
-    render(&measure(false))
-}
-
-/// CI smoke variant: roster at 4/8 bits, every 125th configuration,
-/// 3 throughput repetitions.
-#[must_use]
-pub fn netio_quick() -> String {
-    render(&measure(true))
-}
-
-/// The same measurements as a `BENCH_netio.json` payload.
-#[must_use]
-pub fn netio_json(quick: bool) -> String {
-    render_json(&measure(quick), quick)
+pub fn netio(quick: bool) -> (String, String) {
+    let m = measure(quick);
+    (render(&m), record(&m, quick).render())
 }
 
 #[cfg(test)]
@@ -234,12 +224,11 @@ mod tests {
         let report = render(&m);
         assert!(report.contains("netio verdict: FIXPOINT"));
         assert!(!report.contains("NO"));
-    }
 
-    #[test]
-    fn json_payload_carries_the_gate_fields() {
-        let json = netio_json(true);
+        let json = record(&m, true).render();
         assert!(json.contains("\"bench\": \"netio\""));
         assert!(json.contains("\"fixpoint\": true"));
+        let parsed = axmul_netio::json::parse(&json).expect("the record is JSON");
+        assert_eq!(parsed.get("fixpoint").and_then(|v| v.as_bool()), Some(true));
     }
 }

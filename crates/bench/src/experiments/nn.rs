@@ -16,7 +16,7 @@
 //!    configuration that keeps the network at ≥95% of the all-exact
 //!    baseline accuracy, at strictly fewer LUTs.
 //!
-//! `nn_quick` is the CI smoke variant: a 64-sample slice, a reduced
+//! `nn(true)` is the CI smoke variant: a 64-sample slice, a reduced
 //! roster, a 2-point fault sweep, and the homogeneous candidate set.
 
 use axmul_baselines::{evo, Drum, IpOpt, Kulkarni, RehmanW, Truncated, VivadoIp};
@@ -187,7 +187,13 @@ fn dse_section(dataset: &Dataset, quick: bool) -> String {
     s
 }
 
-fn nn_report(quick: bool) -> String {
+/// **NN inference accuracy.** The full experiment runs the complete
+/// roster on the 256-sample test set, a 6-point fault sweep and the
+/// exhaustive 1250-config accuracy-constrained DSE; `quick`
+/// (`repro nn --quick`, fast enough for CI) a reduced roster on 64
+/// samples, a 2-point fault sweep and the homogeneous DSE candidates.
+#[must_use]
+pub fn nn(quick: bool) -> String {
     let full = test_set();
     let dataset = if quick {
         Dataset {
@@ -205,28 +211,13 @@ fn nn_report(quick: bool) -> String {
     s
 }
 
-/// **NN inference accuracy.** The full experiment: complete roster,
-/// 256-sample test set, 6-point fault sweep, exhaustive 1250-config
-/// accuracy-constrained DSE.
-#[must_use]
-pub fn nn_full() -> String {
-    nn_report(false)
-}
-
-/// **NN smoke run** (`repro nn --quick`): reduced roster, 64 samples,
-/// 2-point fault sweep, homogeneous DSE candidates. Fast enough for CI.
-#[must_use]
-pub fn nn_quick() -> String {
-    nn_report(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn quick_report_contains_all_three_sections() {
-        let s = nn_quick();
+        let s = nn(true);
         assert!(s.contains("NN top-1 accuracy vs multiplier"));
         assert!(s.contains("stuck-at faults"));
         assert!(s.contains("Accuracy-constrained DSE"));

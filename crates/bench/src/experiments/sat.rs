@@ -27,8 +27,8 @@
 //! entries that excludes), while every approximate design here closes
 //! in seconds.
 //!
-//! `sat_json` renders the same measurements as the `BENCH_sat.json`
-//! artifact the CI gate greps for `"all_equiv": true` and
+//! [`sat`] returns the same measurements as the `BENCH_sat.json`
+//! record the CI gate greps for `"all_equiv": true` and
 //! `"bounds_certified": true`.
 
 use axmul_absint::analyze_netlist;
@@ -40,7 +40,7 @@ use axmul_fabric::Netlist;
 use axmul_metrics::ErrorStats;
 use axmul_sat::{check_equiv, prove_wce, EquivOutcome, ProofOptions, WceEngine, WceOptions};
 
-use crate::report::Table;
+use crate::report::{mode, BenchRecord, Field, Table};
 
 /// The ten 16×16 mixed configuration trees of the full-mode roster.
 /// All leaves are approximate (`A` or partial-product truncation) —
@@ -428,87 +428,67 @@ fn render(m: &Measurements) -> String {
     out
 }
 
-fn render_json(m: &Measurements, quick: bool) -> String {
-    let mut out = format!(
-        "{{\n  \"bench\": \"sat\",\n  \"mode\": \"{}\",\n  \"wce_proofs\": [\n",
-        if quick { "quick" } else { "full" }
-    );
-    for (i, r) in m.proofs.iter().enumerate() {
-        let key = r
-            .key
-            .as_ref()
-            .map_or("null".to_string(), |k| format!("\"{k}\""));
-        out.push_str(&format!(
-            "    {{\"design\": \"{}\", \"key\": {}, \"bits\": {}, \"wce\": {}, \
-             \"wce_lb\": {}, \"wce_ub\": {}, \"certified\": {}, \
-             \"witness\": [{}, {}], \"engine\": \"{}\", \"ascent_steps\": {}, \
-             \"conflicts\": {}, \"elapsed_ms\": {:.1}}}{}\n",
-            r.name,
-            key,
-            r.bits,
-            r.wce,
-            r.lb,
-            r.ub,
-            r.certified,
-            r.witness.0,
-            r.witness.1,
-            r.engine,
-            r.ascent_steps,
-            r.conflicts,
-            r.elapsed_ms,
-            if i + 1 < m.proofs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"equiv_checks\": [\n");
-    for (i, r) in m.equiv.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"check\": \"{}\", \"expect_equiv\": {}, \"ok\": {}, \
-             \"structural\": {}, \"conflicts\": {}, \"elapsed_ms\": {:.1}}}{}\n",
-            r.name,
-            r.expect_equiv,
-            r.ok,
-            r.structural,
-            r.conflicts,
-            r.elapsed_ms,
-            if i + 1 < m.equiv.len() { "," } else { "" },
-        ));
-    }
-    let designs_16 = m.proofs.iter().filter(|r| r.bits == 16).count();
-    let designs_32 = m.proofs.iter().filter(|r| r.bits == 32).count();
-    out.push_str(&format!(
-        "  ],\n  \"designs_16x16\": {},\n  \"designs_32x32\": {},\n\
-         \x20 \"total_conflicts\": {},\n  \"max_conflicts\": {},\n\
-         \x20 \"total_solve_ms\": {:.1},\n\
-         \x20 \"all_equiv\": {},\n  \"bounds_certified\": {}\n}}\n",
-        designs_16,
-        designs_32,
-        m.total_conflicts(),
-        m.max_conflicts(),
-        m.total_solve_ms(),
-        m.all_equiv(),
-        m.bounds_certified(),
-    ));
-    out
+fn record(m: &Measurements, quick: bool) -> BenchRecord {
+    let proofs = m
+        .proofs
+        .iter()
+        .map(|r| {
+            vec![
+                ("design", r.name.clone().into()),
+                ("key", r.key.clone().into()),
+                ("bits", r.bits.into()),
+                ("wce", r.wce.into()),
+                ("wce_lb", r.lb.into()),
+                ("wce_ub", r.ub.into()),
+                ("certified", r.certified.into()),
+                (
+                    "witness",
+                    Field::List(vec![r.witness.0.into(), r.witness.1.into()]),
+                ),
+                ("engine", r.engine.to_string().into()),
+                ("ascent_steps", r.ascent_steps.into()),
+                ("conflicts", r.conflicts.into()),
+                ("elapsed_ms", Field::Fixed(r.elapsed_ms, 1)),
+            ]
+        })
+        .collect();
+    let equiv = m
+        .equiv
+        .iter()
+        .map(|r| {
+            vec![
+                ("check", r.name.clone().into()),
+                ("expect_equiv", r.expect_equiv.into()),
+                ("ok", r.ok.into()),
+                ("structural", r.structural.into()),
+                ("conflicts", r.conflicts.into()),
+                ("elapsed_ms", Field::Fixed(r.elapsed_ms, 1)),
+            ]
+        })
+        .collect();
+    let designs = |bits| m.proofs.iter().filter(|r| r.bits == bits).count();
+    BenchRecord::new("sat")
+        .field("mode", mode(quick))
+        .field("wce_proofs", Field::Rows(proofs))
+        .field("equiv_checks", Field::Rows(equiv))
+        .field("designs_16x16", designs(16))
+        .field("designs_32x32", designs(32))
+        .field("total_conflicts", m.total_conflicts())
+        .field("max_conflicts", m.max_conflicts())
+        .field("total_solve_ms", Field::Fixed(m.total_solve_ms(), 1))
+        .field("all_equiv", m.all_equiv())
+        .field("bounds_certified", m.bounds_certified())
 }
 
-/// Full report: the 14-design 16×16 roster plus four 32×32 designs,
-/// and the five-check equivalence suite.
+/// Runs the experiment and returns its report with its
+/// `BENCH_sat.json` record. The full form proves the 14-design 16×16
+/// roster plus four 32×32 designs and runs the five-check equivalence
+/// suite; `quick` (the CI smoke) proves the 8×8 roster against the
+/// exhaustive truth and runs two equivalence checks.
 #[must_use]
-pub fn sat_report() -> String {
-    render(&measure(false))
-}
-
-/// CI smoke variant: the 8×8 roster (proofs checked against the
-/// exhaustive truth) and two equivalence checks.
-#[must_use]
-pub fn sat_quick() -> String {
-    render(&measure(true))
-}
-
-/// The same measurements as a `BENCH_sat.json` payload.
-#[must_use]
-pub fn sat_json(quick: bool) -> String {
-    render_json(&measure(quick), quick)
+pub fn sat(quick: bool) -> (String, String) {
+    let m = measure(quick);
+    (render(&m), record(&m, quick).render())
 }
 
 #[cfg(test)]
@@ -529,15 +509,52 @@ mod tests {
         assert!(report.contains("sat verdict: CERTIFIED"));
         assert!(!report.contains("REFUTED"));
         assert!(!report.contains("FAILED"));
-    }
 
-    #[test]
-    fn json_payload_carries_the_gate_fields() {
-        let json = sat_json(true);
+        let json = record(&m, true).render();
         assert!(json.contains("\"bench\": \"sat\""));
         assert!(json.contains("\"all_equiv\": true"));
         assert!(json.contains("\"bounds_certified\": true"));
         assert!(json.contains("\"wce\": 2312"));
+        let parsed = axmul_netio::json::parse(&json).expect("the record is JSON");
+        let rows = parsed.get("wce_proofs").and_then(|v| v.as_arr()).unwrap();
+        assert_eq!(rows.len(), m.proofs.len());
+        // The wce text of every row is the proof's exact u128, which
+        // the f64 numbers of a JSON parser cannot check past 2^53.
+        let wces: Vec<&str> = json
+            .lines()
+            .filter_map(|line| line.split("\"wce\": ").nth(1))
+            .map(|rest| rest.split(',').next().unwrap())
+            .collect();
+        let proven: Vec<String> = m.proofs.iter().map(|r| r.wce.to_string()).collect();
+        assert_eq!(wces, proven);
+    }
+
+    #[test]
+    fn records_keep_wce_above_2_pow_53_exact() {
+        // K 32x32's proven wce, from `BENCH_sat.json`.
+        let wce: u128 = 4_099_276_458_915_470_450;
+        assert!(wce > 1 << 53);
+        let m = Measurements {
+            proofs: vec![WceRow {
+                name: "K 32x32".into(),
+                key: None,
+                bits: 32,
+                wce,
+                lb: 0,
+                ub: u128::from(u64::MAX),
+                certified: true,
+                exact_match: None,
+                witness: (u64::from(u32::MAX), 1),
+                ascent_steps: 0,
+                conflicts: 0,
+                elapsed_ms: 0.0,
+                engine: WceEngine::Compositional,
+            }],
+            equiv: Vec::new(),
+        };
+        let json = record(&m, false).render();
+        assert!(json.contains("\"wce\": 4099276458915470450,"), "{json}");
+        assert!(axmul_netio::json::parse(&json).is_ok());
     }
 
     #[test]

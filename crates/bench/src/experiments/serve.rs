@@ -4,43 +4,29 @@
 
 use axmul_serve::loadgen::{self, LoadgenOptions};
 
-/// **Serve benchmark (full).** Tens of thousands of mixed requests over
-/// concurrent TCP connections against a cold store, then the identical
-/// workload against the warmed store; reports p50/p99 latency,
-/// throughput and the build/disk-hit counters of both phases.
+/// **Serve benchmark.** Mixed requests over concurrent TCP connections
+/// against a cold store, then the identical workload against the warmed
+/// store; reports p50/p99 latency, throughput and the build/disk-hit
+/// counters of both phases. The full form sends tens of thousands of
+/// requests; `quick` is CI-sized.
+///
+/// Returns the report with its `BENCH_serve.json` record. A failed run
+/// becomes a record with an `"error"` key, so the file always parses.
 #[must_use]
-pub fn serve_bench() -> String {
-    bench(&LoadgenOptions::full())
-}
-
-/// CI-sized variant of [`serve_bench`].
-#[must_use]
-pub fn serve_bench_quick() -> String {
-    bench(&LoadgenOptions::quick())
-}
-
-fn bench(opts: &LoadgenOptions) -> String {
-    match loadgen::run(opts) {
-        Ok(report) => report.render_text(),
-        Err(e) => format!("serve-bench FAILED: {e}\n"),
-    }
-}
-
-/// Machine-readable serve benchmark — the contents of
-/// `BENCH_serve.json`. Errors become a JSON object with an `"error"`
-/// key so the artifact is always parseable.
-#[must_use]
-pub fn serve_bench_json(quick: bool) -> String {
+pub fn serve_bench(quick: bool) -> (String, String) {
     let opts = if quick {
         LoadgenOptions::quick()
     } else {
         LoadgenOptions::full()
     };
     match loadgen::run(&opts) {
-        Ok(report) => report.to_json(),
-        Err(e) => format!(
-            "{{\"bench\":\"serve\",\"error\":\"{}\"}}",
-            e.replace('"', "'")
+        Ok(report) => (report.render_text(), report.to_json()),
+        Err(e) => (
+            format!("serve-bench FAILED: {e}\n"),
+            format!(
+                "{{\"bench\":\"serve\",\"error\":\"{}\"}}",
+                e.replace('"', "'")
+            ),
         ),
     }
 }

@@ -14,12 +14,12 @@
 //! The energy section times the packed wide-lane characterization
 //! ([`measure_packed`] behind `Characterizer::characterize_timed`),
 //! reports net-transitions/second, and checks that the packed report is
-//! bit-identical to the scalar [`measure_reference`] for worker counts
-//! 1–4 (`"energy_identical"` — gated in CI). It also times the NN
+//! bit-identical to the scalar [`measure_reference`]
+//! (`"energy_identical"` — gated in CI). It also times the NN
 //! product-table build.
 //!
-//! `sim_bench_json` renders the same measurements as the
-//! `BENCH_sim.json` machine-readable artifact.
+//! [`sim_bench`] returns the same measurements as the `BENCH_sim.json`
+//! record.
 
 use std::time::Instant;
 
@@ -34,7 +34,7 @@ use axmul_fabric::{Driver, Netlist};
 use axmul_metrics::ErrorStats;
 use axmul_nn::ProductTable;
 
-use crate::report::{f, Table};
+use crate::report::{f, mode, BenchRecord, Field, Table};
 use crate::roster::{fig7_roster, RosterEntry};
 
 /// The timed visitor workload: the running quantities the error
@@ -155,7 +155,7 @@ struct EnergyBench {
     /// millions: `non-const nets × (steps − 1) / seconds / 1e6`.
     packed_mtrans_per_sec: f64,
     /// Packed path bit-identical (`energy_per_op`, `edp`) to the
-    /// scalar reference for worker counts 1–4.
+    /// scalar reference.
     energy_identical: bool,
 }
 
@@ -176,12 +176,10 @@ fn bench_energy(entry: &RosterEntry, reps: u32) -> EnergyBench {
     let reference =
         measure_reference(nl, &ch.energy, &ch.delay, &stimulus).expect("reference measures");
     let critical_path_ns = analyze(nl, &ch.delay).critical_path_ns;
-    let energy_identical = (1..=4).all(|workers| {
-        let r = measure_packed(nl, &prog, &ch.energy, critical_path_ns, &packed, workers)
-            .expect("packed measure");
-        r.energy_per_op.to_bits() == reference.energy_per_op.to_bits()
-            && r.edp.to_bits() == reference.edp.to_bits()
-    });
+    let r =
+        measure_packed(nl, &prog, &ch.energy, critical_path_ns, &packed).expect("packed measure");
+    let energy_identical = r.energy_per_op.to_bits() == reference.energy_per_op.to_bits()
+        && r.edp.to_bits() == reference.edp.to_bits();
 
     let tracked = nl
         .drivers()
@@ -293,63 +291,57 @@ fn render(b: &SimBench) -> String {
     out
 }
 
-fn render_json(b: &SimBench, quick: bool) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"bench\": \"sim\",\n  \"mode\": \"{}\",\n  \"archs\": [\n",
-        if quick { "quick" } else { "full" }
-    ));
-    for (i, a) in b.archs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"pairs\": {}, \"compiled_pairs_per_sec\": {:.1}, \
-             \"stats_identical\": {}}}{}\n",
-            a.name,
-            a.pairs,
-            a.compiled_pairs_per_sec,
-            a.stats_identical,
-            if i + 1 < b.archs.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n  \"energy\": [\n");
-    for (i, a) in b.energy.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"packed_char_s\": {:.6}, \
-             \"packed_mtrans_per_sec\": {:.1}}}{}\n",
-            a.name,
-            a.packed_char_s,
-            a.packed_mtrans_per_sec,
-            if i + 1 < b.energy.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"energy_identical\": {},\n",
-        b.energy.iter().all(|a| a.energy_identical),
-    ));
-    s.push_str(&format!(
-        "  \"nn_table_build\": {{\"compiled_s\": {:.4}}}\n",
-        b.nn_compiled_s,
-    ));
-    s.push_str("}\n");
-    s
+fn record(b: &SimBench, quick: bool) -> BenchRecord {
+    let archs = b
+        .archs
+        .iter()
+        .map(|a| {
+            vec![
+                ("name", a.name.clone().into()),
+                ("pairs", a.pairs.into()),
+                (
+                    "compiled_pairs_per_sec",
+                    Field::Fixed(a.compiled_pairs_per_sec, 1),
+                ),
+                ("stats_identical", a.stats_identical.into()),
+            ]
+        })
+        .collect();
+    let energy = b
+        .energy
+        .iter()
+        .map(|a| {
+            vec![
+                ("name", a.name.clone().into()),
+                ("packed_char_s", Field::Fixed(a.packed_char_s, 6)),
+                (
+                    "packed_mtrans_per_sec",
+                    Field::Fixed(a.packed_mtrans_per_sec, 1),
+                ),
+            ]
+        })
+        .collect();
+    BenchRecord::new("sim")
+        .field("mode", mode(quick))
+        .field("archs", Field::Rows(archs))
+        .field("energy", Field::Rows(energy))
+        .field(
+            "energy_identical",
+            b.energy.iter().all(|a| a.energy_identical),
+        )
+        .field(
+            "nn_table_build",
+            Field::Obj(vec![("compiled_s", Field::Fixed(b.nn_compiled_s, 4))]),
+        )
 }
 
-/// Full simulator-throughput report over the Fig. 7 roster.
+/// Runs the simulator-throughput experiment over the Fig. 7 roster and
+/// returns its report with its `BENCH_sim.json` record; `quick` (the CI
+/// smoke) covers two architectures with one repetition.
 #[must_use]
-pub fn sim_bench() -> String {
-    render(&run(false))
-}
-
-/// CI smoke variant: two architectures, single repetition.
-#[must_use]
-pub fn sim_bench_quick() -> String {
-    render(&run(true))
-}
-
-/// The same measurements as a `BENCH_sim.json` payload.
-#[must_use]
-pub fn sim_bench_json(quick: bool) -> String {
-    render_json(&run(quick), quick)
+pub fn sim_bench(quick: bool) -> (String, String) {
+    let b = run(quick);
+    (render(&b), record(&b, quick).render())
 }
 
 #[cfg(test)]
@@ -358,14 +350,11 @@ mod tests {
 
     #[test]
     fn quick_bench_runs_and_streams_agree() {
-        let report = sim_bench_quick();
+        let (report, json) = sim_bench(true);
         assert!(report.contains("bit-identical"));
         assert!(!report.contains("DIVERGED"));
-    }
 
-    #[test]
-    fn json_payload_is_well_formed_enough() {
-        let json = sim_bench_json(true);
+        assert!(axmul_netio::json::parse(&json).is_ok(), "{json}");
         assert!(json.starts_with("{\n"));
         assert!(json.ends_with("}\n"));
         assert!(json.contains("\"bench\": \"sim\""));

@@ -10,6 +10,7 @@ use axmul_fabric::export::{to_verilog, to_vhdl};
 use axmul_fabric::power::{measure, uniform_stimulus, EnergyModel};
 use axmul_fabric::timing::{analyze, DelayModel};
 use axmul_metrics::ErrorStats;
+use axmul_serve::ops::{self, ImportError, Side, SideError};
 use axmul_susan::{susan_smooth, synthetic_test_image, Image, SusanParams};
 
 use crate::arch::{Arch, ALL};
@@ -416,13 +417,10 @@ fn dse(opts: &Opts) -> Result<String, CliError> {
 /// a verified certificate; with `--arch A` it propagates known bits
 /// through the elaborated netlist and reports proven output ranges.
 fn absint(opts: &Opts) -> Result<String, CliError> {
-    use axmul_dse::{static_bounds, Config};
+    use axmul_dse::static_bounds;
 
     if let Some(key) = opts.get("config") {
-        let cfg: Config = key
-            .parse()
-            .map_err(|e: axmul_dse::ParseConfigError| CliError::Usage(e.to_string()))?;
-        let a = static_bounds(&cfg).map_err(|e| CliError::Usage(e.to_string()))?;
+        let a = static_bounds(&parse_config(key)?).map_err(|e| CliError::Usage(e.to_string()))?;
         if opts.flag("json") {
             return Ok(format!("{}\n", a.to_json()));
         }
@@ -668,18 +666,12 @@ fn serve(opts: &Opts) -> Result<String, CliError> {
 /// `axnl-v1` document (`-o` writes it to a file instead of stdout).
 fn import(file: &str, opts: &Opts) -> Result<String, CliError> {
     let text = std::fs::read_to_string(file)?;
-    let netlist = match opts.get("format") {
-        None => axmul_netio::import(&text)?,
-        Some(f) => match f.parse::<axmul_netio::Format>() {
-            Ok(axmul_netio::Format::Verilog) => axmul_netio::from_verilog(&text)?,
-            Ok(axmul_netio::Format::Axnl) => axmul_netio::from_axnl(&text)?,
-            Err(()) => {
-                return Err(CliError::Usage(format!(
-                    "unknown format `{f}` (verilog|axnl)"
-                )))
-            }
-        },
-    };
+    let (netlist, format) = ops::import(&text, opts.get("format")).map_err(|e| match e {
+        ImportError::UnknownFormat(f) => {
+            CliError::Usage(format!("unknown format `{f}` (verilog|axnl)"))
+        }
+        ImportError::Netio(e) => CliError::Netio(e),
+    })?;
 
     if opts.flag("json") {
         let doc = axmul_netio::to_axnl(&netlist);
@@ -694,7 +686,7 @@ fn import(file: &str, opts: &Opts) -> Result<String, CliError> {
     let mut out = format!(
         "imported {} from {file} ({})\n  {} LUTs, {} CARRY4s, {} nets, fingerprint {:016x}\n",
         netlist.name(),
-        axmul_netio::detect_format(&text).name(),
+        format.name(),
         netlist.lut_count(),
         netlist.carry4_count(),
         netlist.drivers().len(),
@@ -742,43 +734,50 @@ fn import(file: &str, opts: &Opts) -> Result<String, CliError> {
 }
 
 fn parse_config(key: &str) -> Result<axmul_dse::Config, CliError> {
-    key.parse()
-        .map_err(|e: axmul_dse::ParseConfigError| CliError::Usage(e.to_string()))
+    ops::parse_config(key, None).map_err(|e| CliError::Usage(e.to_string()))
 }
 
-/// `import FILE --verify --config KEY`: SAT-proves the imported
-/// netlist semantically equal to the configuration's own elaboration.
-/// Unlike the content fingerprint, this accepts structural variants —
-/// a fingerprint mismatch between semantically-equal netlists is
-/// reported as a note, not a rejection.
+/// An equivalence side read from a file or named by a configuration.
+fn side(side: Side<'_>) -> Result<axmul_fabric::Netlist, CliError> {
+    ops::resolve_side(side, None).map_err(|e| match e {
+        SideError::Netio(e) => CliError::Netio(e),
+        SideError::Config(e) => CliError::Usage(e.to_string()),
+        SideError::TooWide { input_bits, limit } => CliError::Usage(format!(
+            "{input_bits} input bits exceed the {limit}-bit limit"
+        )),
+    })
+}
+
+/// `import FILE --verify --config KEY`: checks the imported netlist
+/// against the configuration's own elaboration ([`ops::check_twin`]).
+/// A structural variant is accepted; a fingerprint mismatch between
+/// semantically-equal netlists is reported as a note, not a rejection.
 fn verify_imported(netlist: &axmul_fabric::Netlist, opts: &Opts) -> Result<String, CliError> {
-    use axmul_sat::{check_equiv, EquivOutcome, ProofOptions};
+    use axmul_sat::EquivOutcome;
 
     let Some(key) = opts.get("config") else {
         return Err(CliError::Usage(
             "--verify needs a --config KEY to verify against".into(),
         ));
     };
-    let golden = parse_config(key)?.assemble();
-    let report = check_equiv(netlist, &golden, &ProofOptions::default())?;
+    let check = ops::check_twin(netlist, &parse_config(key)?);
+    let Some(proof) = check.proof else {
+        return Ok(format!(
+            "  verify: EQUIVALENT to `{key}` for all inputs (structurally identical)\n"
+        ));
+    };
+    let report = proof?;
     match report.outcome {
-        EquivOutcome::Equivalent => {
-            let mut out = format!(
-                "  verify: EQUIVALENT to `{key}` for all inputs ({})\n",
-                if report.structural {
-                    "structurally identical".to_string()
-                } else {
-                    format!("UNSAT miter, {} conflicts", report.stats.conflicts)
-                }
-            );
-            if axmul_netio::fingerprint(netlist) != axmul_netio::fingerprint(&golden) {
-                out.push_str(
-                    "  verify: note: content fingerprints differ — structural variants \
-                     of the same function\n",
-                );
+        EquivOutcome::Equivalent => Ok(format!(
+            "  verify: EQUIVALENT to `{key}` for all inputs ({})\n  \
+             verify: note: content fingerprints differ — structural variants \
+             of the same function\n",
+            if report.structural {
+                "structurally identical".to_string()
+            } else {
+                format!("UNSAT miter, {} conflicts", report.stats.conflicts)
             }
-            Ok(out)
-        }
+        )),
         EquivOutcome::NotEquivalent(cex) => {
             let inputs: Vec<String> = cex.inputs.iter().map(|(n, v)| format!("{n}={v}")).collect();
             Err(CliError::Verify(format!(
@@ -883,18 +882,18 @@ fn verify(opts: &Opts) -> Result<String, CliError> {
 fn verify_file(file: &str, opts: &Opts) -> Result<String, CliError> {
     use axmul_sat::{check_against_exact, check_equiv, EquivOutcome, ProofOptions};
 
-    let lhs = axmul_netio::import(&std::fs::read_to_string(file)?)?;
+    let lhs = side(Side::Document(&std::fs::read_to_string(file)?))?;
     let popts = ProofOptions::default();
     let (report, reference) = match (opts.get("against"), opts.get("config")) {
         (Some(file2), _) => {
-            let rhs = axmul_netio::import(&std::fs::read_to_string(file2)?)?;
+            let rhs = side(Side::Document(&std::fs::read_to_string(file2)?))?;
             (
                 check_equiv(&lhs, &rhs, &popts)?,
                 format!("`{}` ({file2})", rhs.name()),
             )
         }
         (None, Some(key)) => {
-            let rhs = parse_config(key)?.assemble();
+            let rhs = side(Side::Config(key))?;
             (check_equiv(&lhs, &rhs, &popts)?, format!("`{key}`"))
         }
         (None, None) => (
@@ -929,24 +928,8 @@ fn verify_file(file: &str, opts: &Opts) -> Result<String, CliError> {
     }
 }
 
-/// Warnings a design is *expected* to carry: the K baseline's deleted
-/// kernel bit leaves a provably-constant summation LUT, and the
-/// VivadoIP emulations reproduce the IP's wasteful mapping on purpose
-/// (the paper's motivation). Mirrors the allowance of the bench crate's
-/// `repro lint` experiment; everything else must be warning-free under
-/// `--deny warnings`.
-fn allowed_waste(arch: Arch, code: &str) -> bool {
-    match arch {
-        Arch::Kulkarni => code == "const-lut",
-        Arch::IpArea | Arch::IpSpeed => {
-            matches!(code, "const-lut" | "stuck-carry" | "unreachable-cell")
-        }
-        _ => false,
-    }
-}
-
 fn lint(opts: &Opts) -> Result<String, CliError> {
-    use axmul_lint::{Linter, Severity};
+    use axmul_lint::{expected_waste, Linter, Severity};
 
     let deny_warnings = match opts.get("deny") {
         None => false,
@@ -986,7 +969,7 @@ fn lint(opts: &Opts) -> Result<String, CliError> {
             denied += report
                 .diagnostics
                 .iter()
-                .filter(|d| d.severity == Severity::Warning && !allowed_waste(arch, d.code))
+                .filter(|d| d.severity == Severity::Warning && !expected_waste(nl.name(), d.code))
                 .count();
         }
         if opts.flag("json") {

@@ -243,7 +243,6 @@ pub struct DiskStore {
     root: PathBuf,
     shards: Vec<Mutex<LruShard>>,
     hot_capacity: usize,
-    tmp_counter: AtomicU64,
     hot_hits: AtomicU64,
     disk_reads: AtomicU64,
     saves: AtomicU64,
@@ -268,7 +267,6 @@ impl DiskStore {
                 .map(|_| Mutex::new(LruShard::default()))
                 .collect(),
             hot_capacity: DEFAULT_HOT_CAPACITY,
-            tmp_counter: AtomicU64::new(0),
             hot_hits: AtomicU64::new(0),
             disk_reads: AtomicU64::new(0),
             saves: AtomicU64::new(0),
@@ -352,10 +350,13 @@ impl DiskStore {
         let path = self.record_path(&rec.key);
         let dir = path.parent().expect("record path has a parent");
         fs::create_dir_all(dir)?;
+        // The counter is process-wide: two handles on one directory
+        // must never write the same temporary file.
+        static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
         let tmp = dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         let bytes = encode_record(rec);
         {

@@ -8,11 +8,11 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use axmul_core::Multiplier;
 use axmul_dse::store::decode_record;
-use axmul_dse::{CharCache, Config, DiskStore, StoreError};
+use axmul_dse::{CharCache, Config, DiskStore, StoreError, StoredChar};
 use axmul_fabric::cost::Characterizer;
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -258,5 +258,61 @@ fn store_survives_concurrent_cache_populations() {
     }
     assert_eq!(warm.builds(), 0);
     assert_eq!(warm.store_failures(), 0, "{:?}", warm.last_store_error());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Several handles on one directory save records that share a shard
+/// directory in lockstep, so their temporary files are written side by
+/// side at the same moment. Every save must succeed and every record
+/// must come back intact.
+#[test]
+fn lockstep_saves_from_several_handles_lose_no_record() {
+    const HANDLES: usize = 4;
+    const ROUNDS: usize = 40;
+    let dir = tempdir("lockstep");
+    warm_cache(&dir)
+        .characterize(&"A".parse().unwrap())
+        .unwrap();
+    let probe = DiskStore::open(&dir).unwrap();
+    let template = probe.load("A").unwrap().expect("record saved above");
+    let shard = probe.record_path("k0").parent().unwrap().to_path_buf();
+    let keys: Vec<String> = (0..)
+        .map(|i| format!("k{i}"))
+        .filter(|k| probe.record_path(k).parent() == Some(shard.as_path()))
+        .take(HANDLES * ROUNDS)
+        .collect();
+
+    let barrier = Barrier::new(HANDLES);
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..HANDLES)
+            .map(|h| {
+                let (barrier, keys, template, dir) = (&barrier, &keys, &template, &dir);
+                s.spawn(move || {
+                    let store = DiskStore::open(dir).unwrap();
+                    let mut failures = Vec::new();
+                    for round in 0..ROUNDS {
+                        let mut rec = StoredChar::clone(template);
+                        rec.key.clone_from(&keys[round * HANDLES + h]);
+                        barrier.wait();
+                        if let Err(e) = store.save(&rec) {
+                            failures.push(format!("{}: {e}", rec.key));
+                        }
+                    }
+                    failures
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    });
+    assert!(failures.is_empty(), "failed saves: {failures:?}");
+
+    let fresh = DiskStore::open(&dir).unwrap();
+    for key in &keys {
+        let rec = fresh.load(key).unwrap_or_else(|e| panic!("{key}: {e}"));
+        assert_eq!(rec.map(|r| r.key.clone()).as_deref(), Some(key.as_str()));
+    }
     let _ = fs::remove_dir_all(&dir);
 }

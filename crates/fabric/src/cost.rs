@@ -217,10 +217,6 @@ pub struct Characterizer {
     pub stimulus_len: usize,
     /// Seed of the deterministic stimulus stream.
     pub stimulus_seed: u64,
-    /// Worker threads for the energy stimulus sweep. The result is
-    /// bit-identical for every value (integer toggle counts merge in
-    /// fixed order); raise it for very long stimulus streams.
-    pub energy_workers: usize,
 }
 
 impl Characterizer {
@@ -232,7 +228,6 @@ impl Characterizer {
             energy: EnergyModel::virtex7(),
             stimulus_len: 1024,
             stimulus_seed: 0xDAC18 ^ 0x5EED,
-            energy_workers: 1,
         }
     }
 
@@ -242,29 +237,17 @@ impl Characterizer {
     ///
     /// Propagates simulation errors from the energy measurement.
     pub fn characterize(&self, netlist: &Netlist) -> Result<NetlistCost, FabricError> {
-        self.characterize_with(netlist, &CompiledNetlist::compile(netlist))
+        self.characterize_timed(netlist, &CompiledNetlist::compile(netlist))
+            .map(|(cost, _)| cost)
     }
 
     /// [`Characterizer::characterize`] over an already-compiled
     /// program, for callers that also sweep the same netlist (e.g. the
     /// DSE characterization cache) and want to compile it exactly once.
+    /// It also reports where the time went (STA vs energy sweep), so
+    /// callers can expose a wall-clock split without re-profiling.
     ///
     /// `prog` must be the fault-free compilation of `netlist`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Characterizer::characterize`].
-    pub fn characterize_with(
-        &self,
-        netlist: &Netlist,
-        prog: &CompiledNetlist,
-    ) -> Result<NetlistCost, FabricError> {
-        self.characterize_timed(netlist, prog).map(|(cost, _)| cost)
-    }
-
-    /// [`Characterizer::characterize_with`] that also reports where the
-    /// time went (STA vs energy sweep), so callers like the DSE cache
-    /// can expose a wall-clock split without re-profiling.
     ///
     /// STA runs exactly once: its `critical_path_ns` feeds both the
     /// cost record and the EDP inside the energy measurement.
@@ -282,14 +265,7 @@ impl Characterizer {
         let timing = analyze(netlist, &self.delay);
         let t1 = Instant::now();
         let stim = PackedStimulus::uniform(netlist, self.stimulus_len, self.stimulus_seed);
-        let power = measure_packed(
-            netlist,
-            prog,
-            &self.energy,
-            timing.critical_path_ns,
-            &stim,
-            self.energy_workers,
-        )?;
+        let power = measure_packed(netlist, prog, &self.energy, timing.critical_path_ns, &stim)?;
         let t2 = Instant::now();
         let cost = NetlistCost {
             area,

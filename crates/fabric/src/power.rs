@@ -13,8 +13,8 @@
 //! exact integer popcounts of `word ^ (word >> 1)` accumulated per
 //! value slot over the whole run. The float [`EnergyModel`] weights are
 //! applied exactly once at the end, in ascending-net order — so the
-//! resulting [`EnergyReport`] is **bit-identical** for any lane width,
-//! batch size, or worker count, the same guarantee the error path's
+//! resulting [`EnergyReport`] is **bit-identical** for any lane width
+//! or batch size, the same guarantee the error path's
 //! `exhaustive_wide` gives `ErrorStats`. [`measure_reference`] is the
 //! scalar single-step ground truth that property tests and the CI
 //! bench gate compare against.
@@ -200,38 +200,24 @@ fn tracked_slots(prog: &CompiledNetlist, weights: &[f64]) -> (Vec<u32>, Vec<usiz
     (slots, index)
 }
 
-/// Integer toggle counts for the tracked slots over the pass range
-/// `[pass_lo, pass_hi)` of the packed stimulus. A shard starting past
-/// pass 0 replays its predecessor pass first to recover the boundary
-/// lane, so counts depend only on the stimulus — never on how passes
-/// are sharded.
-fn count_shard<const W: usize>(
+/// Integer toggle counts for the tracked slots over the whole packed
+/// stimulus, `64 * W` steps per pass. The last lane of each pass
+/// carries into the first lane of the next, so the counts depend only
+/// on the stimulus, never on the lane width.
+fn count_toggles<const W: usize>(
     prog: &CompiledNetlist,
     stim: &PackedStimulus,
-    rows: &[&[u64]],
     slots: &[u32],
-    pass_lo: usize,
-    pass_hi: usize,
 ) -> Vec<u64> {
+    let rows: Vec<&[u64]> = stim.bits.iter().map(Vec::as_slice).collect();
     let lanes_per_pass = 64 * W;
     let mut sim: CompiledSim<'_, W> = prog.simulator();
     let mut counts = vec![0u64; slots.len()];
     // Last-lane bit of each tracked slot from the previous pass.
     let mut carry = vec![0u64; slots.len()];
     let mut has_carry = false;
-    if pass_lo > 0 {
-        sim.load_packed(rows, (pass_lo - 1) * W)
-            .expect("rows validated by caller");
-        sim.run();
-        // A predecessor pass is always full (only the final pass of the
-        // whole stimulus can be partial).
-        for (c, &slot) in carry.iter_mut().zip(slots) {
-            *c = sim.slot_word(slot)[W - 1] >> 63;
-        }
-        has_carry = true;
-    }
-    for pass in pass_lo..pass_hi {
-        sim.load_packed(rows, pass * W)
+    for pass in 0..stim.steps.div_ceil(lanes_per_pass) {
+        sim.load_packed(&rows, pass * W)
             .expect("rows validated by caller");
         sim.run();
         let lanes = (stim.steps - pass * lanes_per_pass).min(lanes_per_pass);
@@ -265,46 +251,10 @@ fn count_shard<const W: usize>(
     counts
 }
 
-/// Integer toggle counts for the whole stimulus, sharded over `workers`
-/// scoped threads with a fixed-order merge. Integer sums are exactly
-/// associative, so the result is identical for every worker count.
-fn count_toggles<const W: usize>(
-    prog: &CompiledNetlist,
-    stim: &PackedStimulus,
-    slots: &[u32],
-    workers: usize,
-) -> Vec<u64> {
-    let rows: Vec<&[u64]> = stim.bits.iter().map(Vec::as_slice).collect();
-    let passes = stim.steps.div_ceil(64 * W);
-    let workers = workers.max(1).min(passes.max(1));
-    if workers <= 1 {
-        return count_shard::<W>(prog, stim, &rows, slots, 0, passes);
-    }
-    let per = passes.div_ceil(workers);
-    let shards: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let rows = &rows;
-                let lo = w * per;
-                let hi = ((w + 1) * per).min(passes);
-                scope.spawn(move || count_shard::<W>(prog, stim, rows, slots, lo, hi))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut counts = vec![0u64; slots.len()];
-    for shard in shards {
-        for (c, s) in counts.iter_mut().zip(shard) {
-            *c += s;
-        }
-    }
-    counts
-}
-
 /// The single end-of-run float fold shared by every measurement path:
 /// ascending-net order, weight-0 nets skipped. Keeping this fold (and
 /// only this fold) in floating point is what makes the report
-/// bit-identical across lane widths, batch sizes, and worker counts.
+/// bit-identical across lane widths and batch sizes.
 fn weighted_total(weights: &[f64], count_of_net: impl Fn(usize) -> u64) -> f64 {
     let mut total = 0.0f64;
     for (net, &weight) in weights.iter().enumerate() {
@@ -366,16 +316,15 @@ pub fn measure(
     let stim = PackedStimulus::pack(netlist, stimulus)?;
     let critical_path_ns = analyze(netlist, delay).critical_path_ns;
     let prog = CompiledNetlist::compile(netlist);
-    measure_packed(netlist, &prog, energy, critical_path_ns, &stim, 1)
+    measure_packed(netlist, &prog, energy, critical_path_ns, &stim)
 }
 
 /// The wide-lane measurement core: evaluates the packed stimulus
 /// `64 * SWEEP_WORDS` consecutive steps per pass, accumulates exact
-/// integer toggle counts per distinct value slot (sharded over
-/// `workers` scoped threads when > 1), and applies the float
+/// integer toggle counts per distinct value slot, and applies the float
 /// [`EnergyModel`] weights exactly once at the end. The report is
 /// bit-identical to [`measure_reference`] on the same step-major
-/// stimulus, for any `workers`.
+/// stimulus.
 ///
 /// `prog` must be the compilation of `netlist` (without faults);
 /// `critical_path_ns` is the caller's STA result — hoisted out so
@@ -391,7 +340,6 @@ pub fn measure_packed(
     energy: &EnergyModel,
     critical_path_ns: f64,
     stim: &PackedStimulus,
-    workers: usize,
 ) -> Result<EnergyReport, FabricError> {
     let widths: Vec<usize> = netlist.input_buses().iter().map(|(_, b)| b.len()).collect();
     if widths != stim.bus_widths {
@@ -405,7 +353,7 @@ pub fn measure_packed(
     let counts = if stim.steps < 2 || slots.is_empty() {
         vec![0u64; slots.len()]
     } else {
-        count_toggles::<SWEEP_WORDS>(prog, stim, &slots, workers)
+        count_toggles::<SWEEP_WORDS>(prog, stim, &slots)
     };
     let total = weighted_total(&weights, |net| counts[index[net]]);
     Ok(finish_report(total, stim.steps, critical_path_ns))
@@ -573,21 +521,16 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_and_lane_width_do_not_change_counts() {
+    fn lane_width_does_not_change_counts() {
         let nl = adder_netlist();
         let prog = CompiledNetlist::compile(&nl);
         let weights = net_weights(&nl, &EnergyModel::virtex7());
         let (slots, _) = tracked_slots(&prog, &weights);
-        // 1000 steps = 16 single-word passes, enough for real sharding.
+        // 1000 steps = 16 single-word passes, so passes carry lanes.
         let stim = PackedStimulus::uniform(&nl, 1000, 99);
-        let base = count_toggles::<1>(&prog, &stim, &slots, 1);
-        for workers in 2..=5 {
-            assert_eq!(count_toggles::<1>(&prog, &stim, &slots, workers), base);
-        }
-        for workers in 1..=3 {
-            assert_eq!(count_toggles::<2>(&prog, &stim, &slots, workers), base);
-            assert_eq!(count_toggles::<4>(&prog, &stim, &slots, workers), base);
-        }
+        let base = count_toggles::<1>(&prog, &stim, &slots);
+        assert_eq!(count_toggles::<2>(&prog, &stim, &slots), base);
+        assert_eq!(count_toggles::<4>(&prog, &stim, &slots), base);
     }
 
     #[test]
@@ -621,6 +564,6 @@ mod tests {
         let other = adder_netlist();
         let packed = PackedStimulus::uniform(&other, 16, 1);
         let prog = CompiledNetlist::compile(&nl);
-        assert!(measure_packed(&nl, &prog, &EnergyModel::virtex7(), 1.0, &packed, 1).is_err());
+        assert!(measure_packed(&nl, &prog, &EnergyModel::virtex7(), 1.0, &packed).is_err());
     }
 }

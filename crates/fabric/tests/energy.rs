@@ -2,11 +2,11 @@
 //! path against the scalar reference.
 //!
 //! The wide path packs the stimulus into lane words, counts toggles as
-//! integer popcounts per pass (optionally sharded across workers), and
-//! applies the float weights once at the end — so its [`EnergyReport`]
-//! must be *bit-identical* to [`measure_reference`]'s step-at-a-time
-//! count for any stimulus length (straddling the 64-step word and
-//! 256-step pass boundaries), any netlist shape, and any worker count.
+//! integer popcounts per pass, and applies the float weights once at
+//! the end — so its [`EnergyReport`] must be *bit-identical* to
+//! [`measure_reference`]'s step-at-a-time count for any stimulus length
+//! (straddling the 64-step word and 256-step pass boundaries) and any
+//! netlist shape.
 
 use axmul_fabric::compile::CompiledNetlist;
 use axmul_fabric::power::{
@@ -63,7 +63,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Wide-lane measurement over random LUT networks equals the scalar
-    /// reference bitwise for any stimulus length and worker count.
+    /// reference bitwise for any stimulus length.
     #[test]
     fn packed_measure_equals_scalar_reference(
         luts in prop::collection::vec((any::<u64>(), any::<[u8; 6]>()), 1..16),
@@ -71,7 +71,6 @@ proptest! {
             [1usize, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300, 511, 512, 513].to_vec(),
         ),
         seed in any::<u64>(),
-        workers in 1usize..=5,
     ) {
         let nl = random_netlist(8, &luts);
         let prog = CompiledNetlist::compile(&nl);
@@ -85,9 +84,8 @@ proptest! {
 
         let packed = PackedStimulus::pack(&nl, &stimulus).unwrap();
         let critical_path_ns = analyze(&nl, &delay).critical_path_ns;
-        let sharded =
-            measure_packed(&nl, &prog, &energy, critical_path_ns, &packed, workers).unwrap();
-        assert_reports_identical(&sharded, &reference);
+        let wide = measure_packed(&nl, &prog, &energy, critical_path_ns, &packed).unwrap();
+        assert_reports_identical(&wide, &reference);
     }
 
     /// The direct packed-word uniform stimulus generator is the same
@@ -103,13 +101,12 @@ proptest! {
         prop_assert_eq!(direct, packed);
     }
 
-    /// Multi-bus carry-chain netlists: sharded wide counts equal the
-    /// scalar reference bitwise across the 64/256-step boundaries.
+    /// Multi-bus carry-chain netlists: wide counts equal the scalar
+    /// reference bitwise across the 64/256-step boundaries.
     #[test]
     fn adder_measure_equals_scalar_reference(
         steps in 1usize..700,
         seed in any::<u64>(),
-        workers in 1usize..=4,
     ) {
         let nl = adder_netlist();
         let prog = CompiledNetlist::compile(&nl);
@@ -119,8 +116,7 @@ proptest! {
         let reference = measure_reference(&nl, &energy, &delay, &stimulus).unwrap();
         let packed = PackedStimulus::uniform(&nl, steps, seed);
         let critical_path_ns = analyze(&nl, &delay).critical_path_ns;
-        let wide =
-            measure_packed(&nl, &prog, &energy, critical_path_ns, &packed, workers).unwrap();
+        let wide = measure_packed(&nl, &prog, &energy, critical_path_ns, &packed).unwrap();
         assert_reports_identical(&wide, &reference);
     }
 }

@@ -46,9 +46,8 @@ pub struct ErrorStats {
     pub rmse: f64,
     /// Operand pairs `(a, b)` achieving [`ErrorStats::max_error`]: the
     /// first `WITNESS_CAP` such pairs in sample order (empty when no
-    /// sample errs). Deterministic across worker counts — sharded
-    /// sweeps reproduce the sequential list exactly — and the hook
-    /// that lets static analyses check their worst-case-error bounds
+    /// sample errs). Every sweep kernel reproduces the sequential list
+    /// exactly, and it is the hook that lets static analyses check their worst-case-error bounds
     /// against a *witnessed* concrete error.
     pub worst_case_inputs: Vec<(u64, u64)>,
 }
@@ -117,8 +116,6 @@ impl ErrorStats {
     ///
     /// The netlist must have exactly two input buses (the operands, in
     /// `a`, `b` order) and its first output bus is taken as the product.
-    /// Equivalent to [`ErrorStats::exhaustive_wide_with`] with one
-    /// worker.
     ///
     /// # Errors
     ///
@@ -129,68 +126,16 @@ impl ErrorStats {
     ///
     /// Panics if the operand space exceeds 2³² pairs.
     pub fn exhaustive_wide(netlist: &Netlist) -> Result<Self, FabricError> {
-        Self::exhaustive_wide_with(netlist, 1)
-    }
-
-    /// [`ErrorStats::exhaustive_wide`] sharded over `workers` threads.
-    ///
-    /// The operand space is split into contiguous ranges aligned to the
-    /// relative-error accumulation chunk, each worker sweeps its range
-    /// through its own simulator over the shared compiled program, and
-    /// the per-shard partial sums are merged in fixed shard order. The
-    /// result is **byte-identical** for every worker count — and to the
-    /// scalar [`ErrorStats::exhaustive`] path — because the float
-    /// accumulation order is preserved exactly (see `Accumulator`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ErrorStats::exhaustive_wide`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operand space exceeds 2³² pairs or if a worker
-    /// thread panics.
-    pub fn exhaustive_wide_with(netlist: &Netlist, workers: usize) -> Result<Self, FabricError> {
         let prog = CompiledNetlist::compile(netlist);
         let (wa, wb) = prog.operand_widths()?;
         assert!(
             wa + wb <= 32,
             "exhaustive sweep over {wa}x{wb} is infeasible"
         );
-        let total = 1u64 << (wa + wb);
-        // Shard boundaries must fall on REL_CHUNK multiples so every
-        // relative-error chunk is computed whole inside one shard.
-        let chunks = total.div_ceil(REL_CHUNK);
-        let workers = workers.clamp(1, chunks.max(1) as usize);
-        let per = chunks.div_ceil(workers as u64) * REL_CHUNK;
-        let sweep = |range: std::ops::Range<u64>| -> Result<Accumulator, FabricError> {
-            let mut acc = Accumulator::default();
-            prog.for_each_operand_pair_in(range, |a, b, out| acc.push(a, b, a * b, out[0]))?;
-            Ok(acc)
-        };
-        let acc = if workers == 1 {
-            sweep(0..total)?
-        } else {
-            let ranges: Vec<std::ops::Range<u64>> = (0..workers as u64)
-                .map(|w| (w * per).min(total)..((w + 1) * per).min(total))
-                .filter(|r| !r.is_empty())
-                .collect();
-            let shards: Vec<Accumulator> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .into_iter()
-                    .map(|range| scope.spawn(|| sweep(range)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep worker panicked"))
-                    .collect::<Result<_, FabricError>>()
-            })?;
-            let mut merged = Accumulator::default();
-            for shard in shards {
-                merged.merge(shard);
-            }
-            merged
-        };
+        let mut acc = Accumulator::default();
+        prog.for_each_operand_pair_in(0..1u64 << (wa + wb), |a, b, out| {
+            acc.push(a, b, a * b, out[0]);
+        })?;
         Ok(acc.finish(netlist.name().to_string(), wa, wb))
     }
 
@@ -236,16 +181,14 @@ const REL_CHUNK: u64 = 4096;
 ///
 /// The integer statistics (counts, `u128` error sums) are exactly
 /// associative, but the relative-error sum is floating point, where
-/// addition order matters. To make sharded parallel sweeps
-/// bit-identical to the sequential path, `rel` is accumulated in
+/// addition order matters. `rel` is therefore accumulated in
 /// fixed-size chunks of [`REL_CHUNK`] samples: each chunk's partial sum
 /// involves only samples inside that chunk, and [`Accumulator::finish`]
-/// folds the chunk sums left-to-right. A parallel merge of shards whose
-/// boundaries fall on chunk multiples therefore reproduces the exact
-/// sequence of float additions the single-threaded sweep performs.
+/// folds the chunk sums left-to-right. That fixes the sequence of float
+/// additions independently of how a kernel walks the chunks.
 ///
 /// The 8×8 quad kernel behind [`ErrorStats::exhaustive_quad`] runs the
-/// chunks of one sweep side by side instead. In the canonical order
+/// chunks of one sweep side by side. In the canonical order
 /// (`b` outer, `a` the fast axis) an 8×8 sweep's chunk `c` is exactly
 /// the sixteen rows `b ∈ [16c, 16c + 16)`, i.e. the rows whose high
 /// operand nibble is `bh = c`. The kernel keeps one lane per chunk and
@@ -315,50 +258,11 @@ impl Accumulator {
         }
     }
 
-    /// Appends `next`, which must hold the samples immediately
-    /// following `self`'s, with the boundary on a [`REL_CHUNK`]
-    /// multiple. Counts and integer sums add exactly; the maximum and
-    /// its occurrence count compose as they would have sequentially;
-    /// the relative-error chunks concatenate in sample order.
-    fn merge(&mut self, next: Accumulator) {
-        if self.in_chunk == REL_CHUNK {
-            self.rel_chunks.push(self.chunk_rel);
-            self.chunk_rel = 0.0;
-            self.in_chunk = 0;
-        }
-        assert_eq!(self.in_chunk, 0, "merge boundary must be chunk-aligned");
-        self.samples += next.samples;
-        self.occ += next.occ;
-        self.sum += next.sum;
-        self.sum_sq += next.sum_sq;
-        match next.max.cmp(&self.max) {
-            std::cmp::Ordering::Greater => {
-                self.max = next.max;
-                self.max_occ = next.max_occ;
-                self.witnesses = next.witnesses;
-            }
-            std::cmp::Ordering::Equal => {
-                self.max_occ += next.max_occ;
-                // `self`'s samples precede `next`'s, so appending (up
-                // to the cap) reproduces the sequential witness list.
-                for w in next.witnesses {
-                    if self.witnesses.len() < WITNESS_CAP {
-                        self.witnesses.push(w);
-                    }
-                }
-            }
-            std::cmp::Ordering::Less => {}
-        }
-        self.rel_chunks.extend_from_slice(&next.rel_chunks);
-        self.chunk_rel = next.chunk_rel;
-        self.in_chunk = next.in_chunk;
-    }
-
     fn finish(self, name: String, wa: u32, wb: u32) -> ErrorStats {
         let samples_f = self.samples.max(1) as f64;
         let max_product = (mask_for(wa) * mask_for(wb)).max(1) as f64;
         let mse = self.sum_sq as f64 / samples_f;
-        // Left fold in sample order: identical for any shard split.
+        // Left fold in sample order.
         let rel = self.rel_chunks.iter().fold(0.0f64, |acc, &c| acc + c) + self.chunk_rel;
         ErrorStats {
             name,
@@ -606,27 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_wide_is_byte_stable_across_worker_counts() {
-        use axmul_core::structural::{approx_4x4_netlist, ca_netlist, cc_netlist};
-        for nl in [
-            approx_4x4_netlist(),
-            ca_netlist(8).unwrap(),
-            cc_netlist(8).unwrap(),
-        ] {
-            let one = ErrorStats::exhaustive_wide_with(&nl, 1).unwrap();
-            for workers in [2, 4] {
-                let many = ErrorStats::exhaustive_wide_with(&nl, workers).unwrap();
-                assert_eq!(one, many, "{} with {workers} workers", nl.name());
-                assert_eq!(
-                    one.avg_relative_error.to_bits(),
-                    many.avg_relative_error.to_bits(),
-                    "float fields must match to the last bit"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn exhaustive_wide_rejects_wrong_arity() {
         use axmul_fabric::{Init, NetlistBuilder};
         let mut b = NetlistBuilder::new("one_bus");
@@ -660,18 +543,6 @@ mod tests {
         let s = ErrorStats::exhaustive(&Truncated::new(8, 4));
         assert_eq!(s.max_error, 15);
         assert_eq!(s.worst_case_inputs.first(), Some(&(15, 1)));
-    }
-
-    #[test]
-    fn witnesses_are_stable_across_worker_counts() {
-        use axmul_core::structural::ca_netlist;
-        let nl = ca_netlist(8).unwrap();
-        let one = ErrorStats::exhaustive_wide_with(&nl, 1).unwrap();
-        assert!(!one.worst_case_inputs.is_empty());
-        for workers in [2, 4] {
-            let many = ErrorStats::exhaustive_wide_with(&nl, workers).unwrap();
-            assert_eq!(one.worst_case_inputs, many.worst_case_inputs);
-        }
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! characterization, netlist linting, int8 inference, design-space
 //! queries — into a long-running, std-only service:
 //!
+//! - [`ops`]: the operations the daemon shares with the `axmul` CLI
+//!   (configuration keys, netlist import, the config-twin check,
+//!   equivalence sides), each decided once.
 //! - [`proto`]: a versioned length-prefixed JSON wire protocol
 //!   (`b"AX"` magic, version byte, `u32` payload length), with typed
 //!   request/response envelopes and typed framing errors.
@@ -26,6 +29,7 @@
 
 pub mod client;
 pub mod loadgen;
+pub mod ops;
 pub mod proto;
 pub mod server;
 pub mod service;

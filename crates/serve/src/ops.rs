@@ -1,0 +1,240 @@
+//! The operations the `axmul` CLI and the daemon share, each decided
+//! once: parsing a configuration key, importing a netlist document,
+//! checking an import against the configuration it claims to implement,
+//! and resolving one side of an equivalence check. Results are the
+//! library's own types and errors keep their source error, so each
+//! front end renders them in its own words.
+
+use std::fmt;
+
+use axmul_dse::{Config, ParseConfigError};
+use axmul_fabric::Netlist;
+use axmul_netio::{Format, NetioError};
+use axmul_sat::{check_equiv, EquivReport, ProofOptions, SatError};
+
+/// Why a configuration key was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The key does not parse.
+    Parse(ParseConfigError),
+    /// The configuration is wider than the caller's width cap.
+    TooWide {
+        /// Operand width of the configuration.
+        bits: u32,
+        /// The cap it exceeds.
+        limit: u32,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::Parse(e) => write!(f, "{e}"),
+            ConfigError::TooWide { bits, limit } => write!(
+                f,
+                "{bits}-bit configuration exceeds the {limit}-bit serving limit"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// Parses a configuration key, refusing one wider than `max_bits`.
+///
+/// # Errors
+///
+/// The [`ConfigError`] that refused the key.
+pub fn parse_config(key: &str, max_bits: Option<u32>) -> Result<Config, ConfigError> {
+    let cfg: Config = key.parse().map_err(ConfigError::Parse)?;
+    match max_bits {
+        Some(limit) if cfg.bits() > limit => Err(ConfigError::TooWide {
+            bits: cfg.bits(),
+            limit,
+        }),
+        _ => Ok(cfg),
+    }
+}
+
+/// Why a netlist document was refused.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ImportError {
+    /// The named format is neither `verilog` nor `axnl`.
+    UnknownFormat(String),
+    /// The document does not import.
+    Netio(NetioError),
+}
+
+/// Imports a netlist document in the named format, or the detected one
+/// when `format` is `None`, and returns it with the format it was read
+/// as.
+///
+/// # Errors
+///
+/// [`ImportError::UnknownFormat`] (before any parsing) or
+/// [`ImportError::Netio`].
+pub fn import(text: &str, format: Option<&str>) -> Result<(Netlist, Format), ImportError> {
+    let format = match format {
+        None => axmul_netio::detect_format(text),
+        Some(name) => name
+            .parse()
+            .map_err(|()| ImportError::UnknownFormat(name.to_string()))?,
+    };
+    let netlist = match format {
+        Format::Verilog => axmul_netio::from_verilog(text),
+        Format::Axnl => axmul_netio::from_axnl(text),
+    }
+    .map_err(ImportError::Netio)?;
+    Ok((netlist, format))
+}
+
+/// How an imported netlist stands against the netlist its claimed
+/// configuration assembles (its twin).
+#[derive(Debug, Clone)]
+pub struct TwinCheck {
+    /// Content fingerprint of the imported netlist.
+    pub fingerprint: u64,
+    /// Content fingerprint of the twin.
+    pub twin_fingerprint: u64,
+    /// The SAT equivalence verdict; `None` when the fingerprints match.
+    pub proof: Option<Result<EquivReport, SatError>>,
+}
+
+/// Checks `netlist` against the netlist `cfg` assembles: equal content
+/// fingerprints settle it, otherwise a SAT equivalence proof decides.
+#[must_use]
+pub fn check_twin(netlist: &Netlist, cfg: &Config) -> TwinCheck {
+    let twin = cfg.assemble();
+    let fingerprint = axmul_netio::fingerprint(netlist);
+    let twin_fingerprint = axmul_netio::fingerprint(&twin);
+    let proof = (fingerprint != twin_fingerprint)
+        .then(|| check_equiv(netlist, &twin, &ProofOptions::default()));
+    TwinCheck {
+        fingerprint,
+        twin_fingerprint,
+        proof,
+    }
+}
+
+/// One side of an equivalence check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side<'a> {
+    /// A netlist document in either interchange format.
+    Document(&'a str),
+    /// A configuration key, standing for the netlist it assembles.
+    Config(&'a str),
+}
+
+/// Why an equivalence side was refused.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SideError {
+    /// The document does not import.
+    Netio(NetioError),
+    /// The configuration key was refused.
+    Config(ConfigError),
+    /// The document has more input bits than the width cap allows.
+    TooWide {
+        /// Input bits of the document's netlist, over all buses.
+        input_bits: usize,
+        /// The cap they exceed.
+        limit: usize,
+    },
+}
+
+/// Resolves one side of an equivalence check into a netlist. With
+/// `max_bits`, a configuration is capped at that operand width and a
+/// document at twice as many input bits.
+///
+/// # Errors
+///
+/// The [`SideError`] that refused the side.
+pub fn resolve_side(side: Side<'_>, max_bits: Option<u32>) -> Result<Netlist, SideError> {
+    match side {
+        Side::Document(text) => {
+            let netlist = axmul_netio::import(text).map_err(SideError::Netio)?;
+            let input_bits: usize = netlist.input_buses().iter().map(|(_, n)| n.len()).sum();
+            match max_bits.map(|bits| 2 * bits as usize) {
+                Some(limit) if input_bits > limit => Err(SideError::TooWide { input_bits, limit }),
+                _ => Ok(netlist),
+            }
+        }
+        Side::Config(key) => Ok(parse_config(key, max_bits)
+            .map_err(SideError::Config)?
+            .assemble()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn config_cap_applies_only_when_given() {
+        let q = "(a A A A A)";
+        let wide = format!("(c {q} {q} {q} {q})");
+        assert_eq!(parse_config(&wide, None).unwrap().bits(), 16);
+        assert_eq!(
+            parse_config(&wide, Some(8)),
+            Err(ConfigError::TooWide { bits: 16, limit: 8 })
+        );
+        assert!(matches!(
+            parse_config("(a A", None),
+            Err(ConfigError::Parse(_))
+        ));
+    }
+
+    #[test]
+    fn import_reports_the_format_it_read() {
+        let text = axmul_fabric::export::to_verilog(&"A".parse::<Config>().unwrap().assemble());
+        let (_, format) = import(&text, None).unwrap();
+        assert_eq!(format, Format::Verilog);
+        let doc = axmul_netio::to_axnl(&import(&text, Some("v")).unwrap().0);
+        assert_eq!(import(&doc, None).unwrap().1, Format::Axnl);
+        assert_eq!(
+            import(&text, Some("edif")).unwrap_err(),
+            ImportError::UnknownFormat("edif".into())
+        );
+        assert!(matches!(
+            import(&text, Some("axnl")),
+            Err(ImportError::Netio(_))
+        ));
+    }
+
+    #[test]
+    fn twin_check_proves_only_when_fingerprints_differ() {
+        let cfg: Config = "(a A A A A)".parse().unwrap();
+        let same = check_twin(&cfg.assemble(), &cfg);
+        assert_eq!(same.fingerprint, same.twin_fingerprint);
+        assert!(same.proof.is_none());
+
+        let ca8 = axmul_core::structural::ca_netlist(8).unwrap();
+        let variant = check_twin(&ca8, &cfg);
+        assert_ne!(variant.fingerprint, variant.twin_fingerprint);
+        assert!(variant.proof.unwrap().unwrap().is_equivalent());
+
+        let other = check_twin(&ca8, &"(a X X X X)".parse().unwrap());
+        assert!(!other.proof.unwrap().unwrap().is_equivalent());
+    }
+
+    #[test]
+    fn sides_resolve_under_the_cap() {
+        let doc = axmul_fabric::export::to_verilog(&axmul_core::structural::ca_netlist(8).unwrap());
+        assert!(resolve_side(Side::Document(&doc), Some(8)).is_ok());
+        assert_eq!(
+            resolve_side(Side::Document(&doc), Some(4)).unwrap_err(),
+            SideError::TooWide {
+                input_bits: 16,
+                limit: 8
+            }
+        );
+        assert!(matches!(
+            resolve_side(Side::Document("module broken ("), None),
+            Err(SideError::Netio(_))
+        ));
+        assert_eq!(
+            resolve_side(Side::Config("(a A A A A)"), Some(4)).unwrap_err(),
+            SideError::Config(ConfigError::TooWide { bits: 8, limit: 4 })
+        );
+        assert!(resolve_side(Side::Config("A"), None).is_ok());
+    }
+}

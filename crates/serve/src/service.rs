@@ -20,6 +20,7 @@ use axmul_nn::{infer_batch, reference_model, ProductTable};
 use axmul_sat::{check_equiv, EquivOutcome, EquivReport, ProofOptions, SatError};
 
 use crate::json::{self, Value};
+use crate::ops::{self, ConfigError, ImportError, Side, SideError};
 use crate::proto::{parse_request, render_err, render_ok, ErrorCode, Op, RequestError};
 
 /// Widest configuration the daemon characterizes on demand. The cache
@@ -56,7 +57,6 @@ pub struct Service {
     linter: Linter,
     counters: Counters,
     started: Instant,
-    dse_workers: usize,
 }
 
 impl Service {
@@ -74,16 +74,7 @@ impl Service {
             linter: Linter::new(),
             counters: Counters::default(),
             started: Instant::now(),
-            dse_workers: 1,
         }
-    }
-
-    /// Worker threads each `dse-query` request may use (default 1, so
-    /// concurrent requests don't oversubscribe the machine).
-    #[must_use]
-    pub fn with_dse_workers(mut self, workers: usize) -> Self {
-        self.dse_workers = workers.max(1);
-        self
     }
 
     /// The characterization cache (exposed for stats and benchmarks).
@@ -163,25 +154,8 @@ impl Service {
         }
     }
 
-    /// Parses and width-checks a configuration key.
-    fn config(&self, key: &str) -> Result<Config, (ErrorCode, String)> {
-        let cfg: Config = key
-            .parse()
-            .map_err(|e| (ErrorCode::InvalidConfig, format!("{e}")))?;
-        if cfg.bits() > MAX_SERVE_BITS {
-            return Err((
-                ErrorCode::InvalidConfig,
-                format!(
-                    "{}-bit configuration exceeds the {MAX_SERVE_BITS}-bit serving limit",
-                    cfg.bits()
-                ),
-            ));
-        }
-        Ok(cfg)
-    }
-
     fn characterize(&self, key: &str) -> Result<Value, (ErrorCode, String)> {
-        let cfg = self.config(key)?;
+        let cfg = served_config(key)?;
         let char = self
             .cache
             .characterize(&cfg)
@@ -247,74 +221,60 @@ impl Service {
     }
 
     /// Imports an external netlist document, lints it, and — when the
-    /// client names the configuration it claims to implement — verifies
-    /// it against the in-process twin and answers with the (warm-cache)
-    /// characterization. Verification is fingerprint equality first;
-    /// on a mismatch the server escalates to a SAT equivalence proof,
-    /// so a structural variant of the claimed configuration is accepted
-    /// with a note instead of rejected.
+    /// client names the configuration it claims to implement — checks
+    /// it against the in-process twin ([`ops::check_twin`]) and answers
+    /// with the (warm-cache) characterization. A structural variant of
+    /// the claimed configuration is accepted with a note; a different
+    /// function is `invalid-netlist`.
     fn import_netlist(
         &self,
         text: &str,
         format: Option<&str>,
         config: Option<&str>,
     ) -> Result<Value, (ErrorCode, String)> {
-        let netlist = match format {
-            None => axmul_netio::import(text),
-            Some(f) => match f.parse::<axmul_netio::Format>() {
-                Ok(axmul_netio::Format::Verilog) => axmul_netio::from_verilog(text),
-                Ok(axmul_netio::Format::Axnl) => axmul_netio::from_axnl(text),
-                Err(()) => {
-                    return Err((
-                        ErrorCode::BadRequest,
-                        format!("unknown format `{f}` (expected `verilog` or `axnl`)"),
-                    ))
-                }
-            },
-        }
-        .map_err(|e| (ErrorCode::InvalidNetlist, format!("{}: {e}", e.code())))?;
+        let (netlist, format) = ops::import(text, format).map_err(|e| match e {
+            ImportError::UnknownFormat(f) => (
+                ErrorCode::BadRequest,
+                format!("unknown format `{f}` (expected `verilog` or `axnl`)"),
+            ),
+            ImportError::Netio(e) => (ErrorCode::InvalidNetlist, format!("{}: {e}", e.code())),
+        })?;
         let fp = axmul_netio::fingerprint(&netlist);
         let report = self.linter.lint(&netlist);
         let mut verify_note = Value::Null;
         let characterization = match config {
             None => Value::Null,
             Some(key) => {
-                let cfg = self.config(key)?;
-                let twin_netlist = cfg.assemble();
-                let twin = axmul_netio::fingerprint(&twin_netlist);
-                if twin != fp {
-                    // Not byte-identical — but fingerprints hash
-                    // structure, not meaning. Ask the SAT engine
-                    // whether the designs compute the same function
-                    // before rejecting.
-                    match check_equiv(&netlist, &twin_netlist, &ProofOptions::default()) {
-                        Ok(r) if r.is_equivalent() => {
-                            verify_note = Value::str(format!(
-                                "content fingerprints differ ({fp:016x} vs twin {twin:016x}) \
-                                 but SAT proved the designs equivalent — accepted as a \
-                                 structural variant of `{key}`"
-                            ));
-                        }
-                        Ok(r) => {
-                            return Err((
-                                ErrorCode::InvalidNetlist,
-                                format!(
-                                    "imported netlist (fingerprint {fp:016x}) does not \
-                                     implement configuration `{key}`: {}",
-                                    counterexample_text(&r)
-                                ),
-                            ));
-                        }
-                        Err(e) => {
-                            return Err((
-                                ErrorCode::InvalidNetlist,
-                                format!(
-                                    "imported netlist (fingerprint {fp:016x}) does not match \
-                                     configuration `{key}` (fingerprint {twin:016x}) and \
-                                     equivalence could not be proven: {e}"
-                                ),
-                            ));
-                        }
+                let check = ops::check_twin(&netlist, &served_config(key)?);
+                let twin = check.twin_fingerprint;
+                match check.proof {
+                    None => {}
+                    Some(Ok(r)) if r.is_equivalent() => {
+                        verify_note = Value::str(format!(
+                            "content fingerprints differ ({fp:016x} vs twin {twin:016x}) \
+                             but SAT proved the designs equivalent — accepted as a \
+                             structural variant of `{key}`"
+                        ));
+                    }
+                    Some(Ok(r)) => {
+                        return Err((
+                            ErrorCode::InvalidNetlist,
+                            format!(
+                                "imported netlist (fingerprint {fp:016x}) does not \
+                                 implement configuration `{key}`: {}",
+                                counterexample_text(&r)
+                            ),
+                        ));
+                    }
+                    Some(Err(e)) => {
+                        return Err((
+                            ErrorCode::InvalidNetlist,
+                            format!(
+                                "imported netlist (fingerprint {fp:016x}) does not match \
+                                 configuration `{key}` (fingerprint {twin:016x}) and \
+                                 equivalence could not be proven: {e}"
+                            ),
+                        ));
                     }
                 }
                 self.characterize(key)?
@@ -322,13 +282,7 @@ impl Service {
         };
         Ok(Value::obj([
             ("name", Value::str(netlist.name())),
-            (
-                "format",
-                Value::str(match format {
-                    Some(f) => f.parse::<axmul_netio::Format>().map_or("?", |f| f.name()),
-                    None => axmul_netio::detect_format(text).name(),
-                }),
-            ),
+            ("format", Value::str(format.name())),
             ("fingerprint", Value::str(format!("{fp:016x}"))),
             ("luts", Value::num(netlist.lut_count() as u32)),
             ("carry4s", Value::num(netlist.carry4_count() as u32)),
@@ -340,42 +294,37 @@ impl Service {
     }
 
     /// Resolves one side of an `equiv-check` request into a netlist:
-    /// either an interchange document (width-capped so the proof stays
-    /// interactive) or a configuration key's in-process twin.
+    /// either an interchange document or a configuration key's
+    /// in-process twin, both under the serving width cap.
     fn equiv_side(
         &self,
         side: &str,
         netlist: Option<&str>,
         config: Option<&str>,
     ) -> Result<Netlist, (ErrorCode, String)> {
-        match (netlist, config) {
-            (Some(text), None) => {
-                let nl = axmul_netio::import(text).map_err(|e| {
-                    (
-                        ErrorCode::InvalidNetlist,
-                        format!("{side}: {}: {e}", e.code()),
-                    )
-                })?;
-                let input_bits: usize = nl.input_buses().iter().map(|(_, nets)| nets.len()).sum();
-                if input_bits > 2 * MAX_SERVE_BITS as usize {
-                    return Err((
-                        ErrorCode::InvalidNetlist,
-                        format!(
-                            "{side}: {input_bits} input bits exceed the {}-bit serving limit",
-                            2 * MAX_SERVE_BITS
-                        ),
-                    ));
-                }
-                Ok(nl)
-            }
-            (None, Some(key)) => Ok(self.config(key)?.assemble()),
+        let resolved = match (netlist, config) {
+            (Some(text), None) => Side::Document(text),
+            (None, Some(key)) => Side::Config(key),
             // The envelope parser enforces exactly-one, but dispatch can
             // also be reached with a hand-built `Op`.
-            _ => Err((
-                ErrorCode::BadRequest,
-                format!("exactly one of `{side}-netlist` and `{side}-config` must be given"),
-            )),
-        }
+            _ => {
+                return Err((
+                    ErrorCode::BadRequest,
+                    format!("exactly one of `{side}-netlist` and `{side}-config` must be given"),
+                ))
+            }
+        };
+        ops::resolve_side(resolved, Some(MAX_SERVE_BITS)).map_err(|e| match e {
+            SideError::Netio(e) => (
+                ErrorCode::InvalidNetlist,
+                format!("{side}: {}: {e}", e.code()),
+            ),
+            SideError::Config(e) => config_error(e),
+            SideError::TooWide { input_bits, limit } => (
+                ErrorCode::InvalidNetlist,
+                format!("{side}: {input_bits} input bits exceed the {limit}-bit serving limit"),
+            ),
+        })
     }
 
     /// SAT-based combinational equivalence of two designs. Both
@@ -445,7 +394,7 @@ impl Service {
     }
 
     fn lint(&self, key: &str) -> Result<Value, (ErrorCode, String)> {
-        let cfg = self.config(key)?;
+        let cfg = served_config(key)?;
         let char = self
             .cache
             .characterize(&cfg)
@@ -506,7 +455,7 @@ impl Service {
         let table = match config {
             None => ProductTable::exact(),
             Some(key) => {
-                let cfg = self.config(key)?;
+                let cfg = served_config(key)?;
                 if cfg.bits() != 8 {
                     return Err((
                         ErrorCode::InvalidConfig,
@@ -544,9 +493,11 @@ impl Service {
         }
         let cfgs: Vec<Config> = candidates
             .iter()
-            .map(|k| self.config(k))
+            .map(|k| served_config(k))
             .collect::<Result<_, _>>()?;
-        let result = evaluate_on(&self.cache, &cfgs, self.dse_workers)
+        // One worker per request, so concurrent requests don't
+        // oversubscribe the machine.
+        let result = evaluate_on(&self.cache, &cfgs, 1)
             .map_err(|e| (ErrorCode::Internal, format!("evaluation failed: {e}")))?;
         Ok(dse_result_value(&result))
     }
@@ -557,7 +508,7 @@ impl Service {
     /// truth for the schema); every numeric field fits `f64` exactly at
     /// the served widths.
     fn absint_query(&self, key: &str) -> Result<Value, (ErrorCode, String)> {
-        let cfg = self.config(key)?;
+        let cfg = served_config(key)?;
         let analysis = axmul_dse::static_bounds(&cfg)
             .map_err(|e| (ErrorCode::InvalidConfig, e.to_string()))?;
         json::parse(&analysis.to_json())
@@ -658,6 +609,15 @@ impl Service {
             ("store", store.unwrap_or(Value::Null)),
         ])
     }
+}
+
+/// Parses a configuration key under the serving width cap.
+fn served_config(key: &str) -> Result<Config, (ErrorCode, String)> {
+    ops::parse_config(key, Some(MAX_SERVE_BITS)).map_err(config_error)
+}
+
+fn config_error(e: ConfigError) -> (ErrorCode, String) {
+    (ErrorCode::InvalidConfig, e.to_string())
 }
 
 /// Renders a proven-inequivalent verdict's counterexample as one

@@ -4,8 +4,8 @@
 //! enumerated recursive 8×8 configurations, the packed integer-toggle
 //! measurement ([`measure_packed`]) produces an [`EnergyReport`] whose
 //! `energy_per_op` and `edp` are **bit-identical** to the scalar
-//! reference ([`measure_reference`]) for every worker count, and the
-//! production `characterize` path agrees with both.
+//! reference ([`measure_reference`]), and the production `characterize`
+//! path agrees with both.
 
 use approx_multipliers::adders::{carry_free_adder_netlist, exact_adder_netlist, loa_netlist};
 use approx_multipliers::baselines::{
@@ -62,33 +62,22 @@ fn assert_bit_identical(netlist: &Netlist) {
             steps
         );
         let packed = PackedStimulus::uniform(netlist, steps, ch.stimulus_seed);
-        for workers in [1usize, 2, 3] {
-            let wide = measure_packed(
-                netlist,
-                &prog,
-                &ch.energy,
-                critical_path_ns,
-                &packed,
-                workers,
-            )
+        let wide = measure_packed(netlist, &prog, &ch.energy, critical_path_ns, &packed)
             .expect("packed measure");
-            assert_eq!(
-                wide.energy_per_op.to_bits(),
-                reference.energy_per_op.to_bits(),
-                "{}: energy diverged at {} steps, {} workers",
-                netlist.name(),
-                steps,
-                workers
-            );
-            assert_eq!(
-                wide.edp.to_bits(),
-                reference.edp.to_bits(),
-                "{}: EDP diverged at {} steps, {} workers",
-                netlist.name(),
-                steps,
-                workers
-            );
-        }
+        assert_eq!(
+            wide.energy_per_op.to_bits(),
+            reference.energy_per_op.to_bits(),
+            "{}: energy diverged at {} steps",
+            netlist.name(),
+            steps
+        );
+        assert_eq!(
+            wide.edp.to_bits(),
+            reference.edp.to_bits(),
+            "{}: EDP diverged at {} steps",
+            netlist.name(),
+            steps
+        );
     }
 }
 

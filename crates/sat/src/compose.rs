@@ -33,9 +33,13 @@
 //!    own cone over every operand pair.
 //! 3. **Cut-point equivalence.** Each internal node's bus is encoded
 //!    with its children's cell-driven bus nets cut to fresh variables
-//!    (constant bits stay constant), and an UNSAT
-//!    miter proves it equals the Cc or the Ca combination of those
-//!    variables modulo `2^4m`, for every input and every child value.
+//!    (constant bits stay constant), and its miter against the Cc and
+//!    the Ca combination of those variables modulo `2^4m` must be
+//!    unsatisfiable, for every input and every child value. When the
+//!    combiner is the paper's ternary adder or XOR3 columns, its LUTs
+//!    encode to the same parity and majority gates as the reference
+//!    combination, so the miter folds to false by hashing and needs no
+//!    solver call; any other cone goes to an UNSAT miter.
 //! 4. **No wrap.** Child value bounds (leaf table maxima, composed
 //!    upward) keep every Ca sum below `2^4m`, so the identity holds over
 //!    the integers.
@@ -380,7 +384,13 @@ fn cell_driven(netlist: &Netlist, net: NetId) -> bool {
 /// pair; returns its error term and its largest value.
 fn tabulate(netlist: &Netlist, node: &Node) -> (LeafTerm, u128) {
     let operands: Vec<NetId> = node.a.iter().chain(&node.b).copied().collect();
-    let (_, cone) = fanin(netlist, &node.p, None);
+    let (_, in_cone) = fanin(netlist, &node.p, None);
+    let cone: Vec<&Cell> = netlist
+        .cells()
+        .iter()
+        .zip(&in_cone)
+        .filter_map(|(cell, &keep)| keep.then_some(cell))
+        .collect();
     let mut values = vec![false; netlist.net_count()];
     for (net, driver) in netlist.drivers().iter().enumerate() {
         if let Driver::Const(c) = driver {
@@ -394,8 +404,8 @@ fn tabulate(netlist: &Netlist, node: &Node) -> (LeafTerm, u128) {
         for (k, net) in operands.iter().enumerate() {
             values[net.index()] = index >> k & 1 == 1;
         }
-        for (cell, _) in cone.iter().enumerate().filter(|(_, keep)| **keep) {
-            netlist.cells()[cell].eval(&mut values);
+        for cell in &cone {
+            cell.eval(&mut values);
         }
         let q: u64 = node
             .p
@@ -476,26 +486,27 @@ fn prove_cut(
         .each_ref()
         .map(|bus| bus.iter().map(|n| nets[n.index()]).collect::<Vec<Sig>>());
     let m = node.a.len() / 2;
-    let mut proven = None;
-    for summation in [Summation::CarryFree, Summation::Accurate] {
+    let miters = [Summation::CarryFree, Summation::Accurate].map(|summation| {
         let combined = combine(&mut solver, &q, m, summation);
         let mut miter = Sig::FALSE;
         for (&x, &y) in p.iter().zip(&combined) {
             let diff = gates::xor(&mut solver, x, y);
             miter = gates::or(&mut solver, miter, diff);
         }
-        let equal = match miter {
-            Sig::Const(c) => !c,
-            Sig::Lit(l) => match solver.solve(&[l], opts.max_conflicts) {
-                SolveResult::Unsat => true,
-                SolveResult::Sat(_) | SolveResult::Unknown => false,
-            },
-        };
-        if equal {
-            proven = Some(summation);
-            break;
-        }
-    }
+        (summation, miter)
+    });
+    // The paper's combiners hash onto `combine`'s gates, so their miter
+    // folds to false; any other cone goes to the solver.
+    let proven = miters
+        .iter()
+        .find(|(_, miter)| *miter == Sig::FALSE)
+        .or_else(|| {
+            miters.iter().find(|(_, miter)| match *miter {
+                Sig::Const(_) => false,
+                Sig::Lit(l) => matches!(solver.solve(&[l], opts.max_conflicts), SolveResult::Unsat),
+            })
+        })
+        .map(|&(summation, _)| summation);
     let stats = solver.stats();
     effort.solves += stats.solves;
     effort.conflicts += stats.conflicts;
@@ -513,8 +524,7 @@ fn combine(solver: &mut Solver, q: &[Vec<Sig>; 4], m: usize, summation: Summatio
             let mut out = ll[..m].to_vec();
             for r in 0..2 * m {
                 let first = if r < m { ll[m + r] } else { hh[r - m] };
-                let x = gates::xor(solver, first, hl[r]);
-                out.push(gates::xor(solver, x, lh[r]));
+                out.push(gates::xor_many(solver, &[first, hl[r], lh[r]]));
             }
             out.extend_from_slice(&hh[m..]);
             out
@@ -532,9 +542,7 @@ fn combine(solver: &mut Solver, q: &[Vec<Sig>; 4], m: usize, summation: Summatio
                     hl.get(r).copied().unwrap_or(Sig::FALSE),
                     lh.get(r).copied().unwrap_or(Sig::FALSE),
                 );
-                let xy = gates::xor(solver, x, y);
-                let xor = gates::xor(solver, xy, z);
-                let propagate = gates::xor(solver, xor, maj_prev);
+                let propagate = gates::xor_many(solver, &[x, y, z, maj_prev]);
                 out.push(gates::xor(solver, propagate, carry));
                 carry = gates::mux(solver, propagate, carry, maj_prev);
                 maj_prev = gates::maj(solver, x, y, z);
@@ -666,4 +674,44 @@ fn table_output(solver: &mut Solver, table: &[u64; 4], pins: &[Sig]) -> Sig {
     let low = gates::mux(solver, pin(6), chunks[1], chunks[0]);
     let high = gates::mux(solver, pin(6), chunks[3], chunks[2]);
     gates::mux(solver, pin(7), high, low)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use axmul_baselines::{kulkarni_netlist, rehman_netlist};
+    use axmul_core::structural::{ca_netlist, cc_netlist};
+    use axmul_dse::Config;
+
+    /// Decomposes `nl` and checks that every cut point folded.
+    fn assert_folds(nl: &Netlist) {
+        let decomposition = decompose(nl, &ProofOptions::default())
+            .expect("encodable")
+            .unwrap_or_else(|| panic!("{}: claims must verify", nl.name()));
+        assert_eq!(
+            decomposition.effort.solves,
+            0,
+            "{}: a cut point needed the solver",
+            nl.name()
+        );
+    }
+
+    #[test]
+    fn cut_points_of_the_paper_combiners_fold_without_a_solve() {
+        for bits in [8, 16, 32] {
+            assert_folds(&ca_netlist(bits).expect("width"));
+            assert_folds(&cc_netlist(bits).expect("width"));
+            assert_folds(&kulkarni_netlist(bits).expect("width"));
+            assert_folds(&rehman_netlist(bits).expect("width"));
+        }
+    }
+
+    /// All 1250 8×8 configs (release: a few seconds).
+    #[test]
+    #[ignore = "full sweep; run in release with --ignored"]
+    fn every_8x8_config_folds_its_cut_point() {
+        for cfg in Config::enumerate(8) {
+            assert_folds(&cfg.assemble());
+        }
+    }
 }

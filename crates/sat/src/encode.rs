@@ -6,13 +6,18 @@
 //!   that are actually distinct variables: constant pins and repeated
 //!   pins (the same net wired to several inputs, including through
 //!   opposite polarities after folding) are substituted into the truth
-//!   table at encode time. If the reduced table is constant or a copy
-//!   (or inversion) of a single pin, no clauses are emitted at all.
-//!   Otherwise the output variable is defined by cofactor clauses from
-//!   a Minato–Morreale irredundant sum-of-products of the reduced
-//!   on-set and off-set, which is both compact and
-//!   propagation-complete in each direction. `O5` is encoded the same
-//!   way from the lower 32 INIT bits as a 5-input function.
+//!   table at encode time, and variables the reduced table ignores are
+//!   dropped. If what is left is constant or a copy (or inversion) of a
+//!   single pin, no clauses are emitted at all. A parity (or its
+//!   complement), a two-variable AND in any polarity (OR, NAND, NOR)
+//!   or a three-variable majority is built through the
+//!   [`crate::gates`] builders, so it lands on the same literals as
+//!   gate-level logic of the same function. Otherwise the output
+//!   variable is defined by cofactor clauses from a Minato–Morreale
+//!   irredundant sum-of-products of the reduced on-set and off-set,
+//!   which is both compact and propagation-complete in each direction.
+//!   `O5` is encoded the same way from the lower 32 INIT bits as a
+//!   5-input function.
 //! * **CARRY4** — per stage `i`: `O[i] = S[i] ⊕ C[i]` and
 //!   `C[i+1] = S[i] ? C[i] : DI[i]`, built from the [`crate::gates`]
 //!   xor/mux builders. The mux's redundant consensus clauses make the
@@ -180,17 +185,7 @@ pub(crate) fn encode_cells(
                 let o6_sig = lut_output(solver, init.raw(), &pin_sigs);
                 set(nets, defined, *o6, o6_sig);
                 if let Some(o5_net) = o5 {
-                    // O5 is the lower 32 INIT bits as a 5-input
-                    // function; lift it to a 6-pin table that ignores
-                    // I5 so the same reduction path applies.
-                    let raw = init.raw();
-                    let mut t5 = 0u64;
-                    for m in 0u64..64 {
-                        if (raw >> (m & 0x1F)) & 1 == 1 {
-                            t5 |= 1 << m;
-                        }
-                    }
-                    let o5_sig = lut_output(solver, t5, &pin_sigs);
+                    let o5_sig = lut_output(solver, o5_table(init.raw()), &pin_sigs);
                     set(nets, defined, *o5_net, o5_sig);
                 }
             }
@@ -214,32 +209,39 @@ pub(crate) fn encode_cells(
     Ok(())
 }
 
-/// Encodes one LUT output: reduces the 64-bit table over the distinct
-/// variable pins, folds constants/copies, otherwise emits ISOP
-/// cofactor clauses for a fresh output variable.
+/// `O5` is the lower 32 INIT bits as a 5-input function; lifted to a
+/// 6-pin table that ignores I5, it takes the same reduction path as O6.
+fn o5_table(raw: u64) -> u64 {
+    let low = raw & 0xFFFF_FFFF;
+    low | low << 32
+}
+
+/// Encodes one LUT output. The 64-bit table is reduced over the
+/// distinct variable pins (in variable order) and then over the
+/// variables it really depends on. Constants and copies fold; a parity,
+/// a two-variable AND (any polarity) or a three-variable majority is
+/// built through the [`crate::gates`] builders, so it shares literals
+/// with gate-level logic of the same function; any other table gets
+/// ISOP cofactor clauses for a fresh output variable.
 pub(crate) fn lut_output(solver: &mut Solver, table: u64, pins: &[Sig; 6]) -> Sig {
     // Distinct support variables. A pin is either constant, or a
     // literal over some variable (possibly negated, possibly shared
     // with another pin).
-    let mut vars: Vec<u32> = Vec::new();
-    let mut slot_of = [0usize; 6];
-    for (i, pin) in pins.iter().enumerate() {
-        if let Sig::Lit(l) = pin {
-            if let Some(pos) = vars.iter().position(|&v| v == l.var()) {
-                slot_of[i] = pos;
-            } else {
-                slot_of[i] = vars.len();
-                vars.push(l.var());
-            }
-        }
-    }
-    let k = vars.len();
+    let mut vars: Vec<u32> = pins
+        .iter()
+        .filter_map(|pin| match pin {
+            Sig::Lit(l) => Some(l.var()),
+            Sig::Const(_) => None,
+        })
+        .collect();
+    vars.sort_unstable();
+    vars.dedup();
+    let mut k = vars.len();
     debug_assert!(k <= 6);
-    let mask: u64 = if k == 6 {
-        u64::MAX
-    } else {
-        (1u64 << (1 << k)) - 1
-    };
+    let slot_of = pins.map(|pin| match pin {
+        Sig::Lit(l) => vars.partition_point(|&v| v < l.var()),
+        Sig::Const(_) => 0,
+    });
 
     // Reduced table over the k support variables (by *value* of the
     // variable, with per-pin polarity folded in).
@@ -257,21 +259,60 @@ pub(crate) fn lut_output(solver: &mut Solver, table: u64, pins: &[Sig; 6]) -> Si
             rtab |= 1 << m;
         }
     }
-
-    if rtab == 0 {
-        return Sig::FALSE;
-    }
-    if rtab == mask {
-        return Sig::TRUE;
-    }
-    // Copy / inversion of a single support variable?
-    for (slot, &v) in vars.iter().enumerate() {
-        let proj = projection(slot, k);
-        if rtab == proj {
-            return Sig::Lit(Lit::new(v, false));
+    // Drop the variables the table ignores (an O5 half never reads I5,
+    // and the ternary adder's O5 never reads I3).
+    for slot in (0..k).rev() {
+        let low = cofactor(rtab, k, slot, false);
+        if low == cofactor(rtab, k, slot, true) {
+            rtab = low;
+            vars.remove(slot);
+            k -= 1;
         }
-        if rtab == !proj & mask {
-            return Sig::Lit(Lit::new(v, true));
+    }
+    let lit = |slot: usize, negated: bool| Sig::Lit(Lit::new(vars[slot], negated));
+
+    if k == 0 {
+        return Sig::Const(rtab & 1 == 1);
+    }
+    if k == 1 {
+        // Depends on its one variable: a copy (0b10) or an inversion.
+        return lit(0, rtab == 0b01);
+    }
+    let mask: u64 = if k == 6 {
+        u64::MAX
+    } else {
+        (1u64 << (1 << k)) - 1
+    };
+    let parity = (0u64..1 << k)
+        .filter(|m| m.count_ones() % 2 == 1)
+        .fold(0u64, |t, m| t | 1 << m);
+    if rtab == parity || rtab == !parity & mask {
+        let operands: Vec<Sig> = (0..k).map(|slot| lit(slot, false)).collect();
+        let out = gates::xor_many(solver, &operands);
+        return if rtab == parity { out } else { !out };
+    }
+    if k == 2 && matches!(rtab.count_ones(), 1 | 3) {
+        // One on-minterm is an AND; one off-minterm is its negation.
+        let odd_one = if rtab.count_ones() == 1 {
+            rtab
+        } else {
+            !rtab & mask
+        };
+        let m = odd_one.trailing_zeros();
+        let out = gates::and(solver, lit(0, m & 1 == 0), lit(1, m & 2 == 0));
+        return if rtab.count_ones() == 1 { out } else { !out };
+    }
+    if k == 3 {
+        // maj(x₀ ⊕ n₀, x₁ ⊕ n₁, x₂ ⊕ n₂) for some polarity mask n; its
+        // complement is the majority of the complemented inputs.
+        for neg in 0u64..8 {
+            let majority = (0u64..8)
+                .filter(|m| (m ^ neg).count_ones() >= 2)
+                .fold(0u64, |t, m| t | 1 << m);
+            if rtab == majority {
+                let [a, b, c] = [0, 1, 2].map(|slot| lit(slot, neg >> slot & 1 == 1));
+                return gates::maj(solver, a, b, c);
+            }
         }
     }
 
@@ -300,17 +341,6 @@ pub(crate) fn lut_output(solver: &mut Solver, table: u64, pins: &[Sig; 6]) -> Si
     }
     solver.cache_gate(key, out);
     Sig::Lit(out)
-}
-
-/// Truth table (over `k` vars) of the projection onto variable `slot`.
-fn projection(slot: usize, k: usize) -> u64 {
-    let mut t = 0u64;
-    for m in 0u64..(1 << k) {
-        if (m >> slot) & 1 == 1 {
-            t |= 1 << m;
-        }
-    }
-    t
 }
 
 /// A product term over ≤6 variables: `pos`/`neg` are slot bitmasks.
@@ -554,5 +584,123 @@ mod tests {
         for (a, b) in first.outputs.iter().zip(&second.outputs) {
             assert_eq!(a.1, b.1, "outputs must be the same signals");
         }
+    }
+
+    /// Encodes one LUT over `pins` and checks it against `table` on
+    /// every assignment of `vars`: the output takes the table's value
+    /// and the opposite value is refuted. Returns the output signal.
+    fn check_lut(s: &mut Solver, table: u64, pins: &[Sig; 6], vars: &[Sig]) -> Sig {
+        let out = lut_output(s, table, pins);
+        for assignment in 0u64..1 << vars.len() {
+            let assumps: Vec<Lit> = vars
+                .iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    let l = v.lit(s);
+                    if assignment >> i & 1 == 1 {
+                        l
+                    } else {
+                        !l
+                    }
+                })
+                .collect();
+            let m = match s.solve(&assumps, 100_000) {
+                SolveResult::Sat(m) => m,
+                other => panic!("inputs must be satisfiable, got {other:?}"),
+            };
+            let index = pins
+                .iter()
+                .enumerate()
+                .fold(0u64, |idx, (i, pin)| idx | u64::from(pin.value(&m)) << i);
+            let expect = table >> index & 1 == 1;
+            assert_eq!(out.value(&m), expect, "table {table:#x} at {assignment:#b}");
+            if let Sig::Lit(l) = out {
+                let wrong = if expect { !l } else { l };
+                let refuted = [assumps, vec![wrong]].concat();
+                assert!(
+                    matches!(s.solve(&refuted, 100_000), SolveResult::Unsat),
+                    "table {table:#x} at {assignment:#b}: output not functional"
+                );
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_two_and_three_variable_table_encodes_exactly() {
+        for k in [2usize, 3] {
+            for t in 0u64..1 << (1 << k) {
+                let table = Init::from_fn(|i| t >> (i & ((1 << k) - 1)) & 1 == 1).raw();
+                let mut s = Solver::new();
+                let v: Vec<Sig> = (0..k).map(|_| Sig::Lit(s.new_var())).collect();
+                // Pins in variable order, then permuted and negated.
+                let mut straight = [Sig::FALSE; 6];
+                straight[..k].copy_from_slice(&v);
+                check_lut(&mut s, table, &straight, &v);
+                let mut mixed = [Sig::TRUE; 6];
+                for (slot, pin) in mixed.iter_mut().take(k).enumerate() {
+                    let var = v[(slot + 1) % k];
+                    *pin = if slot == 0 { !var } else { var };
+                }
+                check_lut(&mut s, table, &mixed, &v);
+            }
+        }
+    }
+
+    #[test]
+    fn parity_and_and_majority_luts_build_gates() {
+        use axmul_core::structural::TERNARY_INIT;
+        let mut s = Solver::new();
+        let v: Vec<Sig> = (0..4).map(|_| Sig::Lit(s.new_var())).collect();
+        let (x, y, z, w) = (v[0], v[1], v[2], v[3]);
+        let (t, f) = (Sig::TRUE, Sig::FALSE);
+        let table = |f: fn(u8) -> bool| Init::from_fn(f).raw();
+        let parity6 = table(|i| i.count_ones() % 2 == 1);
+        let xnor4 = table(|i| (i & 0xF).count_ones() % 2 == 0);
+        let nor_0_3 = table(|i| i & 0b1001 == 0);
+        let and3 = table(|i| i & 0b111 == 0b111);
+        let or3 = table(|i| i & 0b111 != 0);
+        let maj_0_2_4 = table(|i| (i & 1) + (i >> 2 & 1) + (i >> 4 & 1) >= 2);
+        let minority_0_2_4 = !maj_0_2_4;
+
+        // Parity: negated, repeated and constant pins fold into the
+        // xor_many operand list.
+        let pins = [x, !y, x, t, z, w];
+        let out = check_lut(&mut s, parity6, &pins, &v);
+        assert_eq!(out, gates::xor_many(&mut s, &pins));
+        // A complemented parity over four pins; I4 and I5 ignored.
+        let out = check_lut(&mut s, xnor4, &[x, y, f, z, w, !x], &v);
+        assert_eq!(out, !gates::xor_many(&mut s, &[x, y, z]));
+
+        // AND/OR: NOR(¬x, w) = x ∧ ¬w, with ignored pins.
+        let out = check_lut(&mut s, nor_0_3, &[!x, y, z, w, x, t], &v);
+        assert_eq!(out, gates::and(&mut s, x, !w));
+        // A repeated pin: x ∧ x ∧ ¬y.
+        let out = check_lut(&mut s, and3, &[x, x, !y, w, f, f], &v);
+        assert_eq!(out, gates::and(&mut s, x, !y));
+        // A constant pin: x ∨ 0 ∨ y.
+        let out = check_lut(&mut s, or3, &[x, f, y, z, w, t], &v);
+        assert_eq!(out, gates::or(&mut s, x, y));
+
+        // Majority with a negated input, a constant and ignored pins,
+        // and its complement, the majority of the negated inputs.
+        let out = check_lut(&mut s, maj_0_2_4, &[x, t, !y, z, w, x], &v);
+        assert_eq!(out, gates::maj(&mut s, x, !y, w));
+        let out = check_lut(&mut s, minority_0_2_4, &[x, t, !y, z, w, x], &v);
+        assert_eq!(out, gates::maj(&mut s, !x, y, !w));
+
+        // Both halves of the ternary adder's LUT (I4 = 0, I5 = 1), with
+        // all three operands and with one absent.
+        let raw = TERNARY_INIT.raw();
+        let pins = [x, y, z, w, f, t];
+        let o6 = check_lut(&mut s, raw, &pins, &v);
+        assert_eq!(o6, gates::xor_many(&mut s, &[x, y, z, w]));
+        let o5 = check_lut(&mut s, o5_table(raw), &pins, &v);
+        assert_eq!(o5, gates::maj(&mut s, x, y, z));
+        let pins = [x, y, f, w, f, t];
+        let o6 = check_lut(&mut s, raw, &pins, &v);
+        assert_eq!(o6, gates::xor_many(&mut s, &[x, y, w]));
+        let o5 = check_lut(&mut s, o5_table(raw), &pins, &v);
+        assert_eq!(o5, gates::and(&mut s, x, y));
     }
 }

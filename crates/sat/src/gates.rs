@@ -6,7 +6,10 @@
 //! (`x ⊕ 0 = x`, `mux(s, t, t) = t`, ...) and hash-conses the gates it
 //! does emit, so two structurally identical circuits over the same
 //! input literals collapse into the *same* variables — a miter between
-//! them reduces to `false` before the search even starts.
+//! them reduces to `false` before the search even starts. The LUT
+//! encoder builds parity, AND and majority tables through [`xor_many`],
+//! [`and`] and [`maj`], so a LUT and gate-level logic of the same
+//! function collapse too.
 //!
 //! The mux builder emits the two redundant consensus clauses
 //! `(¬t ∨ ¬e ∨ z)` and `(t ∨ e ∨ ¬z)` in addition to the four defining
@@ -145,6 +148,42 @@ pub fn xor(s: &mut Solver, a: Sig, b: Sig) -> Sig {
             };
             Sig::Lit(if out_neg { !z } else { z })
         }
+    }
+}
+
+/// `x₀ ⊕ x₁ ⊕ …` with folding and order- and polarity-canonical
+/// hashing: constants and negations fold into the output polarity,
+/// repeated variables cancel, and the remaining variables are chained
+/// through [`xor`] in variable order. Any operand list with the same
+/// parity over the same variables therefore yields the same literal,
+/// which is what lets a parity LUT and a gate-level parity meet.
+pub fn xor_many(s: &mut Solver, operands: &[Sig]) -> Sig {
+    let mut negate = false;
+    let mut vars: Vec<Lit> = Vec::with_capacity(operands.len());
+    for op in operands {
+        match op {
+            Sig::Const(b) => negate ^= b,
+            Sig::Lit(l) => {
+                negate ^= l.is_neg();
+                vars.push(Lit::new(l.var(), false));
+            }
+        }
+    }
+    vars.sort_unstable_by_key(|l| l.var());
+    let mut chain = Sig::FALSE;
+    let mut i = 0;
+    while i < vars.len() {
+        if vars.get(i + 1) == Some(&vars[i]) {
+            i += 2;
+            continue;
+        }
+        chain = xor(s, chain, Sig::Lit(vars[i]));
+        i += 1;
+    }
+    if negate {
+        !chain
+    } else {
+        chain
     }
 }
 
@@ -404,6 +443,7 @@ mod tests {
             let g_or = or(&mut s, sa, sb);
             let g_mux = mux(&mut s, sa, sb, sc);
             let g_maj = maj(&mut s, sa, sb, sc);
+            let g_xor_many = xor_many(&mut s, &[sc, !sa, Sig::TRUE, sb, sa]);
             let (g_sum, g_cry) = full_adder(&mut s, sa, sb, sc);
             let fix = [
                 Lit::new(a.var(), !va),
@@ -416,6 +456,7 @@ mod tests {
             assert_eq!(g_or.value(&m), va | vb);
             assert_eq!(g_mux.value(&m), if va { vb } else { vc });
             assert_eq!(g_maj.value(&m), (va & vb) | (va & vc) | (vb & vc));
+            assert_eq!(g_xor_many.value(&m), vb ^ vc);
             let total = va as u32 + vb as u32 + vc as u32;
             assert_eq!(g_sum.value(&m), total & 1 == 1);
             assert_eq!(g_cry.value(&m), total >= 2);
@@ -523,5 +564,37 @@ mod tests {
         let g = gt_const(&mut s, &x, 15);
         let gl = g.lit(&s);
         assert!(matches!(s.solve(&[gl], 10_000), SolveResult::Unsat));
+    }
+
+    #[test]
+    fn xor_many_is_canonical_for_order_polarity_and_constants() {
+        let mut s = Solver::new();
+        let [a, b, c, d] = [(); 4].map(|()| Sig::Lit(s.new_var()));
+        let base = xor_many(&mut s, &[a, b, c]);
+        let n = s.num_vars();
+        assert_eq!(xor_many(&mut s, &[c, a, b]), base);
+        assert_eq!(xor_many(&mut s, &[!a, b, !c]), base);
+        assert_eq!(xor_many(&mut s, &[!b, a, c]), !base);
+        assert_eq!(xor_many(&mut s, &[Sig::FALSE, b, Sig::TRUE, a, !c]), base);
+        assert_eq!(xor_many(&mut s, &[a, d, b, !d, c]), !base);
+        assert_eq!(xor_many(&mut s, &[a, a]), Sig::FALSE);
+        assert_eq!(xor_many(&mut s, &[a, !a]), Sig::TRUE);
+        assert_eq!(xor_many(&mut s, &[]), Sig::FALSE);
+        assert_eq!(xor_many(&mut s, &[Sig::TRUE, !a]), a);
+        assert_eq!(xor_many(&mut s, &[b, a]), xor(&mut s, a, b));
+        assert_eq!(s.num_vars(), n, "equal parities must share one gate chain");
+    }
+
+    #[test]
+    fn a_parity_lut_returns_the_xor_many_literal() {
+        let mut s = Solver::new();
+        let [a, b, c] = [(); 3].map(|()| Sig::Lit(s.new_var()));
+        // Parity of pins 0, 1 and 3; pin 2 is a constant, 4 and 5 are
+        // ignored.
+        let table = axmul_fabric::Init::from_fn(|i| (i & 0b1011).count_ones() % 2 == 1);
+        let pins = [c, !a, Sig::TRUE, b, a, c];
+        let lut = crate::encode::lut_output(&mut s, table.raw(), &pins);
+        assert_eq!(lut, xor_many(&mut s, &[a, b, c, Sig::TRUE]));
+        assert_eq!(lut, !xor_many(&mut s, &[c, b, a]));
     }
 }

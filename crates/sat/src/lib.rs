@@ -11,12 +11,18 @@
 //!   Luby restarts, incremental assumptions, conflict budgets). It
 //!   never panics on hostile input; budget exhaustion is a typed
 //!   `Unknown`, never a wrong answer.
-//! * [`encode`] — Tseitin encoding of `fabric::Netlist`: LUT6_2 INIT
-//!   cofactor clauses from a Minato–Morreale ISOP with repeated-pin
-//!   and constant reduction, CARRY4 xor/mux chains whose unit
-//!   propagation matches absint's three-valued simulation, and
-//!   encode-time constant propagation throughout. Gates are
-//!   hash-consed, so structurally identical logic collapses.
+//! * [`encode`] — Tseitin encoding of `fabric::Netlist`: each LUT6_2
+//!   table is reduced over its distinct pins and its true support;
+//!   parity, two-input AND/OR and majority tables are built through
+//!   the [`gates`] builders, and any other table gets cofactor clauses
+//!   from a Minato–Morreale ISOP. CARRY4 xor/mux chains have unit
+//!   propagation that matches absint's three-valued simulation, and
+//!   constants propagate at encode time throughout.
+//! * [`gates`] — constant-folding, hash-consed gate builders (and, xor,
+//!   an order- and polarity-canonical n-ary xor, mux, majority, adders,
+//!   comparators). Because LUT encodings share them, structurally
+//!   different logic with the same parity, AND or majority function
+//!   collapses onto the same literals.
 //! * [`equiv`] — combinational equivalence via miters over shared
 //!   input variables, with counterexamples replayed through
 //!   `Netlist::eval` for independent confirmation and cube-and-conquer

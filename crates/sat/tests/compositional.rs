@@ -5,7 +5,9 @@
 
 use axmul_baselines::kulkarni_netlist;
 use axmul_core::behavioral::Summation;
-use axmul_core::structural::{approx_4x4_netlist, cc_netlist, combine_partial_products};
+use axmul_core::structural::{
+    approx_4x4_netlist, cc_netlist, combine_partial_products, TERNARY_INIT,
+};
 use axmul_dse::{CharCache, Config};
 use axmul_fabric::cost::Characterizer;
 use axmul_fabric::{Cell, Init, NetId, Netlist, NetlistBuilder};
@@ -172,6 +174,77 @@ fn false_claims_fall_back_to_the_netlist_cegar() {
             "{tamper:?} passed the checks"
         );
         assert_eq!(claimed.wce, reference.wce, "{tamper:?}");
+    }
+}
+
+/// A Ca 8×8 quad of approximate 4×4 leaves whose ternary adder
+/// (Fig. 5b) is written out one `LUT6_2` per column, so that column 2's
+/// INIT can carry a flipped bit.
+fn hand_ca_quad(flip: Option<u32>) -> Netlist {
+    let leaf = approx_4x4_netlist();
+    let mut bld = NetlistBuilder::new(format!("hand_ca_{flip:?}"));
+    let a = bld.inputs("a", 8);
+    let b = bld.inputs("b", 8);
+    let (al, ah) = a.split_at(4);
+    let (bl, bh) = b.split_at(4);
+    let mut q: Vec<Vec<NetId>> = Vec::new();
+    for (x, y) in [(al, bl), (ah, bl), (al, bh), (ah, bh)] {
+        q.push(bld.instantiate(&leaf, &[x, y]).remove(0));
+        bld.claim_product(x, y, q.last().expect("pushed"));
+    }
+    let m = 4;
+    let (zero, one) = (bld.constant(false), bld.constant(true));
+    let mut p: Vec<NetId> = q[0][..m].to_vec();
+    let (mut props, mut gens) = (Vec::new(), Vec::new());
+    let mut majority = zero;
+    for r in 0..3 * m {
+        let x = if r < m { q[0][m + r] } else { q[3][r - m] };
+        let (y, z) = if r < 2 * m {
+            (q[1][r], q[2][r])
+        } else {
+            (zero, zero)
+        };
+        let init = match flip {
+            Some(bit) if r == 2 => Init::from_raw(TERNARY_INIT.raw() ^ 1 << bit),
+            _ => TERNARY_INIT,
+        };
+        let (o6, o5) = bld.lut6_2(init, [x, y, z, majority, zero, one]);
+        props.push(o6);
+        gens.push(majority);
+        majority = o5;
+    }
+    p.extend(bld.carry_chain(zero, &props, &gens).0);
+    bld.output_bus("p", &p);
+    bld.finish().expect("well-formed")
+}
+
+#[test]
+fn a_flipped_ternary_adder_bit_falls_back_to_the_netlist_cegar() {
+    let honest = prove(&hand_ca_quad(None));
+    assert_eq!(honest.engine, WceEngine::Compositional);
+    let assembled = prove(&"(a A A A A)".parse::<Config>().expect("key").assemble());
+    assert_eq!(honest.wce, assembled.wce);
+
+    // The claims are the honest quad's, so only the cut-point check can
+    // turn the proof away: the flipped LUT no longer hashes onto the
+    // reference adder, and SAT refutes the cut.
+    // O6 reads the upper half (I5 = 1): x = z = 1, y = v = 0. O5 reads
+    // the lower half: x = y = 1, z = v = 0.
+    let honest_nl = hand_ca_quad(None);
+    for (half, bit) in [("O6", 32 + 0b0101), ("O5", 0b0011)] {
+        let nl = hand_ca_quad(Some(bit));
+        let visible = (0..1u64 << 16).any(|i| {
+            let ab = [i & 255, i >> 8];
+            nl.eval(&ab).expect("eval") != honest_nl.eval(&ab).expect("eval")
+        });
+        assert!(visible, "the {half} flip must change the product");
+        let proof = prove(&nl);
+        assert_eq!(
+            proof.engine,
+            WceEngine::Netlist,
+            "{half} flip passed the checks"
+        );
+        assert_eq!(proof.wce, swept_wce(&nl), "{half}");
     }
 }
 

@@ -8,8 +8,8 @@
 //! Each design is pinned twice. The assembled netlists carry
 //! product-block provenance, so they are proven compositionally; a
 //! provenance-free copy of the same parts (`Netlist::from_parts`) is
-//! proven by the netlist CEGAR, whose pins date from before
-//! compositional proofs existed.
+//! proven by the netlist CEGAR. Both CNFs share the LUT encoder, so a
+//! change to how a LUT table is encoded moves both sets of pins.
 //!
 //! The seeded pins run `prove_wce` with 1000 samples and a hint whose
 //! error ties the best seed's. Seeds are folded in a fixed order
@@ -62,19 +62,19 @@ const NETLIST_PINS: [Pinned; 3] = [
         witness: (255, 255),
         ascent_steps: 0,
         solves: 1,
-        conflicts: 1281,
-        decisions: 1770,
-        propagations: 95_690,
+        conflicts: 1420,
+        decisions: 1953,
+        propagations: 98_193,
     },
     Pinned {
         name: "(c A T2 T1 T1)",
         wce: 8400,
         witness: (188, 219),
-        ascent_steps: 6,
-        solves: 7,
-        conflicts: 2020,
-        decisions: 3114,
-        propagations: 184_906,
+        ascent_steps: 3,
+        solves: 4,
+        conflicts: 1484,
+        decisions: 2066,
+        propagations: 112_528,
     },
     Pinned {
         name: "(c T3 A T3 T1)",
@@ -82,9 +82,9 @@ const NETLIST_PINS: [Pinned; 3] = [
         witness: (191, 219),
         ascent_steps: 3,
         solves: 4,
-        conflicts: 1221,
-        decisions: 1809,
-        propagations: 96_121,
+        conflicts: 1974,
+        decisions: 2766,
+        propagations: 146_501,
     },
 ];
 
@@ -94,30 +94,30 @@ const COMPOSITIONAL_PINS: [Pinned; 3] = [
         wce: 14450,
         witness: (255, 255),
         ascent_steps: 0,
-        solves: 11,
-        conflicts: 1284,
-        decisions: 2554,
-        propagations: 26_630,
+        solves: 1,
+        conflicts: 38,
+        decisions: 115,
+        propagations: 1260,
     },
     Pinned {
         name: "(c A T2 T1 T1)",
         wce: 8400,
         witness: (188, 219),
-        ascent_steps: 2,
-        solves: 4,
-        conflicts: 464,
-        decisions: 874,
-        propagations: 26_048,
+        ascent_steps: 1,
+        solves: 2,
+        conflicts: 186,
+        decisions: 332,
+        propagations: 10_209,
     },
     Pinned {
         name: "(c T3 A T3 T1)",
         wce: 8413,
         witness: (191, 219),
-        ascent_steps: 2,
+        ascent_steps: 3,
         solves: 4,
-        conflicts: 547,
-        decisions: 989,
-        propagations: 31_902,
+        conflicts: 632,
+        decisions: 906,
+        propagations: 41_826,
     },
 ];
 
@@ -130,10 +130,10 @@ const SEEDED_PINS: [(Pinned, (u64, u64)); 2] = [
             wce: 2312,
             witness: (255, 85),
             ascent_steps: 0,
-            solves: 3,
-            conflicts: 748,
-            decisions: 1557,
-            propagations: 14_811,
+            solves: 1,
+            conflicts: 6,
+            decisions: 6,
+            propagations: 145,
         },
         (221, 221),
     ),
@@ -143,10 +143,10 @@ const SEEDED_PINS: [(Pinned, (u64, u64)); 2] = [
             wce: 8288,
             witness: (223, 223),
             ascent_steps: 1,
-            solves: 3,
-            conflicts: 171,
-            decisions: 551,
-            propagations: 6557,
+            solves: 2,
+            conflicts: 81,
+            decisions: 212,
+            propagations: 4238,
         },
         (188, 217),
     ),
@@ -162,9 +162,9 @@ const SEEDED_NETLIST_PINS: [(Pinned, (u64, u64)); 2] = [
             witness: (255, 85),
             ascent_steps: 0,
             solves: 1,
-            conflicts: 15600,
-            decisions: 18875,
-            propagations: 1_394_720,
+            conflicts: 12938,
+            decisions: 15487,
+            propagations: 1_167_595,
         },
         (221, 221),
     ),
@@ -175,9 +175,9 @@ const SEEDED_NETLIST_PINS: [(Pinned, (u64, u64)); 2] = [
             witness: (223, 223),
             ascent_steps: 4,
             solves: 5,
-            conflicts: 1908,
-            decisions: 2705,
-            propagations: 153_232,
+            conflicts: 2144,
+            decisions: 2876,
+            propagations: 176_206,
         },
         (188, 217),
     ),

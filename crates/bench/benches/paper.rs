@@ -7,11 +7,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use axmul_baselines::{Kulkarni, RehmanW};
-use axmul_bench::roster::{characterize, fig7_roster, table5_roster};
+use axmul_bench::roster::{fig7_roster, table5_roster};
 use axmul_core::behavioral::{approx_4x4, Ca, Cc};
 use axmul_core::structural::{approx_4x4_netlist, ca_netlist, verify_table3};
 use axmul_core::{Exact, Multiplier};
 use axmul_fabric::compile::CompiledNetlist;
+use axmul_fabric::cost::Characterizer;
 use axmul_fabric::sim::for_each_operand_pair;
 use axmul_fabric::timing::{analyze, DelayModel};
 use axmul_metrics::{bit_accuracy, pareto_front, DesignPoint, ErrorPmf, ErrorStats};
@@ -76,9 +77,10 @@ fn bench_fig7_characterization(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig7_characterize_8x8");
     g.sample_size(10);
     let roster = fig7_roster(8);
+    let ch = Characterizer::virtex7();
     for entry in &roster {
         g.bench_function(entry.name.replace(' ', "_"), |b| {
-            b.iter(|| characterize(&entry.name, &entry.netlist))
+            b.iter(|| ch.characterize(&entry.netlist).expect("roster netlist"))
         });
     }
     g.finish();

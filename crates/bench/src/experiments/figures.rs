@@ -6,11 +6,22 @@ use axmul_baselines::{kulkarni_netlist, rehman_netlist, IpOpt, VivadoIp};
 use axmul_core::behavioral::{Ca, Cc};
 use axmul_core::structural::{ca_netlist, cc_netlist};
 use axmul_core::{Exact, Multiplier};
+use axmul_fabric::cost::{Characterizer, NetlistCost};
+use axmul_fabric::timing::{analyze, DelayModel};
+use axmul_fabric::Netlist;
 use axmul_metrics::{bit_accuracy, pareto_front, DesignPoint, ErrorPmf, ErrorStats};
 use axmul_susan::{operand_histogram, susan_smooth, synthetic_test_image, Recording, SusanParams};
 
 use crate::report::{f, pct, Table};
-use crate::roster::{characterize, fig7_roster, Characterization};
+use crate::roster::fig7_roster;
+
+/// Area, STA and energy/EDP of a roster netlist under the one
+/// characterization recipe every front end shares.
+fn characterize(netlist: &Netlist) -> NetlistCost {
+    Characterizer::virtex7()
+        .characterize(netlist)
+        .expect("roster netlists simulate")
+}
 
 /// **Fig. 1** — cross-platform comparison: ASIC gains of W and K
 /// (quoted from \[19\]/\[6\] as in the paper) against their FPGA gains
@@ -21,10 +32,10 @@ pub fn fig1() -> String {
     // ASIC-side gains as presented in the paper's Fig. 1 (digitized):
     // the paper itself quotes these from the original publications.
     let asic = [("W", 0.32, 0.12, 0.35), ("K", 0.12, 0.02, 0.18)];
-    let accurate = characterize("accurate", &axmul_baselines::array_mult_netlist(8, 8));
-    let w = characterize("W", &rehman_netlist(8).expect("valid"));
-    let k = characterize("K", &kulkarni_netlist(8).expect("valid"));
-    let gain = |ours: &Characterization, metric: &dyn Fn(&Characterization) -> f64| -> f64 {
+    let accurate = characterize(&axmul_baselines::array_mult_netlist(8, 8));
+    let w = characterize(&rehman_netlist(8).expect("valid"));
+    let k = characterize(&kulkarni_netlist(8).expect("valid"));
+    let gain = |ours: &NetlistCost, metric: &dyn Fn(&NetlistCost) -> f64| -> f64 {
         1.0 - metric(ours) / metric(&accurate)
     };
     let mut t = Table::new(
@@ -40,12 +51,12 @@ pub fn fig1() -> String {
             pct(edp),
         ]);
     }
-    for c in [&w, &k] {
+    for (name, c) in [("W", &w), ("K", &k)] {
         t.row_owned(vec![
-            c.name.clone(),
+            name.to_string(),
             "FPGA (measured)".to_string(),
-            pct(gain(c, &|c| c.luts as f64)),
-            pct(gain(c, &|c| c.latency_ns)),
+            pct(gain(c, &|c| c.area.luts as f64)),
+            pct(gain(c, &|c| c.critical_path_ns)),
             pct(gain(c, &|c| c.edp)),
         ]);
     }
@@ -75,16 +86,16 @@ pub fn fig7() -> String {
         ],
     );
     for bits in [4u32, 8, 16] {
-        let baseline = characterize("IP", &VivadoIp::new(bits, IpOpt::Speed).netlist());
+        let baseline = characterize(&VivadoIp::new(bits, IpOpt::Speed).netlist());
         for entry in fig7_roster(bits) {
-            let c = characterize(&entry.name, &entry.netlist);
+            let c = characterize(&entry.netlist);
             t.row_owned(vec![
                 format!("{bits}x{bits}"),
-                c.name.clone(),
-                c.luts.to_string(),
-                f(c.latency_ns, 3),
-                pct(1.0 - c.luts as f64 / baseline.luts as f64),
-                pct(1.0 - c.latency_ns / baseline.latency_ns),
+                entry.name,
+                c.area.luts.to_string(),
+                f(c.critical_path_ns, 3),
+                pct(1.0 - c.area.luts as f64 / baseline.area.luts as f64),
+                pct(1.0 - c.critical_path_ns / baseline.critical_path_ns),
                 pct(1.0 - c.edp / baseline.edp),
             ]);
         }
@@ -140,66 +151,66 @@ pub fn fig8() -> String {
     out
 }
 
-fn pareto_points(cost: &dyn Fn(&Characterization) -> f64) -> Vec<(DesignPoint, bool)> {
+/// Every Fig. 9/10 design as (average relative error, `cost(LUTs,
+/// critical path ns)`) with its Pareto flag. Only area and STA are
+/// computed: neither figure reads energy.
+fn pareto_points(cost: &dyn Fn(usize, f64) -> f64) -> Vec<(DesignPoint, bool)> {
+    let delay = DelayModel::virtex7();
+    let netlist_cost = |nl: &Netlist| cost(nl.lut_count(), analyze(nl, &delay).critical_path_ns);
     let mut points = Vec::new();
     // Proposed + state of the art.
-    let ca = Ca::new(8).expect("valid");
-    let cc = Cc::new(8).expect("valid");
-    let named: Vec<(Box<dyn Multiplier>, Characterization)> = vec![
+    let named: Vec<(&str, Box<dyn Multiplier>, Netlist)> = vec![
         (
-            Box::new(ca.clone()) as Box<dyn Multiplier>,
-            characterize("Ca 8x8", &ca_netlist(8).expect("valid")),
+            "Ca 8x8",
+            Box::new(Ca::new(8).expect("valid")),
+            ca_netlist(8).expect("valid"),
         ),
         (
-            Box::new(cc.clone()),
-            characterize("Cc 8x8", &cc_netlist(8).expect("valid")),
+            "Cc 8x8",
+            Box::new(Cc::new(8).expect("valid")),
+            cc_netlist(8).expect("valid"),
         ),
         (
+            "W 8x8",
             Box::new(axmul_baselines::RehmanW::new(8).expect("valid")),
-            characterize("W 8x8", &rehman_netlist(8).expect("valid")),
+            rehman_netlist(8).expect("valid"),
         ),
         (
+            "K 8x8",
             Box::new(axmul_baselines::Kulkarni::new(8).expect("valid")),
-            characterize("K 8x8", &kulkarni_netlist(8).expect("valid")),
+            kulkarni_netlist(8).expect("valid"),
         ),
         (
+            "VivadoIP-Area 8x8",
             Box::new(Exact::new(8, 8)),
-            characterize(
-                "VivadoIP-Area 8x8",
-                &VivadoIp::new(8, IpOpt::Area).netlist(),
-            ),
+            VivadoIp::new(8, IpOpt::Area).netlist(),
         ),
         (
+            "VivadoIP-Speed 8x8",
             Box::new(Exact::new(8, 8)),
-            characterize(
-                "VivadoIP-Speed 8x8",
-                &VivadoIp::new(8, IpOpt::Speed).netlist(),
-            ),
+            VivadoIp::new(8, IpOpt::Speed).netlist(),
         ),
     ];
-    for (m, c) in &named {
+    for (name, m, nl) in &named {
         let are = ErrorStats::exhaustive(m).avg_relative_error;
-        points.push(DesignPoint::new(c.name.clone(), are, cost(c)));
+        points.push(DesignPoint::new(name.to_string(), are, netlist_cost(nl)));
     }
     // The EvoApprox-style cloud.
     for d in library() {
-        let c = characterize(d.name(), &d.netlist());
         let are = ErrorStats::exhaustive(&d).avg_relative_error;
-        points.push(DesignPoint::new(d.name().to_string(), are, cost(&c)));
+        points.push(DesignPoint::new(
+            d.name().to_string(),
+            are,
+            netlist_cost(&d.netlist()),
+        ));
     }
     // DRUM: behavioral model with its documented LUT/latency estimates
     // (the one family without a netlist; see its module docs).
     for k in [3u32, 4, 5] {
         let drum = axmul_baselines::Drum::new(8, k);
         let are = ErrorStats::exhaustive(&drum).avg_relative_error;
-        let c = Characterization {
-            name: drum.name().to_string(),
-            luts: drum.area_estimate(),
-            latency_ns: drum.latency_estimate(&axmul_fabric::timing::DelayModel::virtex7()),
-            energy: 0.0,
-            edp: 0.0,
-        };
-        points.push(DesignPoint::new(drum.name().to_string(), are, cost(&c)));
+        let c = cost(drum.area_estimate(), drum.latency_estimate(&delay));
+        points.push(DesignPoint::new(drum.name().to_string(), are, c));
     }
     let front = pareto_front(&points);
     points.into_iter().zip(front).collect()
@@ -238,7 +249,7 @@ pub fn fig9() -> String {
     render_pareto(
         "Fig. 9: Pareto — relative error vs area",
         "LUTs",
-        pareto_points(&|c| c.luts as f64),
+        pareto_points(&|luts, _| luts as f64),
     )
 }
 
@@ -248,7 +259,7 @@ pub fn fig10() -> String {
     render_pareto(
         "Fig. 10: Pareto — relative error vs latency",
         "ns",
-        pareto_points(&|c| c.latency_ns),
+        pareto_points(&|_, ns| ns),
     )
 }
 

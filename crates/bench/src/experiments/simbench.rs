@@ -12,9 +12,9 @@
 //! in CI).
 //!
 //! The energy section times the packed wide-lane characterization
-//! ([`measure_packed`] behind `Characterizer::characterize_timed`),
-//! reports net-transitions/second, and checks that the packed report is
-//! bit-identical to the scalar [`measure_reference`]
+//! (`Characterizer::characterize_timed`), reports
+//! net-transitions/second, and checks that the characterizer's energy
+//! and EDP are bit-identical to the scalar [`measure_reference`]
 //! (`"energy_identical"` — gated in CI). It also times the NN
 //! product-table build.
 //!
@@ -28,8 +28,7 @@ use axmul_core::{Multiplier, TableMultiplier};
 use axmul_dse::{CharCache, Config};
 use axmul_fabric::compile::CompiledNetlist;
 use axmul_fabric::cost::Characterizer;
-use axmul_fabric::power::{measure_packed, measure_reference, uniform_stimulus, PackedStimulus};
-use axmul_fabric::timing::analyze;
+use axmul_fabric::power::{measure_reference, uniform_stimulus};
 use axmul_fabric::{Driver, Netlist};
 use axmul_metrics::ErrorStats;
 use axmul_nn::ProductTable;
@@ -163,30 +162,32 @@ fn bench_energy(entry: &RosterEntry, reps: u32) -> EnergyBench {
     let nl = &entry.netlist;
     let prog = CompiledNetlist::compile(nl);
     let ch = Characterizer::virtex7();
-    let stimulus = uniform_stimulus(nl, ch.stimulus_len, ch.stimulus_seed);
-    let packed = PackedStimulus::uniform(nl, ch.stimulus_len, ch.stimulus_seed);
 
+    let mut cost = None;
     let packed_s = time_runs(reps, || {
-        let (cost, _) = ch
+        let (c, _) = ch
             .characterize_timed(nl, &prog)
             .expect("roster netlist characterizes");
-        std::hint::black_box(cost.edp);
+        cost = Some(std::hint::black_box(c));
     });
+    let cost = cost.expect("at least one timed run");
 
+    let stimulus = uniform_stimulus(
+        nl,
+        Characterizer::STIMULUS_LEN,
+        Characterizer::STIMULUS_SEED,
+    );
     let reference =
         measure_reference(nl, &ch.energy, &ch.delay, &stimulus).expect("reference measures");
-    let critical_path_ns = analyze(nl, &ch.delay).critical_path_ns;
-    let r =
-        measure_packed(nl, &prog, &ch.energy, critical_path_ns, &packed).expect("packed measure");
-    let energy_identical = r.energy_per_op.to_bits() == reference.energy_per_op.to_bits()
-        && r.edp.to_bits() == reference.edp.to_bits();
+    let energy_identical = cost.energy_per_op.to_bits() == reference.energy_per_op.to_bits()
+        && cost.edp.to_bits() == reference.edp.to_bits();
 
     let tracked = nl
         .drivers()
         .iter()
         .filter(|d| !matches!(d, Driver::Const(_)))
         .count() as u64;
-    let net_transitions = (tracked * (ch.stimulus_len as u64 - 1)) as f64;
+    let net_transitions = (tracked * (Characterizer::STIMULUS_LEN as u64 - 1)) as f64;
     EnergyBench {
         name: entry.name.clone(),
         packed_char_s: packed_s,

@@ -1,51 +1,14 @@
-//! Design rosters and netlist characterization shared by the
-//! experiments: one place that knows how to turn an architecture name
-//! into (behavioral model, structural netlist, area, delay, energy).
+//! Design rosters shared by the experiments: one place that knows how
+//! to turn an architecture name into a behavioral model or a structural
+//! netlist. Area, delay and energy come from
+//! `axmul_fabric::cost::Characterizer`, the recipe every front end
+//! shares.
 
 use axmul_baselines::{
     kulkarni_netlist, pp_truncated_netlist, rehman_netlist, IpOpt, Kulkarni, RehmanW, VivadoIp,
 };
 use axmul_core::structural::{ca_netlist, cc_netlist};
-use axmul_fabric::power::{measure, uniform_stimulus, EnergyModel};
-use axmul_fabric::timing::DelayModel;
 use axmul_fabric::Netlist;
-
-/// Full physical characterization of one netlist.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Characterization {
-    /// Architecture name.
-    pub name: String,
-    /// LUT count (the paper's area unit).
-    pub luts: usize,
-    /// STA critical path under [`DelayModel::virtex7`], in ns.
-    pub latency_ns: f64,
-    /// Average toggle energy per operation (relative units).
-    pub energy: f64,
-    /// Energy-delay product (relative units × ns).
-    pub edp: f64,
-}
-
-/// Characterizes a netlist: area from the structure, latency from STA,
-/// energy from 2 000 uniform-random stimulus transitions.
-///
-/// # Panics
-///
-/// Panics if simulation fails (indicates a malformed netlist, which the
-/// builders prevent).
-#[must_use]
-pub fn characterize(name: &str, netlist: &Netlist) -> Characterization {
-    let delay = DelayModel::virtex7();
-    let energy = EnergyModel::virtex7();
-    let stim = uniform_stimulus(netlist, 2000, 0xDAC18u64);
-    let report = measure(netlist, &energy, &delay, &stim).expect("netlist simulates");
-    Characterization {
-        name: name.to_string(),
-        luts: netlist.lut_count(),
-        latency_ns: report.critical_path_ns,
-        energy: report.energy_per_op,
-        edp: report.edp,
-    }
-}
 
 /// A named structural design at a given operand width.
 #[derive(Debug)]
@@ -116,15 +79,6 @@ pub fn table5_roster() -> Vec<Box<dyn axmul_core::Multiplier>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn characterize_ca8() {
-        let c = characterize("Ca 8x8", &ca_netlist(8).unwrap());
-        assert_eq!(c.luts, 57);
-        assert!(c.latency_ns > 7.0 && c.latency_ns < 9.0);
-        assert!(c.energy > 0.0);
-        assert!((c.edp - c.energy * c.latency_ns).abs() < 1e-9);
-    }
 
     #[test]
     fn fig7_roster_is_complete() {

@@ -5,10 +5,8 @@ use std::collections::HashMap;
 use std::fmt;
 
 use axmul_core::Multiplier;
-use axmul_fabric::area::AreaReport;
+use axmul_fabric::cost::Characterizer;
 use axmul_fabric::export::{to_verilog, to_vhdl};
-use axmul_fabric::power::{measure, uniform_stimulus, EnergyModel};
-use axmul_fabric::timing::{analyze, DelayModel};
 use axmul_metrics::ErrorStats;
 use axmul_serve::ops::{self, ImportError, Side, SideError};
 use axmul_susan::{susan_smooth, synthetic_test_image, Image, SusanParams};
@@ -285,16 +283,17 @@ fn characterize(opts: &Opts) -> Result<String, CliError> {
     let arch = opts.arch()?;
     let bits = opts.bits()?;
     let nl = arch.netlist(bits)?;
-    let area = AreaReport::of(&nl);
-    let delay = DelayModel::virtex7();
-    let timing = analyze(&nl, &delay);
-    let stim = uniform_stimulus(&nl, 2000, 0xDAC18);
-    let energy =
-        measure(&nl, &EnergyModel::virtex7(), &delay, &stim).expect("generated netlists simulate");
+    Ok(format!("{arch} at {bits}x{bits}\n{}", cost_report(&nl)?))
+}
+
+/// The `area:` / `timing:` / `energy:` lines of `characterize` and
+/// `import --characterize`, from the one characterization recipe that
+/// DSE and the daemon use too.
+fn cost_report(netlist: &axmul_fabric::Netlist) -> Result<String, CliError> {
+    let (cost, timing) = Characterizer::virtex7().characterize_with_timing(netlist)?;
     Ok(format!(
-        "{} at {bits}x{bits}\n  area:   {area}\n  timing: {timing}\n  \
-         energy: {:.3} units/op, EDP {:.3}\n",
-        arch, energy.energy_per_op, energy.edp
+        "  area:   {}\n  timing: {timing}\n  energy: {:.3} units/op, EDP {:.3}\n",
+        cost.area, cost.energy_per_op, cost.edp
     ))
 }
 
@@ -716,15 +715,7 @@ fn import(file: &str, opts: &Opts) -> Result<String, CliError> {
         }
     }
     if opts.flag("characterize") {
-        let area = AreaReport::of(&netlist);
-        let delay = DelayModel::virtex7();
-        let timing = analyze(&netlist, &delay);
-        let stim = uniform_stimulus(&netlist, 2000, 0xDAC18);
-        let energy = measure(&netlist, &EnergyModel::virtex7(), &delay, &stim)?;
-        out.push_str(&format!(
-            "  area:   {area}\n  timing: {timing}\n  energy: {:.3} units/op, EDP {:.3}\n",
-            energy.energy_per_op, energy.edp
-        ));
+        out.push_str(&cost_report(&netlist)?);
     }
     if let Some(path) = opts.get("o") {
         std::fs::write(path, &out)?;

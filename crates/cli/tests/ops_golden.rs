@@ -2,24 +2,34 @@
 //! summary, `--lint`, `--absint`, both `--verify --config` verdicts and
 //! the error paths), `verify FILE` (against a configuration, a second
 //! file, the exact product, and a refutation), `absint --config` and
-//! `verify --config --json`. Each command's stdout, or its rendered
-//! error, must equal `tests/golden/ops_cli.txt`. The fixture directory
-//! is written as `$DIR` and solve times as `<ms>`.
+//! `verify --config --json`, plus `characterize` and `import
+//! --characterize`. Each command's stdout, or its rendered error, must
+//! equal `tests/golden/ops_cli.txt`. The fixture directory is written
+//! as `$DIR` and solve times as `<ms>`.
+//!
+//! A second test holds the front ends to one EDP per design: the CLI's
+//! `characterize`, `import --characterize`, the `axmul dse` golden and
+//! the daemon's `characterize-config` report the same energy and EDP
+//! for the paper's Ca and Cc 8×8 designs.
 
 use std::path::{Path, PathBuf};
 
 use axmul_cli::run;
+use axmul_serve::json;
+use axmul_serve::proto::render_request;
+use axmul_serve::{Op, Request, Service};
 
 /// Writes the netlist files the transcript imports into a fresh
-/// directory: two generated designs, two exact 4×4 multipliers (one
+/// directory: three generated designs, two exact 4×4 multipliers (one
 /// structurally equal to the `X` leaf, one not), the netlist
 /// the `(a A A A A)` configuration assembles, and a truncated file.
-fn fixtures() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("axmul_ops_golden_{}", std::process::id()));
+fn fixtures(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("axmul_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     for (arch, bits, file) in [
         ("ca", "8", "ca8.v"),
+        ("cc", "8", "cc8.v"),
         ("k", "8", "k8.v"),
         ("array", "4", "arr4.v"),
         ("ip-speed", "4", "ips4.v"),
@@ -126,11 +136,15 @@ const COMMANDS: &[&[&str]] = &[
     &["absint", "--config", "(a A A A A)", "--json"],
     &["absint", "--config", "(q A A A A)"],
     &["verify", "--config", "(a A A A A)", "--json"],
+    &["characterize", "--arch", "ca", "--bits", "8"],
+    &["characterize", "--arch", "cc", "--bits", "8"],
+    &["import", "$DIR/ca8.v", "--characterize"],
+    &["import", "$DIR/cc8.v", "--characterize"],
 ];
 
 #[test]
 fn netlist_operations_match_golden_transcript() {
-    let dir = fixtures();
+    let dir = fixtures("ops_golden");
     let mut transcript = String::new();
     for args in COMMANDS {
         transcript.push_str(&format!("$ axmul {}\n", args.join(" ")));
@@ -138,4 +152,79 @@ fn netlist_operations_match_golden_transcript() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(transcript, include_str!("golden/ops_cli.txt"));
+}
+
+/// The `(energy, EDP)` pair of a report's `energy: E units/op, EDP D`
+/// line, as printed.
+fn energy_line(report: &str) -> (String, String) {
+    let line = report
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix("energy: "))
+        .unwrap_or_else(|| panic!("no energy line in:\n{report}"));
+    let (energy, edp) = line.split_once(" units/op, EDP ").expect("energy layout");
+    (energy.to_string(), edp.to_string())
+}
+
+/// The EDP the `axmul dse --width 8` golden prints on the error/EDP
+/// front row of `key`.
+fn dse_golden_edp(key: &str) -> String {
+    include_str!("golden/dse_8x8.txt")
+        .lines()
+        .find_map(|l| {
+            l.trim_start()
+                .strip_prefix(key)?
+                .trim_start()
+                .strip_prefix("EDP ")
+        })
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no EDP row for {key}"))
+        .to_string()
+}
+
+/// The daemon's `characterize-config` energy and EDP for `key`, at the
+/// CLI's printed precision.
+fn daemon_energy(svc: &Service, key: &str) -> (String, String) {
+    let op = Op::Characterize { config: key.into() };
+    let reply = svc.handle_payload(&render_request(&Request { id: 1, op }));
+    let reply = json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
+    let cost = reply
+        .get("result")
+        .and_then(|r| r.get("cost"))
+        .unwrap_or_else(|| panic!("no cost in reply: {reply}"));
+    let num = |field: &str| cost.get(field).and_then(json::Value::as_f64).unwrap();
+    (
+        format!("{:.3}", num("energy_per_op")),
+        format!("{:.3}", num("edp")),
+    )
+}
+
+#[test]
+fn front_ends_report_one_edp_per_design() {
+    let dir = fixtures("one_edp");
+    let svc = Service::new(None);
+    for (arch, file, key) in [
+        ("ca", "ca8.v", "(a A A A A)"),
+        ("cc", "cc8.v", "(c A A A A)"),
+    ] {
+        let cli = energy_line(&axmul(
+            &dir,
+            &["characterize", "--arch", arch, "--bits", "8"],
+        ));
+        let import = energy_line(&axmul(
+            &dir,
+            &["import", &format!("$DIR/{file}"), "--characterize"],
+        ));
+        assert_eq!(import, cli, "{arch}: import --characterize vs characterize");
+        assert_eq!(
+            daemon_energy(&svc, key),
+            cli,
+            "{arch}: daemon {key} vs characterize"
+        );
+        assert_eq!(
+            dse_golden_edp(key),
+            cli.1,
+            "{arch}: dse golden {key} vs characterize"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

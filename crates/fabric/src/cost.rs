@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use crate::area::AreaReport;
 use crate::compile::CompiledNetlist;
 use crate::power::{measure_packed, EnergyModel, PackedStimulus};
-use crate::timing::{analyze, DelayModel};
+use crate::timing::{analyze, DelayModel, TimingReport};
 use crate::{FabricError, Netlist};
 
 /// Static resource inventory of an FPGA device.
@@ -186,9 +186,11 @@ impl fmt::Display for NetlistCost {
     }
 }
 
-/// Bundled delay/energy models plus a stimulus policy, so callers can
-/// characterize many netlists under identical conditions with one call
-/// each.
+/// The one producer of area, STA and energy/EDP numbers: bundled
+/// delay/energy models plus a fixed stimulus
+/// ([`Characterizer::STIMULUS_LEN`] vectors drawn from
+/// [`Characterizer::STIMULUS_SEED`]), so every netlist — whichever
+/// front end asks — is characterized under identical conditions.
 ///
 /// # Examples
 ///
@@ -213,21 +215,21 @@ pub struct Characterizer {
     pub delay: DelayModel,
     /// Toggle-energy constants.
     pub energy: EnergyModel,
-    /// Number of random stimulus vectors for the energy measurement.
-    pub stimulus_len: usize,
-    /// Seed of the deterministic stimulus stream.
-    pub stimulus_seed: u64,
 }
 
 impl Characterizer {
-    /// Virtex-7 calibrated models with a 1024-vector stimulus.
+    /// Number of uniform-random stimulus vectors in the energy
+    /// measurement.
+    pub const STIMULUS_LEN: usize = 1024;
+    /// Seed of the deterministic stimulus stream.
+    pub const STIMULUS_SEED: u64 = 0xDAC18 ^ 0x5EED;
+
+    /// Virtex-7 calibrated delay and energy models.
     #[must_use]
     pub fn virtex7() -> Self {
         Characterizer {
             delay: DelayModel::virtex7(),
             energy: EnergyModel::virtex7(),
-            stimulus_len: 1024,
-            stimulus_seed: 0xDAC18 ^ 0x5EED,
         }
     }
 
@@ -239,6 +241,21 @@ impl Characterizer {
     pub fn characterize(&self, netlist: &Netlist) -> Result<NetlistCost, FabricError> {
         self.characterize_timed(netlist, &CompiledNetlist::compile(netlist))
             .map(|(cost, _)| cost)
+    }
+
+    /// [`Characterizer::characterize`] plus the full STA report (the
+    /// worst output and its arrival times), for reports that name the
+    /// critical path. STA still runs once.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Characterizer::characterize`].
+    pub fn characterize_with_timing(
+        &self,
+        netlist: &Netlist,
+    ) -> Result<(NetlistCost, TimingReport), FabricError> {
+        let (cost, timing, _) = self.run(netlist, &CompiledNetlist::compile(netlist))?;
+        Ok((cost, timing))
     }
 
     /// [`Characterizer::characterize`] over an already-compiled
@@ -260,11 +277,20 @@ impl Characterizer {
         netlist: &Netlist,
         prog: &CompiledNetlist,
     ) -> Result<(NetlistCost, CharTimings), FabricError> {
+        let (cost, _, timings) = self.run(netlist, prog)?;
+        Ok((cost, timings))
+    }
+
+    fn run(
+        &self,
+        netlist: &Netlist,
+        prog: &CompiledNetlist,
+    ) -> Result<(NetlistCost, TimingReport, CharTimings), FabricError> {
         let area = AreaReport::of(netlist);
         let t0 = Instant::now();
         let timing = analyze(netlist, &self.delay);
         let t1 = Instant::now();
-        let stim = PackedStimulus::uniform(netlist, self.stimulus_len, self.stimulus_seed);
+        let stim = PackedStimulus::uniform(netlist, Self::STIMULUS_LEN, Self::STIMULUS_SEED);
         let power = measure_packed(netlist, prog, &self.energy, timing.critical_path_ns, &stim)?;
         let t2 = Instant::now();
         let cost = NetlistCost {
@@ -277,7 +303,7 @@ impl Characterizer {
             sta: t1 - t0,
             energy: t2 - t1,
         };
-        Ok((cost, timings))
+        Ok((cost, timing, timings))
     }
 }
 
@@ -362,12 +388,14 @@ mod tests {
         let (o6, _) = b.lut2(Init::AND2, a[0], a[1]);
         b.output("y", o6);
         let nl = b.finish().unwrap();
-        let cost = Characterizer::virtex7().characterize(&nl).unwrap();
+        let ch = Characterizer::virtex7();
+        let cost = ch.characterize(&nl).unwrap();
         assert_eq!(cost.area, AreaReport::of(&nl));
-        assert_eq!(
-            cost.critical_path_ns,
-            analyze(&nl, &DelayModel::virtex7()).critical_path_ns
-        );
+        let timing = analyze(&nl, &DelayModel::virtex7());
+        assert_eq!(cost.critical_path_ns, timing.critical_path_ns);
+        let (with_timing, report) = ch.characterize_with_timing(&nl).unwrap();
+        assert_eq!(with_timing, cost);
+        assert_eq!(report.to_string(), timing.to_string());
     }
 
     #[test]

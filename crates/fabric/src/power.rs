@@ -18,6 +18,11 @@
 //! `exhaustive_wide` gives `ErrorStats`. [`measure_reference`] is the
 //! scalar single-step ground truth that property tests and the CI
 //! bench gate compare against.
+//!
+//! Production numbers come from one place,
+//! [`crate::cost::Characterizer`]: it runs STA once, hands the critical
+//! path to [`measure_packed`], and drives every netlist with the same
+//! fixed stimulus, so every front end reports one EDP per design.
 
 use crate::compile::{CompiledNetlist, CompiledSim, SWEEP_WORDS};
 use crate::netlist::Driver;
@@ -70,8 +75,8 @@ pub struct EnergyReport {
 /// A stimulus sequence packed into lane words, ready for
 /// [`CompiledSim::load_packed`]: row `k` is combined input bit `k`
 /// (bus 0 in the low positions), and step `l` lives in bit `l % 64` of
-/// word `l / 64`. Packing happens once per measurement instead of a
-/// `Vec<Vec<u64>>` transpose per 64-step batch.
+/// word `l / 64`. The words are drawn straight into this layout, never
+/// transposed from step-major vectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedStimulus {
     bits: Vec<Vec<u64>>,
@@ -80,47 +85,9 @@ pub struct PackedStimulus {
 }
 
 impl PackedStimulus {
-    /// Packs step-major stimulus vectors (one word per input bus per
-    /// step, as in [`Netlist::eval`]) into lane words.
-    ///
-    /// # Errors
-    ///
-    /// [`FabricError::InputArity`] if any vector has the wrong number
-    /// of buses.
-    pub fn pack(netlist: &Netlist, stimulus: &[Vec<u64>]) -> Result<Self, FabricError> {
-        let bus_widths: Vec<usize> = netlist.input_buses().iter().map(|(_, b)| b.len()).collect();
-        for v in stimulus {
-            if v.len() != bus_widths.len() {
-                return Err(FabricError::InputArity {
-                    expected: bus_widths.len(),
-                    got: v.len(),
-                });
-            }
-        }
-        let total_bits: usize = bus_widths.iter().sum();
-        let words = stimulus.len().div_ceil(64);
-        let mut bits = vec![vec![0u64; words]; total_bits];
-        for (step, v) in stimulus.iter().enumerate() {
-            let (w, sh) = (step / 64, step % 64);
-            let mut k = 0usize;
-            for (bus, &val) in v.iter().enumerate() {
-                for bit in 0..bus_widths[bus] {
-                    bits[k][w] |= ((val >> bit) & 1) << sh;
-                    k += 1;
-                }
-            }
-        }
-        Ok(PackedStimulus {
-            bits,
-            steps: stimulus.len(),
-            bus_widths,
-        })
-    }
-
-    /// `n` uniform-random steps packed directly into lane words —
-    /// bit-identical to `pack(netlist, &uniform_stimulus(netlist, n,
-    /// seed))` (same SplitMix64 draw sequence) without materializing
-    /// the step-major vectors.
+    /// `n` uniform-random steps packed directly into lane words: the
+    /// same SplitMix64 draw sequence as [`uniform_stimulus`], without
+    /// materializing the step-major vectors.
     #[must_use]
     pub fn uniform(netlist: &Netlist, n: usize, seed: u64) -> Self {
         let bus_widths: Vec<usize> = netlist.input_buses().iter().map(|(_, b)| b.len()).collect();
@@ -276,49 +243,6 @@ fn finish_report(total: f64, steps: usize, critical_path_ns: f64) -> EnergyRepor
     }
 }
 
-/// Measures the average switching energy of `netlist` over a stimulus
-/// sequence and combines it with STA delay into an EDP.
-///
-/// `stimulus` yields one input-vector per step (one word per input bus,
-/// as in [`Netlist::eval`]); energy is accumulated over each consecutive
-/// pair of vectors.
-///
-/// # Errors
-///
-/// Returns [`FabricError::InputArity`] if a stimulus vector has the
-/// wrong number of buses, and propagates simulation errors.
-///
-/// # Examples
-///
-/// ```
-/// use axmul_fabric::{Init, NetlistBuilder};
-/// use axmul_fabric::power::{measure, uniform_stimulus, EnergyModel};
-/// use axmul_fabric::timing::DelayModel;
-///
-/// let mut b = NetlistBuilder::new("x");
-/// let a = b.inputs("a", 4);
-/// let c = b.inputs("b", 4);
-/// let (o6, _) = b.lut2(Init::XOR2, a[0], c[0]);
-/// b.output("y", o6);
-/// let nl = b.finish()?;
-/// let stim = uniform_stimulus(&nl, 1000, 7);
-/// let report = measure(&nl, &EnergyModel::virtex7(), &DelayModel::virtex7(), &stim)?;
-/// assert!(report.energy_per_op > 0.0);
-/// assert!(report.edp > 0.0);
-/// # Ok::<(), axmul_fabric::FabricError>(())
-/// ```
-pub fn measure(
-    netlist: &Netlist,
-    energy: &EnergyModel,
-    delay: &DelayModel,
-    stimulus: &[Vec<u64>],
-) -> Result<EnergyReport, FabricError> {
-    let stim = PackedStimulus::pack(netlist, stimulus)?;
-    let critical_path_ns = analyze(netlist, delay).critical_path_ns;
-    let prog = CompiledNetlist::compile(netlist);
-    measure_packed(netlist, &prog, energy, critical_path_ns, &stim)
-}
-
 /// The wide-lane measurement core: evaluates the packed stimulus
 /// `64 * SWEEP_WORDS` consecutive steps per pass, accumulates exact
 /// integer toggle counts per distinct value slot, and applies the float
@@ -368,7 +292,8 @@ pub fn measure_packed(
 ///
 /// # Errors
 ///
-/// Same as [`measure`].
+/// [`FabricError::InputArity`] if a stimulus vector has the wrong
+/// number of buses.
 pub fn measure_reference(
     netlist: &Netlist,
     energy: &EnergyModel,
@@ -456,11 +381,21 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// [`measure_packed`] with the STA the characterizer would feed it.
+    fn packed(nl: &Netlist, stim: &PackedStimulus) -> EnergyReport {
+        let critical_path_ns = analyze(nl, &DelayModel::virtex7()).critical_path_ns;
+        let prog = CompiledNetlist::compile(nl);
+        measure_packed(nl, &prog, &EnergyModel::virtex7(), critical_path_ns, stim).unwrap()
+    }
+
+    fn reference(nl: &Netlist, stim: &[Vec<u64>]) -> EnergyReport {
+        measure_reference(nl, &EnergyModel::virtex7(), &DelayModel::virtex7(), stim).unwrap()
+    }
+
     #[test]
     fn constant_stimulus_burns_nothing() {
         let nl = xor_netlist();
-        let stim = vec![vec![1, 0]; 100];
-        let r = measure(&nl, &EnergyModel::virtex7(), &DelayModel::virtex7(), &stim).unwrap();
+        let r = reference(&nl, &vec![vec![1, 0]; 100]);
         assert_eq!(r.energy_per_op, 0.0);
     }
 
@@ -468,41 +403,38 @@ mod tests {
     fn toggling_stimulus_burns_energy() {
         let nl = xor_netlist();
         let stim: Vec<Vec<u64>> = (0..100).map(|i| vec![i & 1, 0]).collect();
-        let r = measure(&nl, &EnergyModel::virtex7(), &DelayModel::virtex7(), &stim).unwrap();
+        let r = reference(&nl, &stim);
         assert!(r.energy_per_op > 0.0);
         assert!((r.edp - r.energy_per_op * r.critical_path_ns).abs() < 1e-12);
     }
 
     #[test]
     fn batch_boundary_toggles_are_counted() {
-        // 65 steps crosses the first 64-lane word; alternate every step
-        // so the boundary transition (step 63 -> 64) matters.
+        // 65 steps crosses the first 64-lane word; `a` alternates every
+        // step (set on odd steps) so the boundary transition
+        // (step 63 -> 64) matters.
         let nl = xor_netlist();
-        let stim: Vec<Vec<u64>> = (0..65).map(|i| vec![i & 1, 0]).collect();
-        let r = measure(&nl, &EnergyModel::virtex7(), &DelayModel::virtex7(), &stim).unwrap();
+        let stim = PackedStimulus {
+            bits: vec![vec![0xAAAA_AAAA_AAAA_AAAA, 0], vec![0, 0]],
+            steps: 65,
+            bus_widths: vec![1, 1],
+        };
+        let r = packed(&nl, &stim);
         assert_eq!(r.transitions, 64);
         // Every transition toggles input + output: energy identical each
         // step, so per-op energy equals the single-step energy exactly.
-        let two = measure(
-            &nl,
-            &EnergyModel::virtex7(),
-            &DelayModel::virtex7(),
-            &stim[..2],
-        )
-        .unwrap();
+        let two = reference(&nl, &[vec![0, 0], vec![1, 0]]);
         assert!((r.energy_per_op - two.energy_per_op).abs() < 1e-9);
     }
 
     #[test]
     fn wide_path_matches_scalar_reference_bitwise() {
-        let energy = EnergyModel::virtex7();
-        let delay = DelayModel::virtex7();
         for nl in [xor_netlist(), adder_netlist()] {
             // Lengths straddle word (64) and pass (256) boundaries.
-            for n in [1usize, 2, 63, 64, 65, 255, 256, 257, 1000] {
-                let stim = uniform_stimulus(&nl, n, 0xF00D + n as u64);
-                let fast = measure(&nl, &energy, &delay, &stim).unwrap();
-                let slow = measure_reference(&nl, &energy, &delay, &stim).unwrap();
+            for n in [0usize, 1, 2, 63, 64, 65, 255, 256, 257, 1000] {
+                let seed = 0xF00D + n as u64;
+                let fast = packed(&nl, &PackedStimulus::uniform(&nl, n, seed));
+                let slow = reference(&nl, &uniform_stimulus(&nl, n, seed));
                 assert_eq!(
                     fast.energy_per_op.to_bits(),
                     slow.energy_per_op.to_bits(),
@@ -534,17 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_uniform_matches_packed_stepwise() {
-        for nl in [xor_netlist(), adder_netlist()] {
-            for n in [0usize, 1, 64, 65, 300] {
-                let direct = PackedStimulus::uniform(&nl, n, 0x5EED);
-                let packed = PackedStimulus::pack(&nl, &uniform_stimulus(&nl, n, 0x5EED)).unwrap();
-                assert_eq!(direct, packed, "{} n={n}", nl.name());
-            }
-        }
-    }
-
-    #[test]
     fn uniform_stimulus_is_deterministic_and_masked() {
         let nl = xor_netlist();
         let s1 = uniform_stimulus(&nl, 50, 42);
@@ -559,11 +480,12 @@ mod tests {
     fn wrong_arity_rejected() {
         let nl = xor_netlist();
         let stim = vec![vec![1]];
-        assert!(measure(&nl, &EnergyModel::virtex7(), &DelayModel::virtex7(), &stim).is_err());
+        let energy = EnergyModel::virtex7();
+        assert!(measure_reference(&nl, &energy, &DelayModel::virtex7(), &stim).is_err());
         // A packed stimulus from a different input shape is rejected too.
         let other = adder_netlist();
         let packed = PackedStimulus::uniform(&other, 16, 1);
         let prog = CompiledNetlist::compile(&nl);
-        assert!(measure_packed(&nl, &prog, &EnergyModel::virtex7(), 1.0, &packed).is_err());
+        assert!(measure_packed(&nl, &prog, &energy, 1.0, &packed).is_err());
     }
 }

@@ -7,9 +7,7 @@
 //! ```
 
 use approx_multipliers::core::structural::{approx_4x4_netlist, verify_table3, TABLE3};
-use approx_multipliers::fabric::area::AreaReport;
-use approx_multipliers::fabric::power::{measure, uniform_stimulus, EnergyModel};
-use approx_multipliers::fabric::timing::{analyze, DelayModel};
+use approx_multipliers::fabric::cost::Characterizer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Table 3 of the paper, re-derived from the logic equations:\n");
@@ -32,8 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let nl = approx_4x4_netlist();
-    println!("\nnetlist `{}`: {}", nl.name(), AreaReport::of(&nl));
-    println!("{}", analyze(&nl, &DelayModel::virtex7()));
+    let (cost, timing) = Characterizer::virtex7().characterize_with_timing(&nl)?;
+    println!("\nnetlist `{}`: {}", nl.name(), cost.area);
+    println!("{timing}");
 
     // Simulate a few products straight off the gates.
     for (a, b) in [(13u64, 13u64), (15, 15), (7, 6), (6, 7)] {
@@ -42,12 +41,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {a:>2} x {b:>2} = {p:>3} (exact {:>3}){marker}", a * b);
     }
 
-    // Dynamic-energy proxy under uniform random stimulus.
-    let stim = uniform_stimulus(&nl, 5000, 7);
-    let e = measure(&nl, &EnergyModel::virtex7(), &DelayModel::virtex7(), &stim)?;
+    // Dynamic-energy proxy under the characterizer's uniform random
+    // stimulus, the one every front end shares.
     println!(
-        "\nenergy proxy: {:.3} units/op over {} transitions, EDP {:.3}",
-        e.energy_per_op, e.transitions, e.edp
+        "\nenergy proxy: {:.3} units/op over {} vectors, EDP {:.3}",
+        cost.energy_per_op,
+        Characterizer::STIMULUS_LEN,
+        cost.edp
     );
     Ok(())
 }

@@ -8,7 +8,7 @@ use approx_multipliers::core::structural::compose_netlist;
 use approx_multipliers::core::{Exact, Multiplier};
 use approx_multipliers::fabric::area::AreaReport;
 use approx_multipliers::fabric::compile::{CompiledNetlist, CompiledSim};
-use approx_multipliers::fabric::power::{measure, uniform_stimulus, EnergyModel};
+use approx_multipliers::fabric::cost::Characterizer;
 use approx_multipliers::fabric::timing::{analyze, DelayModel};
 use approx_multipliers::metrics::{ErrorPmf, ErrorStats};
 use approx_multipliers::susan::{
@@ -66,9 +66,12 @@ fn fabric_services_compose() {
 
     let t = analyze(&nl, &DelayModel::virtex7());
     assert!(t.critical_path_ns > 0.0);
-    let stim = uniform_stimulus(&nl, 500, 1);
-    let e = measure(&nl, &EnergyModel::virtex7(), &DelayModel::virtex7(), &stim).expect("measures");
-    assert!(e.edp > 0.0);
+    let cost = Characterizer::virtex7()
+        .characterize(&nl)
+        .expect("measures");
+    assert_eq!(cost.area, area);
+    assert_eq!(cost.critical_path_ns, t.critical_path_ns);
+    assert!(cost.edp > 0.0);
 }
 
 /// JPEG + RS together: compress an image, protect the bitstream,

@@ -328,16 +328,18 @@ pub(crate) fn lut_output(solver: &mut Solver, table: u64, pins: &[Sig; 6]) -> Si
 
     let out = solver.new_var();
     // On-set cubes imply the output; off-set cubes imply its negation.
-    for cube in isop(rtab, rtab, k) {
-        let mut clause = vec![out];
-        push_cube_negation(&mut clause, cube, &vars);
-        solver.add_clause(&clause);
-    }
     let offset = !rtab & mask;
-    for cube in isop(offset, offset, k) {
-        let mut clause = vec![!out];
-        push_cube_negation(&mut clause, cube, &vars);
-        solver.add_clause(&clause);
+    let mut cubes = Vec::new();
+    let mut clause = Vec::with_capacity(k + 1);
+    for (head, table) in [(out, rtab), (!out, offset)] {
+        cubes.clear();
+        isop(table, table, k, &mut cubes);
+        for &cube in &cubes {
+            clause.clear();
+            clause.push(head);
+            push_cube_negation(&mut clause, cube, &vars);
+            solver.add_clause(&clause);
+        }
     }
     solver.cache_gate(key, out);
     Sig::Lit(out)
@@ -361,44 +363,45 @@ fn push_cube_negation(clause: &mut Vec<Lit>, cube: Cube, vars: &[u32]) {
 }
 
 /// Minato–Morreale irredundant SOP of an incompletely specified
-/// function: covers at least `l`, at most `u` (`l ⊆ u`), over `k`
-/// variables of a ≤64-bit truth table.
-fn isop(l: u64, u: u64, k: usize) -> Vec<Cube> {
-    debug_assert_eq!(l & !u, 0);
-    if l == 0 {
-        return Vec::new();
-    }
+/// function: appends to `out` cubes that cover at least `l` and at most
+/// `u` (`l ⊆ u`, no bits above the table), over `k` variables of a
+/// ≤64-bit truth table, and returns the table they cover. The top variable's cofactors are the
+/// table's halves, and each cover comes back from the recursion.
+fn isop(l: u64, u: u64, k: usize, out: &mut Vec<Cube>) -> u64 {
     let full: u64 = if k == 6 {
         u64::MAX
     } else {
         (1u64 << (1 << k)) - 1
     };
+    debug_assert_eq!(l & !u, 0);
+    debug_assert_eq!(u & !full, 0);
+    if l == 0 {
+        return 0;
+    }
     if u == full {
-        return vec![Cube::default()];
+        out.push(Cube::default());
+        return full;
     }
     debug_assert!(k > 0, "constant-1 lower bound with u != full");
     let j = k - 1;
-    let (l0, l1) = (cofactor(l, k, j, false), cofactor(l, k, j, true));
-    let (u0, u1) = (cofactor(u, k, j, false), cofactor(u, k, j, true));
+    let half = 1u32 << j;
+    let low = (1u64 << half) - 1;
+    let (l0, l1) = (l & low, l >> half);
+    let (u0, u1) = (u & low, u >> half);
 
-    let c0 = isop(l0 & !u1, u0, j);
-    let c1 = isop(l1 & !u0, u1, j);
-    let cov0 = cover_table(&c0, j);
-    let cov1 = cover_table(&c1, j);
-    let l_star = (l0 & !cov0) | (l1 & !cov1);
-    let c_star = isop(l_star, u0 & u1, j);
-
-    let mut out = Vec::with_capacity(c0.len() + c1.len() + c_star.len());
-    for mut c in c0 {
+    let start = out.len();
+    let cov0 = isop(l0 & !u1, u0, j, out);
+    for c in &mut out[start..] {
         c.neg |= 1 << j;
-        out.push(c);
     }
-    for mut c in c1 {
+    let start = out.len();
+    let cov1 = isop(l1 & !u0, u1, j, out);
+    for c in &mut out[start..] {
         c.pos |= 1 << j;
-        out.push(c);
     }
-    out.extend(c_star);
-    out
+    let l_star = (l0 & !cov0) | (l1 & !cov1);
+    let cov_star = isop(l_star, u0 & u1, j, out);
+    (cov0 | cov_star) | (cov1 | cov_star) << half
 }
 
 /// Cofactor of a `k`-variable table with respect to variable `j`,
@@ -416,39 +419,38 @@ fn cofactor(t: u64, k: usize, j: usize, v: bool) -> u64 {
     out
 }
 
-/// Union of the cubes' truth tables over `k` variables.
-fn cover_table(cubes: &[Cube], k: usize) -> u64 {
-    let mut t = 0u64;
-    for m in 0u64..(1 << k) {
-        for c in cubes {
-            let m8 = m as u8;
-            if m8 & c.pos == c.pos && m8 & c.neg == 0 {
-                t |= 1 << m;
-                break;
-            }
-        }
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solver::SolveResult;
     use axmul_fabric::{Init, NetlistBuilder};
 
+    /// Union of the cubes' truth tables over `k` variables.
+    fn cover_table(cubes: &[Cube], k: usize) -> u64 {
+        let mut t = 0u64;
+        for m in 0u64..(1 << k) {
+            for c in cubes {
+                let m8 = m as u8;
+                if m8 & c.pos == c.pos && m8 & c.neg == 0 {
+                    t |= 1 << m;
+                    break;
+                }
+            }
+        }
+        t
+    }
+
     fn check_isop(table: u64, k: usize) {
-        let cubes = isop(table, table, k);
         let mask: u64 = if k == 6 {
             u64::MAX
         } else {
             (1u64 << (1 << k)) - 1
         };
-        assert_eq!(
-            cover_table(&cubes, k) & mask,
-            table & mask,
-            "k={k} t={table:x}"
-        );
+        let table = table & mask;
+        let mut cubes = Vec::new();
+        let cover = isop(table, table, k, &mut cubes);
+        assert_eq!(cover, table, "k={k} t={table:x}");
+        assert_eq!(cover_table(&cubes, k), table, "k={k} t={table:x}");
     }
 
     #[test]

@@ -45,8 +45,12 @@
 //!    the integers.
 //!
 //! Any failed step returns `None`, and [`crate::prove_wce`] runs the
-//! netlist CEGAR instead. Every model the table-level search returns is
-//! still replayed through `Netlist::eval` on the full design.
+//! netlist CEGAR instead. [`encode_error`] returns the error as one
+//! signed two's-complement vector, the weighted leaf terms less the
+//! weighted carry-drop terms, and the ascent asks `> m` and `< −m` of
+//! it exactly as it does of the netlist miter's `P − E`. Every model
+//! the table-level search returns is still replayed through
+//! `Netlist::eval` on the full design.
 
 use axmul_fabric::{Cell, Driver, NetId, Netlist};
 
@@ -562,8 +566,9 @@ fn shifted(bits: &[Sig], shift: usize) -> Vec<Sig> {
 /// Named input buses, as in [`crate::Encoded::inputs`].
 pub(crate) type InputBuses = Vec<(String, Vec<Sig>)>;
 
-/// Encodes `|P − A·B|` of a decomposed design into `solver`: the input
-/// buses and the magnitude.
+/// Encodes `P − A·B` of a decomposed design into `solver`: the input
+/// buses and the signed difference (two's complement, sign bit last,
+/// as [`gates::signed_diff`] builds it).
 pub(crate) fn encode_error(
     solver: &mut Solver,
     netlist: &Netlist,
@@ -627,7 +632,7 @@ pub(crate) fn encode_error(
         }
     }
 
-    // |U + L⁺ − (V + L⁻)|, L split by sign into two constants.
+    // U + L⁺ − (V + L⁻), L split by sign into two constants.
     let constant = |v: i128| -> Vec<Sig> {
         let v = v.unsigned_abs();
         (0..128 - v.leading_zeros())
@@ -643,7 +648,7 @@ pub(crate) fn encode_error(
     drops.push((0, constant(low_neg)));
     let up = weighted_sum(solver, &errors);
     let down = weighted_sum(solver, &drops);
-    Ok((inputs, gates::abs_diff(solver, &up, &down)))
+    Ok((inputs, gates::signed_diff(solver, &up, &down)))
 }
 
 /// `Σ 2^shift · bits`, trailing constant zeros trimmed.

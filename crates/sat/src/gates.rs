@@ -9,7 +9,8 @@
 //! them reduces to `false` before the search even starts. The LUT
 //! encoder builds parity, AND and majority tables through [`xor_many`],
 //! [`and`] and [`maj`], so a LUT and gate-level logic of the same
-//! function collapse too.
+//! function collapse too; [`maj`] hashes self-dually, so a complemented
+//! majority meets the negation of the plain one.
 //!
 //! The mux builder emits the two redundant consensus clauses
 //! `(¬t ∨ ¬e ∨ z)` and `(t ∨ e ∨ ¬z)` in addition to the four defining
@@ -244,7 +245,10 @@ pub fn mux(s: &mut Solver, sel: Sig, t: Sig, e: Sig) -> Sig {
     Sig::Lit(if out_neg { !z } else { z })
 }
 
-/// Majority of three (the full-adder carry), with folding and hashing.
+/// Majority of three (the full-adder carry), with folding and
+/// self-dual hashing: `maj(¬a, ¬b, ¬c) = ¬maj(a, b, c)`, so operands
+/// with two or more negations are flipped and the output negated, and
+/// both forms share one variable.
 pub fn maj(s: &mut Solver, a: Sig, b: Sig, c: Sig) -> Sig {
     // Fold constants: maj(a, b, 0) = a∧b, maj(a, b, 1) = a∨b.
     match (a.as_const(), b.as_const(), c.as_const()) {
@@ -275,6 +279,10 @@ pub fn maj(s: &mut Solver, a: Sig, b: Sig, c: Sig) -> Sig {
         return a;
     }
     let mut ls = [a.lit(s), b.lit(s), c.lit(s)];
+    let out_neg = ls.iter().filter(|l| l.is_neg()).count() >= 2;
+    if out_neg {
+        ls = ls.map(|l| !l);
+    }
     ls.sort();
     let key = GateKey::Gate(
         KIND_MAJ,
@@ -299,7 +307,7 @@ pub fn maj(s: &mut Solver, a: Sig, b: Sig, c: Sig) -> Sig {
             z
         }
     };
-    Sig::Lit(z)
+    Sig::Lit(if out_neg { !z } else { z })
 }
 
 /// Full adder: `(sum, carry)` of `a + b + cin`.
@@ -355,15 +363,11 @@ pub fn exact_product(s: &mut Solver, a: &[Sig], b: &[Sig]) -> Vec<Sig> {
     acc
 }
 
-/// `|p − e|` of two little-endian unsigned vectors, `max(w) + 1` bits.
-///
-/// Computes the two's-complement difference `p + ¬e + 1` at width
-/// `w + 1` (so the sign is explicit), then conditionally negates:
-/// `abs = (d ⊕ sign) + sign`.
-pub fn abs_diff(s: &mut Solver, p: &[Sig], e: &[Sig]) -> Vec<Sig> {
+/// `p − e` of two little-endian unsigned vectors as a two's-complement
+/// vector of `max(w) + 1` bits, sign bit last: `p + ¬e + 1` with both
+/// operands zero-extended to `w + 1` bits before complementing.
+pub fn signed_diff(s: &mut Solver, p: &[Sig], e: &[Sig]) -> Vec<Sig> {
     let w = p.len().max(e.len());
-    // d = p + ~e + 1 over w+1 bits (operands zero-extended to w+1
-    // before complementing, so ~e's extension bit is 1).
     let mut carry = Sig::TRUE;
     let mut d = Vec::with_capacity(w + 1);
     for i in 0..=w {
@@ -373,17 +377,43 @@ pub fn abs_diff(s: &mut Solver, p: &[Sig], e: &[Sig]) -> Vec<Sig> {
         d.push(sum);
         carry = c;
     }
-    let sign = d[w];
-    // abs = (d ^ sign) + sign, ripple increment.
-    let mut out = Vec::with_capacity(w + 1);
-    let mut inc = sign;
-    for &di in d.iter().take(w + 1) {
-        let flipped = xor(s, di, sign);
-        let sum = xor(s, flipped, inc);
-        inc = and(s, flipped, inc);
-        out.push(sum);
+    d
+}
+
+/// The sign of a signed difference that a query asks about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// `d > m`.
+    Positive,
+    /// `d < −m`.
+    Negative,
+}
+
+/// `d > m` or `d < −m` (by `side`) for a two's-complement vector `d`
+/// from [`signed_diff`], as one constant comparator on `d`'s bit
+/// pattern. With `w` magnitude bits below the sign, a negative `d` is
+/// `low − 2^w`, so `d < −m` is `sign ∧ low ≤ 2^w − 1 − m`.
+pub fn exceeds(s: &mut Solver, d: &[Sig], m: u128, side: Side) -> Sig {
+    let Some((&sign, low)) = d.split_last() else {
+        return Sig::FALSE;
+    };
+    match side {
+        Side::Positive => {
+            let gt = gt_const(s, low, m);
+            and(s, !sign, gt)
+        }
+        Side::Negative => {
+            let all_ones = match low.len() {
+                w @ 0..128 => (1u128 << w) - 1,
+                _ => u128::MAX,
+            };
+            if m > all_ones {
+                return Sig::FALSE;
+            }
+            let gt = gt_const(s, low, all_ones - m);
+            and(s, sign, !gt)
+        }
     }
-    out
 }
 
 /// `x > k` for a little-endian vector against a constant.
@@ -500,7 +530,42 @@ mod tests {
     }
 
     #[test]
-    fn exact_product_and_abs_diff_decode_correctly() {
+    fn majority_is_hashed_self_dual() {
+        let mut s = Solver::new();
+        let [a, b, c] = [(); 3].map(|()| Sig::Lit(s.new_var()));
+        let base = maj(&mut s, a, b, c);
+        let n = s.num_vars();
+        assert_eq!(maj(&mut s, !a, !b, !c), !base);
+        assert_eq!(maj(&mut s, !c, !a, !b), !base);
+        let mixed = maj(&mut s, a, !b, c);
+        assert_eq!(s.num_vars(), n + 1, "one negation is a new function");
+        assert_eq!(maj(&mut s, !a, b, !c), !mixed);
+        assert_eq!(maj(&mut s, !c, b, !a), !mixed);
+        assert_eq!(s.num_vars(), n + 1, "complemented forms share a variable");
+        // The flipped gate still computes the majority.
+        for bits in 0u32..8 {
+            let fix: Vec<Lit> = [a, b, c]
+                .iter()
+                .enumerate()
+                .map(|(i, x)| {
+                    let l = x.lit(&s);
+                    if bits >> i & 1 == 1 {
+                        l
+                    } else {
+                        !l
+                    }
+                })
+                .collect();
+            let m = model_for(&mut s, &fix);
+            let (va, vb, vc) = (bits & 1 == 1, bits & 2 == 2, bits & 4 == 4);
+            let major = |x: bool, y: bool, z: bool| (x & y) | (x & z) | (y & z);
+            assert_eq!(maj(&mut s, !a, !b, !c).value(&m), !major(va, vb, vc));
+            assert_eq!(maj(&mut s, !a, b, !c).value(&m), major(!va, vb, !vc));
+        }
+    }
+
+    #[test]
+    fn exact_product_decodes_correctly() {
         // 4x4: pin operands via assumptions, read the product back.
         let mut s = Solver::new();
         let a: Vec<Sig> = (0..4).map(|_| Sig::Lit(s.new_var())).collect();
@@ -522,33 +587,42 @@ mod tests {
     }
 
     #[test]
-    fn abs_diff_and_comparator_agree_with_integers() {
+    fn side_queries_are_sat_exactly_beyond_the_bound() {
+        // Every 4-bit p and e, every bound k: the positive query is SAT
+        // exactly when p − e > k, the negative one when e − p > k.
         let mut s = Solver::new();
-        let p: Vec<Sig> = (0..5).map(|_| Sig::Lit(s.new_var())).collect();
-        let e: Vec<Sig> = (0..5).map(|_| Sig::Lit(s.new_var())).collect();
-        let d = abs_diff(&mut s, &p, &e);
-        let g = gt_const(&mut s, &d, 7);
-        for (pv, ev) in [
-            (0u128, 0u128),
-            (31, 0),
-            (0, 31),
-            (12, 19),
-            (19, 12),
-            (20, 13),
-        ] {
-            let mut assumps = Vec::new();
-            for (i, sig) in p.iter().enumerate() {
-                let l = sig.lit(&s);
-                assumps.push(if (pv >> i) & 1 == 1 { l } else { !l });
+        let p: Vec<Sig> = (0..4).map(|_| Sig::Lit(s.new_var())).collect();
+        let e: Vec<Sig> = (0..4).map(|_| Sig::Lit(s.new_var())).collect();
+        let d = signed_diff(&mut s, &p, &e);
+        assert_eq!(d.len(), 5);
+        let queries: Vec<(u128, Side, Sig)> = (0..=16u128)
+            .flat_map(|k| [Side::Positive, Side::Negative].map(|side| (k, side)))
+            .map(|(k, side)| (k, side, exceeds(&mut s, &d, k, side)))
+            .collect();
+        for pv in 0u128..16 {
+            for ev in 0u128..16 {
+                let mut operands = Vec::new();
+                for (bits, v) in [(&p, pv), (&e, ev)] {
+                    for (i, sig) in bits.iter().enumerate() {
+                        let l = sig.lit(&s);
+                        operands.push(if v >> i & 1 == 1 { l } else { !l });
+                    }
+                }
+                for &(k, side, query) in &queries {
+                    let expect = match side {
+                        Side::Positive => pv > ev && pv - ev > k,
+                        Side::Negative => ev > pv && ev - pv > k,
+                    };
+                    let sat = match query {
+                        Sig::Const(c) => c,
+                        Sig::Lit(l) => {
+                            let assumps = [operands.clone(), vec![l]].concat();
+                            matches!(s.solve(&assumps, 100_000), SolveResult::Sat(_))
+                        }
+                    };
+                    assert_eq!(sat, expect, "p={pv} e={ev} k={k} {side:?}");
+                }
             }
-            for (i, sig) in e.iter().enumerate() {
-                let l = sig.lit(&s);
-                assumps.push(if (ev >> i) & 1 == 1 { l } else { !l });
-            }
-            let m = model_for(&mut s, &assumps);
-            let expect = pv.abs_diff(ev);
-            assert_eq!(decode(&m, &d), expect, "|{pv}-{ev}|");
-            assert_eq!(g.value(&m), expect > 7);
         }
     }
 

@@ -19,17 +19,18 @@
 //!   propagation that matches absint's three-valued simulation, and
 //!   constants propagate at encode time throughout.
 //! * [`gates`] — constant-folding, hash-consed gate builders (and, xor,
-//!   an order- and polarity-canonical n-ary xor, mux, majority, adders,
-//!   comparators). Because LUT encodings share them, structurally
+//!   an order- and polarity-canonical n-ary xor, mux, a self-dual
+//!   majority, adders, a signed difference and its comparators). Because LUT encodings share them, structurally
 //!   different logic with the same parity, AND or majority function
 //!   collapses onto the same literals.
 //! * [`equiv`] — combinational equivalence via miters over shared
 //!   input variables, with counterexamples replayed through
 //!   `Netlist::eval` for independent confirmation and cube-and-conquer
 //!   case-splitting when a budget runs dry.
-//! * [`wce`] — exact worst-case-error proofs: `|approx − exact| > m`
-//!   comparator miters driven by a CEGAR ascent whose final UNSAT
-//!   answer *is* the certificate `wce = m`. A quad-composed design
+//! * [`wce`] — exact worst-case-error proofs: side queries
+//!   `approx − exact > m` and `approx − exact < −m` on one signed
+//!   difference, driven by a CEGAR ascent whose UNSAT answer on each
+//!   side *is* the certificate `wce = m`. A quad-composed design
 //!   whose product-block provenance verifies is proven over its leaf
 //!   error tables instead of a gate-level multiplier miter (the
 //!   private `compose` module).

@@ -1,24 +1,29 @@
 //! Exact worst-case-error proofs: `wce = max |approx(a,b) − a·b|`.
 //!
 //! The netlist and a CNF ripple shift-add exact reference share one
-//! set of input variables; `|P − E|` is built as a two's-complement
-//! difference plus conditional negation, and a comparator asks
-//! `|P − E| > m` for a candidate bound `m`.
+//! set of input variables, and the signed difference `D = P − E` is
+//! built once as a two's-complement vector. Each query asks one side
+//! of it against a candidate bound `m`: `D > m` (sign clear) or
+//! `D < −m` (sign set), each one constant comparator on `D`'s bits.
+//! No query builds `|D|`, so the solver never has to settle the sign
+//! before a magnitude bit can propagate.
 //!
 //! The search is a CEGAR-style *ascent* rather than a blind binary
 //! search: `m` is seeded by simulating deterministic corner/sample
 //! inputs (plus any caller hint, e.g. an absint witness) in one
 //! bit-parallel pass of the compiled simulator
-//! ([`CompiledNetlist::for_each_listed_pair`]), then each SAT answer to
-//! `|P − E| > m` is decoded and replayed through the scalar
-//! `Netlist::eval` to a concrete error `e > m`, which becomes the new
+//! ([`CompiledNetlist::for_each_listed_pair`]), then each SAT answer is
+//! decoded and replayed through the scalar `Netlist::eval` to a
+//! concrete error beyond `m` on the side asked, which becomes the new
 //! `m` together with its witness. The replay shares no code with the
 //! compiled engine, so the soundness self-check stays independent of
-//! the seeding. Only the final query — the UNSAT one
-//! that *proves* no input errs by more than `m` — pays the full
-//! refutation cost, and by then the solver has learned the instance.
-//! The result is the exact worst-case error with a witness input that
-//! achieves it, both independently confirmed by replay.
+//! the seeding. The ascent asks the current witness's side first; a
+//! side refuted at `m` is refuted at every larger `m`, so it is never
+//! asked again, and the certificate is one UNSAT answer per side.
+//! Only those answers pay the full refutation cost, and by then the
+//! solver has learned the instance. The result is the exact worst-case
+//! error with a witness input that achieves it, both independently
+//! confirmed by replay.
 //!
 //! When the design carries product-block provenance that checks out
 //! (see the private `compose` module), the same ascent runs over a CNF
@@ -33,7 +38,7 @@ use axmul_fabric::Netlist;
 
 use crate::compose;
 use crate::equiv::{multiplier_interface, solve_with_split, split_order, ProofOptions, ProofStats};
-use crate::gates::{self, Sig};
+use crate::gates::{self, Side, Sig};
 use crate::solver::Solver;
 use crate::SatError;
 
@@ -94,7 +99,7 @@ pub struct WceProof {
     pub witness: (u64, u64),
     /// How many SAT models raised the bound past its seed.
     pub ascent_steps: u32,
-    /// Search effort (the final UNSAT proof included, and the
+    /// Search effort (the UNSAT answer of each side included, and the
     /// cut-point proofs of a compositional proof).
     pub stats: ProofStats,
     /// The CNF the proof searched.
@@ -117,13 +122,11 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
     let (wa, wb) = multiplier_interface(netlist)?;
     let started = Instant::now();
 
-    let err_at = |a: u64, b: u64| -> Result<u128, SatError> {
+    let err_at = |a: u64, b: u64| -> Result<(u128, Side), SatError> {
         let out = netlist
             .eval(&[a, b])
             .map_err(|e| SatError::Replay(e.to_string()))?;
-        let p = out[0] as u128;
-        let e = (a as u128) * (b as u128);
-        Ok(p.abs_diff(e))
+        Ok(signed_error(u128::from(out[0]), a, b))
     };
 
     // Seed the lower bound from deterministic corners, the caller's
@@ -164,42 +167,47 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
     });
     let mut m: u128 = 0;
     let mut witness = (0u64, 0u64);
+    let mut side = Side::Positive;
     CompiledNetlist::compile(netlist)
         .for_each_listed_pair(corner_pairs.chain(hint).chain(samples), |a, b, out| {
-            let e = u128::from(out[0]).abs_diff(u128::from(a) * u128::from(b));
+            let (e, e_side) = signed_error(u128::from(out[0]), a, b);
             if e > m {
                 m = e;
                 witness = (a, b);
+                side = e_side;
             }
         })
         .map_err(|e| SatError::Replay(e.to_string()))?;
 
-    // Encode |P − E| once; comparators accrete per round.
+    // Encode D = P − E once; side comparators accrete per round.
     let decomposition = compose::decompose(netlist, &opts.proof)?;
     let mut solver = Solver::new();
     let before = solver.stats();
-    let (engine, effort, inputs, abs) = match &decomposition {
+    let (engine, effort, inputs, diff) = match &decomposition {
         Some(d) => {
-            let (inputs, abs) = compose::encode_error(&mut solver, netlist, d)?;
-            (WceEngine::Compositional, d.effort, inputs, abs)
+            let (inputs, diff) = compose::encode_error(&mut solver, netlist, d)?;
+            (WceEngine::Compositional, d.effort, inputs, diff)
         }
         None => {
             let enc = crate::encode::encode_netlist(&mut solver, netlist, None)?;
             let exact = gates::exact_product(&mut solver, &enc.inputs[0].1, &enc.inputs[1].1);
-            let abs = gates::abs_diff(&mut solver, &enc.outputs[0].1, &exact);
-            (WceEngine::Netlist, ProofStats::default(), enc.inputs, abs)
+            let diff = gates::signed_diff(&mut solver, &enc.outputs[0].1, &exact);
+            (WceEngine::Netlist, ProofStats::default(), enc.inputs, diff)
         }
     };
     let splits = split_order(&inputs);
 
+    // The witness's side first; once a side is refuted it stays closed.
+    let mut refuted_other_side = false;
     let mut ascent_steps = 0u32;
     loop {
-        let gt = gates::gt_const(&mut solver, &abs, m);
-        let model = match gt {
+        let query = gates::exceeds(&mut solver, &diff, m, side);
+        let model = match query {
             Sig::Const(false) => None,
             Sig::Const(true) => {
-                // |P − E| exceeds m for *every* input — possible only
-                // while m is below a structurally-forced error.
+                // D lies beyond m on this side for *every* input —
+                // possible only while m is below a structurally-forced
+                // error.
                 let mut assumps = Vec::new();
                 solve_with_split(&mut solver, &mut assumps, &splits, &opts.proof)?
             }
@@ -209,14 +217,22 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
             }
         };
         match model {
-            None => break,
+            None if refuted_other_side => break,
+            None => {
+                refuted_other_side = true;
+                side = match side {
+                    Side::Positive => Side::Negative,
+                    Side::Negative => Side::Positive,
+                };
+            }
             Some(model) => {
                 let a = gates::decode(&model, &inputs[0].1) as u64;
                 let b = gates::decode(&model, &inputs[1].1) as u64;
-                let e = err_at(a, b)?;
-                if e <= m {
+                let (e, e_side) = err_at(a, b)?;
+                if e <= m || e_side != side {
                     return Err(SatError::Replay(format!(
-                        "model ({a}, {b}) claims error > {m} but replays to {e}"
+                        "model ({a}, {b}) claims a {side:?} error beyond {m} \
+                         but replays to a {e_side:?} error of {e}"
                     )));
                 }
                 m = e;
@@ -244,12 +260,24 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
     })
 }
 
+/// `|p − a·b|` and its side: [`Side::Negative`] when `p < a·b`.
+fn signed_error(p: u128, a: u64, b: u64) -> (u128, Side) {
+    let e = u128::from(a) * u128::from(b);
+    let side = if p < e {
+        Side::Negative
+    } else {
+        Side::Positive
+    };
+    (p.abs_diff(e), side)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use axmul_baselines::{
         array_mult_netlist, kulkarni_netlist, pp_truncated_netlist, rehman_netlist,
     };
+    use axmul_fabric::{Init, NetlistBuilder};
 
     /// Exhaustive ground-truth worst-case error.
     fn exhaustive_wce(nl: &Netlist, wa: u32, wb: u32) -> (u128, (u64, u64)) {
@@ -296,6 +324,57 @@ mod tests {
             proof.stats.solves >= 1,
             "the UNSAT certificate is mandatory"
         );
+    }
+
+    /// `8·a + (a₀ ∧ b₀)` as a 4×4 "product": its error is `a·(8 − b)`
+    /// plus the exact LSB, positive for `b < 8` (at most 120, at
+    /// `(15, 0)`) and negative for `b > 8` (down to −104).
+    fn shifted_operand_netlist() -> Netlist {
+        let mut bld = NetlistBuilder::new("shifted_a");
+        let a = bld.inputs("a", 4);
+        let b = bld.inputs("b", 4);
+        let zero = bld.constant(false);
+        let (lsb, _) = bld.lut2(Init::AND2, a[0], b[0]);
+        let mut p = vec![lsb, zero, zero];
+        p.extend_from_slice(&a);
+        p.push(zero);
+        bld.output_bus("p", &p);
+        bld.finish().expect("well-formed")
+    }
+
+    #[test]
+    fn both_error_signs_prove_their_exhaustive_truth() {
+        // A worst error above the product, and a truncation whose error
+        // is never positive. Each side closes with one UNSAT answer.
+        for (nl, wa, wb) in [
+            (shifted_operand_netlist(), 4, 4),
+            (pp_truncated_netlist(6, 6, 4), 6, 6),
+        ] {
+            let (truth, _) = exhaustive_wce(&nl, wa, wb);
+            let proof = prove_wce(&nl, &WceOptions::default()).expect("provable");
+            assert_eq!(proof.wce, truth, "{}", nl.name());
+            let (a, b) = proof.witness;
+            let p = nl.eval(&[a, b]).expect("eval")[0] as u128;
+            assert_eq!(
+                (a as u128 * b as u128).abs_diff(p),
+                proof.wce,
+                "{}",
+                nl.name()
+            );
+            assert!(
+                proof.stats.solves <= u64::from(proof.ascent_steps) + 2,
+                "{}: {} solves for {} ascent steps",
+                nl.name(),
+                proof.stats.solves,
+                proof.ascent_steps
+            );
+        }
+        let (truth, at) = exhaustive_wce(&shifted_operand_netlist(), 4, 4);
+        assert_eq!((truth, at), (120, (15, 0)), "the worst error is positive");
+        let truncated = pp_truncated_netlist(6, 6, 4);
+        for (a, b) in (0..64u64).flat_map(|a| (0..64u64).map(move |b| (a, b))) {
+            assert!(truncated.eval(&[a, b]).expect("eval")[0] <= a * b);
+        }
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Compositional wce proofs agree with the exhaustive truth, with the
 //! netlist CEGAR, and with the proven 16×16 roster values, and a design
 //! whose product-block claims are wrong can never change a proven wce:
-//! every check it fails sends the proof to the netlist CEGAR.
+//! every check it fails sends the proof to the netlist CEGAR. The
+//! netlist CEGAR is checked against the exhaustive truth on its own
+//! too.
 
 use axmul_baselines::kulkarni_netlist;
 use axmul_core::behavioral::Summation;
 use axmul_core::structural::{
     approx_4x4_netlist, cc_netlist, combine_partial_products, TERNARY_INIT,
 };
-use axmul_dse::{CharCache, Config};
+use axmul_dse::{CharCache, Config, Leaf};
 use axmul_fabric::cost::Characterizer;
 use axmul_fabric::{Cell, Init, NetId, Netlist, NetlistBuilder};
 use axmul_sat::{prove_wce, WceEngine, WceOptions, WceProof};
@@ -328,4 +330,47 @@ fn faulty_leaves_under_honest_claims_prove_their_true_wce() {
 #[ignore = "full sweep; run in release with --ignored"]
 fn every_8x8_config_agrees_with_the_sweep() {
     check_against_sweep(&Config::enumerate(8));
+}
+
+/// A seeded draw of 64 8×8 configs without provenance, proven by the
+/// netlist CEGAR, against the exhaustive sweep (release: about 15 s).
+/// The draw keeps configs whose top quadrant is the approximate kernel
+/// or 3-bit truncation: with an exact, 1- or 2-bit-truncated top
+/// quadrant, one accurate-summation miter can take up to ≈30 s.
+#[test]
+#[ignore = "netlist CEGAR sweep; run in release with --ignored"]
+fn seeded_netlist_proofs_agree_with_the_sweep() {
+    let mut rng = StdRng::seed_from_u64(0x4E7_115);
+    let configs: Vec<Config> = std::iter::repeat_with(|| Config::random(8, &mut rng))
+        .filter(|cfg| match cfg {
+            Config::Quad { sub, .. } => matches!(
+                sub[3],
+                Config::Leaf(Leaf::Approx) | Config::Leaf(Leaf::Truncated(3))
+            ),
+            Config::Leaf(_) => false,
+        })
+        .take(64)
+        .collect();
+    assert!(
+        configs.iter().any(|c| c.key().starts_with("(a"))
+            && configs.iter().any(|c| c.key().starts_with("(c")),
+        "the draw must cover both summations"
+    );
+    let cache = CharCache::new(Characterizer::virtex7());
+    for cfg in &configs {
+        let swept = cache.characterize(cfg).expect("sweep").stats.max_error;
+        let proof = prove(&provenance_free(&cfg.assemble()));
+        assert_eq!(proof.engine, WceEngine::Netlist, "{}", cfg.key());
+        assert_eq!(
+            proof.wce,
+            u128::from(swept.unsigned_abs()),
+            "{}: proven wce differs from the sweep",
+            cfg.key()
+        );
+        assert!(
+            proof.stats.solves <= u64::from(proof.ascent_steps) + 2,
+            "{}: more than one UNSAT answer per side",
+            cfg.key()
+        );
+    }
 }

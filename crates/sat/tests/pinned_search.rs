@@ -11,6 +11,10 @@
 //! proven by the netlist CEGAR. Both CNFs share the LUT encoder, so a
 //! change to how a LUT table is encoded moves both sets of pins.
 //!
+//! Both engines ask the two signs of `P − A·B` separately (`D > m`, then
+//! `D < −m` once that side is refuted), never `|D| > m`, so every pin
+//! ends in one UNSAT answer per side: `solves` is `ascent_steps + 2`.
+//!
 //! The seeded pins run `prove_wce` with 1000 samples and a hint whose
 //! error ties the best seed's. Seeds are folded in a fixed order
 //! (corners × corners, the hint, the samples) with a strict `>`, so the
@@ -61,30 +65,30 @@ const NETLIST_PINS: [Pinned; 3] = [
         wce: 14450,
         witness: (255, 255),
         ascent_steps: 0,
-        solves: 1,
-        conflicts: 1420,
-        decisions: 1953,
-        propagations: 98_193,
+        solves: 2,
+        conflicts: 1289,
+        decisions: 1883,
+        propagations: 76743,
     },
     Pinned {
         name: "(c A T2 T1 T1)",
         wce: 8400,
         witness: (188, 219),
         ascent_steps: 3,
-        solves: 4,
-        conflicts: 1484,
-        decisions: 2066,
-        propagations: 112_528,
+        solves: 5,
+        conflicts: 1070,
+        decisions: 1665,
+        propagations: 77483,
     },
     Pinned {
         name: "(c T3 A T3 T1)",
         wce: 8413,
         witness: (191, 219),
         ascent_steps: 3,
-        solves: 4,
-        conflicts: 1974,
-        decisions: 2766,
-        propagations: 146_501,
+        solves: 5,
+        conflicts: 1411,
+        decisions: 2013,
+        propagations: 101_585,
     },
 ];
 
@@ -94,30 +98,30 @@ const COMPOSITIONAL_PINS: [Pinned; 3] = [
         wce: 14450,
         witness: (255, 255),
         ascent_steps: 0,
-        solves: 1,
-        conflicts: 38,
-        decisions: 115,
-        propagations: 1260,
+        solves: 2,
+        conflicts: 20,
+        decisions: 60,
+        propagations: 480,
     },
     Pinned {
         name: "(c A T2 T1 T1)",
         wce: 8400,
         witness: (188, 219),
-        ascent_steps: 1,
-        solves: 2,
-        conflicts: 186,
-        decisions: 332,
-        propagations: 10_209,
+        ascent_steps: 3,
+        solves: 5,
+        conflicts: 263,
+        decisions: 380,
+        propagations: 12777,
     },
     Pinned {
         name: "(c T3 A T3 T1)",
         wce: 8413,
         witness: (191, 219),
-        ascent_steps: 3,
+        ascent_steps: 2,
         solves: 4,
-        conflicts: 632,
-        decisions: 906,
-        propagations: 41_826,
+        conflicts: 456,
+        decisions: 694,
+        propagations: 27190,
     },
 ];
 
@@ -130,10 +134,10 @@ const SEEDED_PINS: [(Pinned, (u64, u64)); 2] = [
             wce: 2312,
             witness: (255, 85),
             ascent_steps: 0,
-            solves: 1,
-            conflicts: 6,
-            decisions: 6,
-            propagations: 145,
+            solves: 2,
+            conflicts: 2,
+            decisions: 5,
+            propagations: 25,
         },
         (221, 221),
     ),
@@ -143,10 +147,10 @@ const SEEDED_PINS: [(Pinned, (u64, u64)); 2] = [
             wce: 8288,
             witness: (223, 223),
             ascent_steps: 1,
-            solves: 2,
-            conflicts: 81,
-            decisions: 212,
-            propagations: 4238,
+            solves: 3,
+            conflicts: 77,
+            decisions: 143,
+            propagations: 3437,
         },
         (188, 217),
     ),
@@ -161,10 +165,10 @@ const SEEDED_NETLIST_PINS: [(Pinned, (u64, u64)); 2] = [
             wce: 2312,
             witness: (255, 85),
             ascent_steps: 0,
-            solves: 1,
-            conflicts: 12938,
-            decisions: 15487,
-            propagations: 1_167_595,
+            solves: 2,
+            conflicts: 13265,
+            decisions: 15725,
+            propagations: 1_130_306,
         },
         (221, 221),
     ),
@@ -173,11 +177,11 @@ const SEEDED_NETLIST_PINS: [(Pinned, (u64, u64)); 2] = [
             name: "(c A A A A)",
             wce: 8288,
             witness: (223, 223),
-            ascent_steps: 4,
-            solves: 5,
-            conflicts: 2144,
-            decisions: 2876,
-            propagations: 176_206,
+            ascent_steps: 5,
+            solves: 7,
+            conflicts: 2338,
+            decisions: 3036,
+            propagations: 188_388,
         },
         (188, 217),
     ),

@@ -365,8 +365,9 @@ fn push_cube_negation(clause: &mut Vec<Lit>, cube: Cube, vars: &[u32]) {
 /// Minato–Morreale irredundant SOP of an incompletely specified
 /// function: appends to `out` cubes that cover at least `l` and at most
 /// `u` (`l ⊆ u`, no bits above the table), over `k` variables of a
-/// ≤64-bit truth table, and returns the table they cover. The top variable's cofactors are the
-/// table's halves, and each cover comes back from the recursion.
+/// ≤64-bit truth table, and returns the table they cover. The top
+/// variable's cofactors are the table's halves, and each cover comes
+/// back from the recursion.
 fn isop(l: u64, u: u64, k: usize, out: &mut Vec<Cube>) -> u64 {
     let full: u64 = if k == 6 {
         u64::MAX

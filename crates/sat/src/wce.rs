@@ -198,7 +198,7 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
     let splits = split_order(&inputs);
 
     // The witness's side first; once a side is refuted it stays closed.
-    let mut refuted_other_side = false;
+    let mut first_side_refuted = false;
     let mut ascent_steps = 0u32;
     loop {
         let query = gates::exceeds(&mut solver, &diff, m, side);
@@ -217,9 +217,9 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
             }
         };
         match model {
-            None if refuted_other_side => break,
+            None if first_side_refuted => break,
             None => {
-                refuted_other_side = true;
+                first_side_refuted = true;
                 side = match side {
                     Side::Positive => Side::Negative,
                     Side::Negative => Side::Positive,

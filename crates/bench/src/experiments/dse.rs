@@ -64,7 +64,8 @@ pub fn ext_dse() -> (String, String) {
         result.reports.len() as f64 / result.elapsed.as_secs_f64().max(1e-9),
     ));
     s.push_str(&format!(
-        "characterization: error {:.3}s, energy {:.3}s, STA {:.3}s (of {:.2}s total)\n",
+        "characterization: assemble {:.3}s, error {:.3}s, energy {:.3}s, STA {:.3}s (of {:.2}s total)\n",
+        result.char_time.assemble.as_secs_f64(),
         result.char_time.error.as_secs_f64(),
         result.char_time.energy.as_secs_f64(),
         result.char_time.sta.as_secs_f64(),
@@ -86,6 +87,10 @@ fn ext_dse_record(result: &DseResult) -> BenchRecord {
         .field(
             "char_time_s",
             Field::Obj(vec![
+                (
+                    "assemble",
+                    Field::Fixed(result.char_time.assemble.as_secs_f64(), 4),
+                ),
                 (
                     "error",
                     Field::Fixed(result.char_time.error.as_secs_f64(), 4),

@@ -265,9 +265,15 @@ pub struct CharCache {
     builds: AtomicU64,
     store_failures: AtomicU64,
     last_store_error: Mutex<Option<String>>,
+    time_assemble_ns: AtomicU64,
     time_sta_ns: AtomicU64,
     time_energy_ns: AtomicU64,
     time_error_ns: AtomicU64,
+}
+
+/// Adds `d` to a nanosecond time counter.
+fn charge(counter: &AtomicU64, d: Duration) {
+    counter.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
 }
 
 /// A key being characterized: waiters sleep until its builder is done,
@@ -313,6 +319,9 @@ impl Drop for SlotGuard<'_> {
 /// has built, by phase (see [`CharCache::time_breakdown`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CharTimeBreakdown {
+    /// Building each block's netlist (composing a quad from its
+    /// children's), compiling it and taking its area report.
+    pub assemble: Duration,
     /// Error-statistics sweeps (exhaustive or sampled), plus the 8×8
     /// tables that wider parents build on demand.
     pub error: Duration,
@@ -353,6 +362,7 @@ impl CharCache {
             builds: AtomicU64::new(0),
             store_failures: AtomicU64::new(0),
             last_store_error: Mutex::new(None),
+            time_assemble_ns: AtomicU64::new(0),
             time_sta_ns: AtomicU64::new(0),
             time_energy_ns: AtomicU64::new(0),
             time_error_ns: AtomicU64::new(0),
@@ -608,8 +618,12 @@ impl CharCache {
         // energy-characterization stimulus both run over that program.
         let (netlist, node, prog) = match cfg {
             Config::Leaf(leaf) => {
+                let t = Instant::now();
                 let nl = leaf.netlist();
                 let prog = CompiledNetlist::compile(&nl);
+                charge(&self.time_assemble_ns, t.elapsed());
+                // The leaf's value table is its error-sweep work.
+                let t = Instant::now();
                 let mut table = vec![0u32; 1usize << (2 * bits)];
                 prog.for_each_operand_pair_in(0..1u64 << (2 * bits), |a, b, out| {
                     table[((b as usize) << bits) | a as usize] = out[0] as u32;
@@ -618,10 +632,12 @@ impl CharCache {
                     bits,
                     table: Arc::new(table),
                 };
+                charge(&self.time_error_ns, t.elapsed());
                 (nl, node, prog)
             }
             Config::Quad { summation, sub } => {
                 let subs = self.characterize_quadrants(sub)?;
+                let t = Instant::now();
                 let nl = axmul_core::structural::compose_quad_netlist(
                     key.to_string(),
                     &subs[0].netlist,
@@ -630,20 +646,19 @@ impl CharCache {
                     &subs[3].netlist,
                     *summation,
                 );
-                // Building a child's lazy table is error-sweep work.
-                let t_err = Instant::now();
-                let node = quad_node(*summation, bits, &subs);
-                self.time_error_ns
-                    .fetch_add(t_err.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 let prog = CompiledNetlist::compile(&nl);
+                charge(&self.time_assemble_ns, t.elapsed());
+                // Building a child's lazy table is error-sweep work.
+                let t = Instant::now();
+                let node = quad_node(*summation, bits, &subs);
+                charge(&self.time_error_ns, t.elapsed());
                 (nl, node, prog)
             }
         };
         let (cost, char_times) = self.characterizer.characterize_timed(&netlist, &prog)?;
-        self.time_sta_ns
-            .fetch_add(char_times.sta.as_nanos() as u64, Ordering::Relaxed);
-        self.time_energy_ns
-            .fetch_add(char_times.energy.as_nanos() as u64, Ordering::Relaxed);
+        charge(&self.time_assemble_ns, char_times.area);
+        charge(&self.time_sta_ns, char_times.sta);
+        charge(&self.time_energy_ns, char_times.energy);
         let t_err = Instant::now();
         let evaluator = ComposedMultiplier {
             bits,
@@ -655,8 +670,7 @@ impl CharCache {
             None if 2 * bits <= 16 => ErrorStats::exhaustive(&evaluator),
             None => ErrorStats::sampled(&evaluator, self.samples, self.sample_seed),
         };
-        self.time_error_ns
-            .fetch_add(t_err.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        charge(&self.time_error_ns, t_err.elapsed());
         Ok(BlockChar {
             key: key.to_string(),
             bits,
@@ -693,11 +707,12 @@ impl CharCache {
     }
 
     /// Cumulative wall-clock split of the characterizations this cache
-    /// has built: error-statistics sweeps vs energy measurements vs
-    /// STA. Restores and in-memory hits add nothing — the split covers
+    /// has built: netlist assembly (compose, compile, area) vs
+    /// error-statistics sweeps vs energy measurements vs STA. Restores and in-memory hits add nothing — the split covers
     /// actual compute only.
     pub fn time_breakdown(&self) -> CharTimeBreakdown {
         CharTimeBreakdown {
+            assemble: Duration::from_nanos(self.time_assemble_ns.load(Ordering::Relaxed)),
             error: Duration::from_nanos(self.time_error_ns.load(Ordering::Relaxed)),
             energy: Duration::from_nanos(self.time_energy_ns.load(Ordering::Relaxed)),
             sta: Duration::from_nanos(self.time_sta_ns.load(Ordering::Relaxed)),

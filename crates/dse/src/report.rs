@@ -112,10 +112,11 @@ pub fn text_report(result: &DseResult) -> String {
         100.0 * result.hit_rate()
     );
     let ct = result.char_time;
-    if ct.error + ct.energy + ct.sta > std::time::Duration::ZERO {
+    if ct.assemble + ct.error + ct.energy + ct.sta > std::time::Duration::ZERO {
         let _ = writeln!(
             out,
-            "  characterization: error {:.3}s, energy {:.3}s, STA {:.3}s",
+            "  characterization: assemble {:.3}s, error {:.3}s, energy {:.3}s, STA {:.3}s",
+            ct.assemble.as_secs_f64(),
             ct.error.as_secs_f64(),
             ct.energy.as_secs_f64(),
             ct.sta.as_secs_f64()

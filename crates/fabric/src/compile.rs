@@ -32,6 +32,7 @@
 //! which the crate's tests assert across the whole design roster.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::error::check_word_buses;
 use crate::fault::Fault;
@@ -102,15 +103,46 @@ impl Sym {
     }
 }
 
+/// A SplitMix64-finalizer hasher for the CSE map. Its keys are
+/// compiler-made slot numbers, not outside input, so std's DoS-resistant
+/// SipHash buys nothing here and costs more than the lookups it serves.
+#[derive(Default)]
+struct SlotHasher(u64);
+
+impl Hasher for SlotHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let mut z = (self.0 ^ n).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = z ^ (z >> 31);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// CSE key: `(kind << 32 | c, a << 32 | b)`, two words to hash.
+type CseKey = (u64, u64);
+
+/// `neg` entry of a slot with no known complement.
+const NO_NEG: u32 = u32::MAX;
+
 /// Expression builder with constant folding and hash-consing CSE.
 struct Compiler {
     ops: Vec<Op>,
     next_slot: u32,
-    cse: HashMap<(OpKind, u32, u32, u32), u32>,
+    cse: HashMap<CseKey, u32, BuildHasherDefault<SlotHasher>>,
     /// `neg[s] = t` when slot `t` holds the complement of slot `s`
-    /// (recorded in both directions), enabling `!!x = x` and the
-    /// mux-to-XOR rewrite.
-    neg: HashMap<u32, u32>,
+    /// (recorded in both directions), else [`NO_NEG`]; enables
+    /// `!!x = x` and the mux-to-XOR rewrite. One entry per slot.
+    neg: Vec<u32>,
 }
 
 impl Compiler {
@@ -118,15 +150,21 @@ impl Compiler {
         Compiler {
             ops: Vec::new(),
             next_slot: 2, // slots 0/1 are the constant words
-            cse: HashMap::new(),
-            neg: HashMap::new(),
+            cse: HashMap::default(),
+            neg: vec![NO_NEG; 2],
         }
     }
 
     fn alloc(&mut self) -> u32 {
         let s = self.next_slot;
         self.next_slot += 1;
+        self.neg.push(NO_NEG);
         s
+    }
+
+    /// Whether slot `b` is known to hold the complement of slot `a`.
+    fn is_neg(&self, a: u32, b: u32) -> bool {
+        self.neg[a as usize] == b
     }
 
     fn emit(&mut self, kind: OpKind, a: u32, b: u32, c: u32) -> Sym {
@@ -135,7 +173,10 @@ impl Compiler {
             OpKind::And | OpKind::Or | OpKind::Xor => (a.min(b), a.max(b)),
             _ => (a, b),
         };
-        let key = (kind, a, b, c);
+        let key = (
+            (kind as u64) << 32 | u64::from(c),
+            u64::from(a) << 32 | u64::from(b),
+        );
         if let Some(&dst) = self.cse.get(&key) {
             return Sym::Slot(dst);
         }
@@ -143,8 +184,8 @@ impl Compiler {
         self.ops.push(Op { kind, dst, a, b, c });
         self.cse.insert(key, dst);
         if kind == OpKind::Not {
-            self.neg.insert(a, dst);
-            self.neg.insert(dst, a);
+            self.neg[a as usize] = dst;
+            self.neg[dst as usize] = a;
         }
         Sym::Slot(dst)
     }
@@ -153,9 +194,9 @@ impl Compiler {
         match x {
             Sym::Zero => Sym::One,
             Sym::One => Sym::Zero,
-            Sym::Slot(s) => match self.neg.get(&s) {
-                Some(&n) => Sym::Slot(n),
-                None => self.emit(OpKind::Not, s, 0, 0),
+            Sym::Slot(s) => match self.neg[s as usize] {
+                NO_NEG => self.emit(OpKind::Not, s, 0, 0),
+                n => Sym::Slot(n),
             },
         }
     }
@@ -165,7 +206,7 @@ impl Compiler {
             (Sym::Zero, _) | (_, Sym::Zero) => Sym::Zero,
             (Sym::One, v) | (v, Sym::One) => v,
             (Sym::Slot(a), Sym::Slot(b)) if a == b => x,
-            (Sym::Slot(a), Sym::Slot(b)) if self.neg.get(&a) == Some(&b) => Sym::Zero,
+            (Sym::Slot(a), Sym::Slot(b)) if self.is_neg(a, b) => Sym::Zero,
             (Sym::Slot(a), Sym::Slot(b)) => self.emit(OpKind::And, a, b, 0),
         }
     }
@@ -175,7 +216,7 @@ impl Compiler {
             (Sym::One, _) | (_, Sym::One) => Sym::One,
             (Sym::Zero, v) | (v, Sym::Zero) => v,
             (Sym::Slot(a), Sym::Slot(b)) if a == b => x,
-            (Sym::Slot(a), Sym::Slot(b)) if self.neg.get(&a) == Some(&b) => Sym::One,
+            (Sym::Slot(a), Sym::Slot(b)) if self.is_neg(a, b) => Sym::One,
             (Sym::Slot(a), Sym::Slot(b)) => self.emit(OpKind::Or, a, b, 0),
         }
     }
@@ -185,7 +226,7 @@ impl Compiler {
             (Sym::Zero, v) | (v, Sym::Zero) => v,
             (Sym::One, v) | (v, Sym::One) => self.not(v),
             (Sym::Slot(a), Sym::Slot(b)) if a == b => Sym::Zero,
-            (Sym::Slot(a), Sym::Slot(b)) if self.neg.get(&a) == Some(&b) => Sym::One,
+            (Sym::Slot(a), Sym::Slot(b)) if self.is_neg(a, b) => Sym::One,
             (Sym::Slot(a), Sym::Slot(b)) => self.emit(OpKind::Xor, a, b, 0),
         }
     }
@@ -197,7 +238,7 @@ impl Compiler {
             (v, Sym::Zero) => v,
             (Sym::One, v) => self.not(v),
             (Sym::Slot(a), Sym::Slot(b)) if a == b => Sym::Zero,
-            (Sym::Slot(a), Sym::Slot(b)) if self.neg.get(&a) == Some(&b) => x,
+            (Sym::Slot(a), Sym::Slot(b)) if self.is_neg(a, b) => x,
             (Sym::Slot(a), Sym::Slot(b)) => self.emit(OpKind::AndNot, a, b, 0),
         }
     }
@@ -209,7 +250,7 @@ impl Compiler {
             (v, Sym::One) => v,
             (Sym::Zero, v) => self.not(v),
             (Sym::Slot(a), Sym::Slot(b)) if a == b => Sym::One,
-            (Sym::Slot(a), Sym::Slot(b)) if self.neg.get(&a) == Some(&b) => x,
+            (Sym::Slot(a), Sym::Slot(b)) if self.is_neg(a, b) => x,
             (Sym::Slot(a), Sym::Slot(b)) => self.emit(OpKind::OrNot, a, b, 0),
         }
     }
@@ -241,15 +282,15 @@ impl Compiler {
                     // s ? s : t0  ==  s | t0
                     return self.or(t0, s);
                 }
-                if self.neg.get(&a) == Some(&b) {
+                if self.is_neg(a, b) {
                     // s ? !t0 : t0  ==  t0 ^ s
                     return self.xor(t0, s);
                 }
-                if self.neg.get(&a) == Some(&s.slot()) {
+                if self.is_neg(a, s.slot()) {
                     // s ? t1 : !s  ==  t1 | !s
                     return self.or_not(t1, s);
                 }
-                if self.neg.get(&b) == Some(&s.slot()) {
+                if self.is_neg(b, s.slot()) {
                     // s ? !s : t0  ==  t0 & !s
                     return self.and_not(t0, s);
                 }
@@ -355,8 +396,18 @@ impl CompiledNetlist {
     /// it, but at zero per-pass cost.
     #[must_use]
     pub fn compile_with_faults(netlist: &Netlist, faults: &[Fault]) -> Self {
-        let fault_of: HashMap<usize, bool> =
-            faults.iter().map(|f| (f.net.index(), f.stuck_at)).collect();
+        // Stuck value per net, dense; empty when there are no faults.
+        let mut stuck = vec![
+            None;
+            if faults.is_empty() {
+                0
+            } else {
+                netlist.net_count()
+            }
+        ];
+        for f in faults {
+            stuck[f.net.index()] = Some(f.stuck_at);
+        }
         let mut c = Compiler::new();
         let mut net_src = vec![ZERO_SLOT; netlist.net_count()];
 
@@ -379,10 +430,10 @@ impl CompiledNetlist {
         }
 
         let read = |net_src: &[u32], net: NetId| -> Sym {
-            match fault_of.get(&net.index()) {
-                Some(true) => Sym::One,
-                Some(false) => Sym::Zero,
-                None => Sym::from_slot(net_src[net.index()]),
+            match stuck.get(net.index()) {
+                Some(Some(true)) => Sym::One,
+                Some(Some(false)) => Sym::Zero,
+                _ => Sym::from_slot(net_src[net.index()]),
             }
         };
 

@@ -8,7 +8,9 @@
 //! device inventory and the placement/routing penalty model that the
 //! `axmul-apps` crate maps those applications through.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::area::AreaReport;
@@ -190,7 +192,9 @@ impl fmt::Display for NetlistCost {
 /// delay/energy models plus a fixed stimulus
 /// ([`Characterizer::STIMULUS_LEN`] vectors drawn from
 /// [`Characterizer::STIMULUS_SEED`]), so every netlist — whichever
-/// front end asks — is characterized under identical conditions.
+/// front end asks — is characterized under identical conditions. The
+/// stimulus depends only on the input-bus widths, so it is drawn once
+/// per input shape per process and shared by every characterization.
 ///
 /// # Examples
 ///
@@ -261,8 +265,9 @@ impl Characterizer {
     /// [`Characterizer::characterize`] over an already-compiled
     /// program, for callers that also sweep the same netlist (e.g. the
     /// DSE characterization cache) and want to compile it exactly once.
-    /// It also reports where the time went (STA vs energy sweep), so
-    /// callers can expose a wall-clock split without re-profiling.
+    /// It also reports where the time went (area vs STA vs energy
+    /// sweep), so callers can expose a wall-clock split without
+    /// re-profiling.
     ///
     /// `prog` must be the fault-free compilation of `netlist`.
     ///
@@ -286,13 +291,14 @@ impl Characterizer {
         netlist: &Netlist,
         prog: &CompiledNetlist,
     ) -> Result<(NetlistCost, TimingReport, CharTimings), FabricError> {
-        let area = AreaReport::of(netlist);
         let t0 = Instant::now();
-        let timing = analyze(netlist, &self.delay);
+        let area = AreaReport::of(netlist);
         let t1 = Instant::now();
-        let stim = PackedStimulus::uniform(netlist, Self::STIMULUS_LEN, Self::STIMULUS_SEED);
-        let power = measure_packed(netlist, prog, &self.energy, timing.critical_path_ns, &stim)?;
+        let timing = analyze(netlist, &self.delay);
         let t2 = Instant::now();
+        let stim = stimulus(netlist);
+        let power = measure_packed(netlist, prog, &self.energy, timing.critical_path_ns, &stim)?;
+        let t3 = Instant::now();
         let cost = NetlistCost {
             area,
             critical_path_ns: timing.critical_path_ns,
@@ -300,17 +306,51 @@ impl Characterizer {
             edp: power.edp,
         };
         let timings = CharTimings {
-            sta: t1 - t0,
-            energy: t2 - t1,
+            area: t1 - t0,
+            sta: t2 - t1,
+            energy: t3 - t2,
         };
         Ok((cost, timing, timings))
     }
+}
+
+/// Most input-bus shapes the stimulus memo holds before it starts over;
+/// a process sees a handful (4×4 up to 32×32 pairs), a daemon importing
+/// arbitrary netlists could see more.
+const STIMULUS_SHAPES: usize = 64;
+
+/// The characterizer's stimulus for `netlist`'s input-bus shape. The
+/// length and seed are fixed, so the draw depends only on the bus
+/// widths: each shape is drawn once per process and shared, ≈2 KiB per
+/// 16-bit shape.
+fn stimulus(netlist: &Netlist) -> Arc<PackedStimulus> {
+    static MEMO: OnceLock<Mutex<HashMap<Vec<usize>, Arc<PackedStimulus>>>> = OnceLock::new();
+    let widths: Vec<usize> = netlist.input_buses().iter().map(|(_, b)| b.len()).collect();
+    let mut memo = MEMO
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some(stim) = memo.get(&widths) {
+        return Arc::clone(stim);
+    }
+    if memo.len() >= STIMULUS_SHAPES {
+        memo.clear();
+    }
+    let stim = Arc::new(PackedStimulus::uniform(
+        netlist,
+        Characterizer::STIMULUS_LEN,
+        Characterizer::STIMULUS_SEED,
+    ));
+    memo.insert(widths, Arc::clone(&stim));
+    stim
 }
 
 /// Wall-clock split of one characterization (see
 /// [`Characterizer::characterize_timed`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CharTimings {
+    /// Time in the area report ([`AreaReport::of`]).
+    pub area: Duration,
     /// Time in static timing analysis.
     pub sta: Duration,
     /// Time in the packed-stimulus energy sweep.
@@ -396,6 +436,31 @@ mod tests {
         let (with_timing, report) = ch.characterize_with_timing(&nl).unwrap();
         assert_eq!(with_timing, cost);
         assert_eq!(report.to_string(), timing.to_string());
+    }
+
+    #[test]
+    fn stimulus_is_drawn_once_per_input_shape() {
+        use crate::{Init, NetlistBuilder};
+        let pair = |name: &str, init: Init| {
+            let mut b = NetlistBuilder::new(name);
+            let a = b.inputs("a", 3);
+            let c = b.inputs("b", 5);
+            let (o6, _) = b.lut2(init, a[2], c[4]);
+            b.output("y", o6);
+            b.finish().unwrap()
+        };
+        let (x, y) = (pair("x", Init::XOR2), pair("y", Init::AND2));
+        let first = stimulus(&x);
+        assert_eq!(
+            *first,
+            PackedStimulus::uniform(
+                &x,
+                Characterizer::STIMULUS_LEN,
+                Characterizer::STIMULUS_SEED
+            )
+        );
+        assert!(Arc::ptr_eq(&first, &stimulus(&y)), "same shape, one draw");
+        assert_eq!(first.steps(), Characterizer::STIMULUS_LEN);
     }
 
     #[test]

@@ -134,43 +134,54 @@ impl Init {
     /// i.e. toggling `Ii` changes the output for at least one setting of
     /// the other inputs.
     ///
-    /// Useful for sanity-checking hand-written INIT constants, and used
-    /// by the timing analyzer to ignore tied-off pins.
+    /// Branch-free: shifting the table right by `2^i` lines every index
+    /// with `Ii = 1` up with its `Ii = 0` partner, so the XOR is nonzero
+    /// at an index with bit `i` clear exactly where `Ii` matters.
+    ///
+    /// Used by area accounting (ignored pins), the timing analyzer (to
+    /// ignore tied-off pins), the lint dead-logic pass and the SAT
+    /// decomposer, and handy for sanity-checking hand-written INITs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i > 5`.
     #[must_use]
-    pub fn depends_on(self, i: u8) -> bool {
+    pub const fn depends_on(self, i: u8) -> bool {
         assert!(i < 6, "LUT6 has inputs 0..=5");
-        let stride = 1u8 << i;
-        for idx in 0..64u8 {
-            if idx & stride == 0 && self.o6(idx) != self.o6(idx | stride) {
-                return true;
-            }
-        }
-        false
+        let t = self.0;
+        (t ^ (t >> (1u32 << i))) & LOW[i as usize] != 0
     }
 
     /// Returns `true` if the `O5` output (lower-half table) depends on
     /// input `i` (0..=4). `I5` never reaches `O5`, so `depends_on_o5(5)`
-    /// is always `false`.
+    /// is always `false`. The same mask test as [`Init::depends_on`],
+    /// restricted to the lower 32 indices.
     ///
     /// The timing analyzer uses this to give each output of a fractured
     /// `LUT6_2` its own arrival time: e.g. in the ternary adder, `O5`
     /// (the exported majority) does not depend on the incoming majority
     /// pin, so majority signals do not ripple.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i > 5`.
     #[must_use]
-    pub fn depends_on_o5(self, i: u8) -> bool {
+    pub const fn depends_on_o5(self, i: u8) -> bool {
         assert!(i < 6, "LUT6 has inputs 0..=5");
-        if i == 5 {
-            return false;
-        }
-        let stride = 1u8 << i;
-        for idx in 0..32u8 {
-            if idx & stride == 0 && self.o5(idx) != self.o5(idx | stride) {
-                return true;
-            }
-        }
-        false
+        let t = self.0;
+        i < 5 && (t ^ (t >> (1u32 << i))) & LOW[i as usize] & 0xFFFF_FFFF != 0
     }
 }
+
+/// `LOW[i]` selects the truth-table indices whose bit `i` is clear.
+const LOW: [u64; 6] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0F0F_0F0F_0F0F_0F0F,
+    0x00FF_00FF_00FF_00FF,
+    0x0000_FFFF_0000_FFFF,
+    0x0000_0000_FFFF_FFFF,
+];
 
 impl fmt::Display for Init {
     /// Formats as Verilog-style `64'hXXXXXXXXXXXXXXXX`.

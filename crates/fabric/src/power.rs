@@ -22,7 +22,9 @@
 //! Production numbers come from one place,
 //! [`crate::cost::Characterizer`]: it runs STA once, hands the critical
 //! path to [`measure_packed`], and drives every netlist with the same
-//! fixed stimulus, so every front end reports one EDP per design.
+//! fixed stimulus, so every front end reports one EDP per design. That
+//! stimulus depends only on the input-bus widths, so the characterizer
+//! draws it once per input shape per process and reuses it.
 
 use crate::compile::{CompiledNetlist, CompiledSim, SWEEP_WORDS};
 use crate::netlist::Driver;

@@ -574,12 +574,16 @@ impl Service {
                     ("disk_hits", Value::Num(self.cache.disk_hits() as f64)),
                     ("builds", Value::Num(self.cache.builds() as f64)),
                     // Wall-clock split of this process's cache builds
-                    // (error sweeps vs packed energy vs STA), so
-                    // operators see where characterization time goes
-                    // without re-profiling.
+                    // (netlist assembly vs error sweeps vs packed energy
+                    // vs STA), so operators see where characterization
+                    // time goes without re-profiling.
                     (
                         "char_time_s",
                         Value::obj([
+                            (
+                                "assemble",
+                                Value::Num(self.cache.time_breakdown().assemble.as_secs_f64()),
+                            ),
                             (
                                 "error",
                                 Value::Num(self.cache.time_breakdown().error.as_secs_f64()),
@@ -1138,7 +1142,7 @@ mod tests {
         // One build happened, so the characterization time split is
         // present and the energy+STA share is a real, positive number.
         let split = cache.get("char_time_s").unwrap();
-        for phase in ["error", "energy", "sta"] {
+        for phase in ["assemble", "error", "energy", "sta"] {
             assert!(
                 split
                     .get(phase)

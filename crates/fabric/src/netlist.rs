@@ -920,11 +920,17 @@ impl NetlistBuilder {
         for block in &self.blocks {
             block.nets.iter().try_for_each(|&b| check(b))?;
         }
+        // Built by pushing, the cell and driver lists carry up to 2×
+        // spare capacity; a DSE cache holds thousands of netlists, so
+        // trim them (in place, without a copy, under glibc's realloc).
+        let (mut cells, mut drivers) = (self.cells, self.drivers);
+        cells.shrink_to_fit();
+        drivers.shrink_to_fit();
         Ok(Netlist {
             name: self.name,
             net_count: n,
-            drivers: self.drivers,
-            cells: self.cells,
+            drivers,
+            cells,
             inputs: self.inputs,
             outputs: self.outputs,
             blocks: self.blocks,

@@ -708,8 +708,9 @@ impl CharCache {
 
     /// Cumulative wall-clock split of the characterizations this cache
     /// has built: netlist assembly (compose, compile, area) vs
-    /// error-statistics sweeps vs energy measurements vs STA. Restores and in-memory hits add nothing — the split covers
-    /// actual compute only.
+    /// error-statistics sweeps vs energy measurements vs STA. Restores
+    /// and in-memory hits add nothing — the split covers actual compute
+    /// only.
     pub fn time_breakdown(&self) -> CharTimeBreakdown {
         CharTimeBreakdown {
             assemble: Duration::from_nanos(self.time_assemble_ns.load(Ordering::Relaxed)),

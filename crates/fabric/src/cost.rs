@@ -321,8 +321,8 @@ const STIMULUS_SHAPES: usize = 64;
 
 /// The characterizer's stimulus for `netlist`'s input-bus shape. The
 /// length and seed are fixed, so the draw depends only on the bus
-/// widths: each shape is drawn once per process and shared, ≈2 KiB per
-/// 16-bit shape.
+/// widths: each shape is drawn once per process and shared (128 bytes
+/// per input bit, ≈2 KiB for an 8×8 multiplier).
 fn stimulus(netlist: &Netlist) -> Arc<PackedStimulus> {
     static MEMO: OnceLock<Mutex<HashMap<Vec<usize>, Arc<PackedStimulus>>>> = OnceLock::new();
     let widths: Vec<usize> = netlist.input_buses().iter().map(|(_, b)| b.len()).collect();

@@ -396,15 +396,8 @@ impl CompiledNetlist {
     /// it, but at zero per-pass cost.
     #[must_use]
     pub fn compile_with_faults(netlist: &Netlist, faults: &[Fault]) -> Self {
-        // Stuck value per net, dense; empty when there are no faults.
-        let mut stuck = vec![
-            None;
-            if faults.is_empty() {
-                0
-            } else {
-                netlist.net_count()
-            }
-        ];
+        // Stuck value per net, dense.
+        let mut stuck = vec![None; netlist.net_count()];
         for f in faults {
             stuck[f.net.index()] = Some(f.stuck_at);
         }
@@ -430,10 +423,10 @@ impl CompiledNetlist {
         }
 
         let read = |net_src: &[u32], net: NetId| -> Sym {
-            match stuck.get(net.index()) {
-                Some(Some(true)) => Sym::One,
-                Some(Some(false)) => Sym::Zero,
-                _ => Sym::from_slot(net_src[net.index()]),
+            match stuck[net.index()] {
+                Some(true) => Sym::One,
+                Some(false) => Sym::Zero,
+                None => Sym::from_slot(net_src[net.index()]),
             }
         };
 

@@ -314,11 +314,6 @@ impl Characterizer {
     }
 }
 
-/// Most input-bus shapes the stimulus memo holds before it starts over;
-/// a process sees a handful (4×4 up to 32×32 pairs), a daemon importing
-/// arbitrary netlists could see more.
-const STIMULUS_SHAPES: usize = 64;
-
 /// The characterizer's stimulus for `netlist`'s input-bus shape. The
 /// length and seed are fixed, so the draw depends only on the bus
 /// widths: each shape is drawn once per process and shared (128 bytes
@@ -330,19 +325,14 @@ fn stimulus(netlist: &Netlist) -> Arc<PackedStimulus> {
         .get_or_init(Mutex::default)
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    if let Some(stim) = memo.get(&widths) {
-        return Arc::clone(stim);
-    }
-    if memo.len() >= STIMULUS_SHAPES {
-        memo.clear();
-    }
-    let stim = Arc::new(PackedStimulus::uniform(
-        netlist,
-        Characterizer::STIMULUS_LEN,
-        Characterizer::STIMULUS_SEED,
-    ));
-    memo.insert(widths, Arc::clone(&stim));
-    stim
+    let stim = memo.entry(widths).or_insert_with(|| {
+        Arc::new(PackedStimulus::uniform(
+            netlist,
+            Characterizer::STIMULUS_LEN,
+            Characterizer::STIMULUS_SEED,
+        ))
+    });
+    Arc::clone(stim)
 }
 
 /// Wall-clock split of one characterization (see

@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use axmul_core::behavioral::Summation;
 use axmul_core::{Multiplier, TableMultiplier};
-use axmul_dse::{CharCache, Config};
+use axmul_dse::Config;
 use axmul_fabric::compile::CompiledNetlist;
 use axmul_fabric::cost::Characterizer;
 use axmul_fabric::power::{measure_reference, uniform_stimulus};
@@ -224,15 +224,11 @@ fn run(quick: bool) -> SimBench {
     // LUT-mapped quad netlists — several times larger than the
     // structural roster designs, and the shape the characterization
     // cache actually hammers.
-    let cache = CharCache::new(Characterizer::virtex7());
     for summation in [Summation::Accurate, Summation::CarryFree] {
         let cfg = Config::paper(8, summation);
-        let bc = cache
-            .characterize(&cfg)
-            .expect("paper config characterizes");
         roster.push(RosterEntry {
             name: format!("DSE {}", cfg.key()),
-            netlist: (*bc.netlist).clone(),
+            netlist: cfg.assemble(),
         });
     }
     let energy: Vec<EnergyBench> = roster.iter().map(|e| bench_energy(e, reps)).collect();

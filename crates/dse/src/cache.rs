@@ -7,7 +7,19 @@
 //! candidate is built from the same five 4×4 leaves, and 16×16
 //! candidates re-use whole 8×8 quadrants. [`CharCache`] therefore
 //! memoizes one [`BlockChar`] per *canonical configuration key*
-//! ([`crate::Config::key`]) and assembles parents from cached children.
+//! ([`crate::Config::key`]) and composes parents' evaluators from cached
+//! children.
+//!
+//! # Numbers, not netlists
+//!
+//! A record keeps its key, width, cost, statistics and evaluator, and
+//! no netlist. A build assembles the block's netlist with
+//! [`crate::Config::assemble`], measures it, hashes it for the store
+//! when one is attached, and drops it. Leaves come from a process-wide
+//! memo of the five leaf netlists, so an 8×8 build composes one quad,
+//! and the cache's memory grows with the number of keys, not with
+//! netlist size. A reader that needs a block's netlist (the daemon's
+//! lint, the tests) assembles it from the configuration.
 //!
 //! # Why value tables, not error PMFs
 //!
@@ -61,17 +73,16 @@ const CHAR_ALGO_VERSION: u64 = 2;
 use crate::config::Config;
 use crate::store::{netlist_fingerprint, DiskStore, StoreError, StoredChar};
 
-/// Fully-characterized configuration block: netlist, hardware cost,
-/// exact evaluator and error statistics.
+/// Fully-characterized configuration block: hardware cost, exact
+/// evaluator and error statistics. It holds no netlist; a reader that
+/// needs one calls [`Config::assemble`] on the block's configuration.
 #[derive(Debug, Clone)]
 pub struct BlockChar {
     /// Canonical configuration key this record describes.
     pub key: String,
     /// Operand width in bits.
     pub bits: u32,
-    /// The assembled structural netlist.
-    pub netlist: Arc<Netlist>,
-    /// Area / timing / energy of the netlist.
+    /// Area / timing / energy of the assembled netlist.
     pub cost: NetlistCost,
     /// Error statistics: exhaustive for widths ≤ 8 bits, sampled above.
     pub stats: ErrorStats,
@@ -485,9 +496,10 @@ impl CharCache {
     }
 
     /// Attempts to rebuild a [`BlockChar`] from the persistent store:
-    /// netlist reassembled from the key, leaf tables read back, quad
-    /// evaluators composed from (recursively restored) children, cost
-    /// and stats taken from the record. `Ok(None)` = not stored.
+    /// netlist reassembled from the key only to check the record hash,
+    /// leaf tables read back, quad evaluators composed from
+    /// (recursively restored) children, cost and stats taken from the
+    /// record. `Ok(None)` = not stored.
     fn restore(&self, cfg: &Config, key: &str) -> Result<Option<BlockChar>, RestoreError> {
         let Some(store) = &self.store else {
             return Ok(None);
@@ -503,8 +515,7 @@ impl CharCache {
             ))
             .into());
         }
-        let netlist = cfg.assemble();
-        let expected = self.record_hash(&netlist, bits);
+        let expected = self.record_hash(&cfg.assemble(), bits);
         if rec.netlist_hash != expected {
             return Err(StoreError::StaleNetlist {
                 expected,
@@ -552,7 +563,6 @@ impl CharCache {
         Ok(Some(BlockChar {
             key: key.to_string(),
             bits,
-            netlist: Arc::new(netlist),
             cost,
             stats: rec.stats.clone(),
             node,
@@ -581,8 +591,8 @@ impl CharCache {
 
     fn build_and_persist(&self, cfg: &Config, key: &str) -> Result<BlockChar, FabricError> {
         self.builds.fetch_add(1, Ordering::Relaxed);
-        let block = self.build(cfg, key)?;
-        if let Some(store) = &self.store {
+        let (block, netlist_hash) = self.build(cfg, key)?;
+        if let (Some(store), Some(netlist_hash)) = (&self.store, netlist_hash) {
             // Leaf value tables are persisted; a quad's evaluator is
             // composed from its children, so only stats/cost are stored.
             let table = match (cfg, &block.node) {
@@ -592,7 +602,7 @@ impl CharCache {
             let rec = StoredChar {
                 key: key.to_string(),
                 bits: block.bits,
-                netlist_hash: self.record_hash(&block.netlist, block.bits),
+                netlist_hash,
                 luts: block.cost.area.luts as u64,
                 carry4s: block.cost.area.carry4s as u64,
                 wasted_sites: block.cost.area.wasted_sites as u64,
@@ -611,54 +621,49 @@ impl CharCache {
         Ok(block)
     }
 
-    fn build(&self, cfg: &Config, key: &str) -> Result<BlockChar, FabricError> {
+    /// Characterizes `cfg` from its children's records. The netlist is
+    /// assembled, measured and dropped here; with a store attached, its
+    /// record hash is returned beside the block.
+    fn build(&self, cfg: &Config, key: &str) -> Result<(BlockChar, Option<u64>), FabricError> {
         let bits = cfg.bits();
+        let children = match cfg {
+            Config::Leaf(_) => None,
+            Config::Quad { summation, sub } => {
+                Some((*summation, self.characterize_quadrants(sub)?))
+            }
+        };
         // Each block is compiled into the fabric's bit-sliced program
         // exactly once; the leaf value-table sweep and the
         // energy-characterization stimulus both run over that program.
-        let (netlist, node, prog) = match cfg {
-            Config::Leaf(leaf) => {
-                let t = Instant::now();
-                let nl = leaf.netlist();
-                let prog = CompiledNetlist::compile(&nl);
-                charge(&self.time_assemble_ns, t.elapsed());
-                // The leaf's value table is its error-sweep work.
-                let t = Instant::now();
+        let t = Instant::now();
+        let netlist = cfg.assemble();
+        let prog = CompiledNetlist::compile(&netlist);
+        charge(&self.time_assemble_ns, t.elapsed());
+        // A leaf's value table, and building a child's lazy table, are
+        // error-sweep work.
+        let t = Instant::now();
+        let node = match children {
+            None => {
                 let mut table = vec![0u32; 1usize << (2 * bits)];
                 prog.for_each_operand_pair_in(0..1u64 << (2 * bits), |a, b, out| {
                     table[((b as usize) << bits) | a as usize] = out[0] as u32;
                 })?;
-                let node = EvalNode::Table {
+                EvalNode::Table {
                     bits,
                     table: Arc::new(table),
-                };
-                charge(&self.time_error_ns, t.elapsed());
-                (nl, node, prog)
+                }
             }
-            Config::Quad { summation, sub } => {
-                let subs = self.characterize_quadrants(sub)?;
-                let t = Instant::now();
-                let nl = axmul_core::structural::compose_quad_netlist(
-                    key.to_string(),
-                    &subs[0].netlist,
-                    &subs[1].netlist,
-                    &subs[2].netlist,
-                    &subs[3].netlist,
-                    *summation,
-                );
-                let prog = CompiledNetlist::compile(&nl);
-                charge(&self.time_assemble_ns, t.elapsed());
-                // Building a child's lazy table is error-sweep work.
-                let t = Instant::now();
-                let node = quad_node(*summation, bits, &subs);
-                charge(&self.time_error_ns, t.elapsed());
-                (nl, node, prog)
-            }
+            Some((summation, subs)) => quad_node(summation, bits, &subs),
         };
+        charge(&self.time_error_ns, t.elapsed());
         let (cost, char_times) = self.characterizer.characterize_timed(&netlist, &prog)?;
         charge(&self.time_assemble_ns, char_times.area);
         charge(&self.time_sta_ns, char_times.sta);
         charge(&self.time_energy_ns, char_times.energy);
+        let netlist_hash = self
+            .store
+            .is_some()
+            .then(|| self.record_hash(&netlist, bits));
         let t_err = Instant::now();
         let evaluator = ComposedMultiplier {
             bits,
@@ -671,15 +676,15 @@ impl CharCache {
             None => ErrorStats::sampled(&evaluator, self.samples, self.sample_seed),
         };
         charge(&self.time_error_ns, t_err.elapsed());
-        Ok(BlockChar {
+        let block = BlockChar {
             key: key.to_string(),
             bits,
-            netlist: Arc::new(netlist),
             cost,
             stats,
             node: evaluator.node,
             table: OnceLock::new(),
-        })
+        };
+        Ok((block, netlist_hash))
     }
 
     /// Cache hits so far.

@@ -12,7 +12,9 @@
 //! `(a LL HL LH HH)` / `(c …)` for accurate / carry-free quads. The key
 //! is the memoization handle of the characterization cache.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::OnceLock;
 
 use axmul_baselines::{array_mult_netlist, pp_truncated_netlist};
 use axmul_core::behavioral::Summation;
@@ -70,6 +72,22 @@ impl Leaf {
                 pp_truncated_netlist(LEAF_BITS, LEAF_BITS, k)
             }
         }
+    }
+
+    /// The leaf's netlist from a process-wide memo of the five
+    /// [`Leaf::ALL`] netlists, each built on its first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a leaf outside [`Leaf::ALL`].
+    fn shared_netlist(self) -> &'static Netlist {
+        static MEMO: [OnceLock<Netlist>; Leaf::ALL.len()] =
+            [const { OnceLock::new() }; Leaf::ALL.len()];
+        let slot = Leaf::ALL
+            .iter()
+            .position(|&l| l == self)
+            .unwrap_or_else(|| panic!("leaf {self:?} out of range"));
+        MEMO[slot].get_or_init(|| self.netlist())
     }
 }
 
@@ -151,22 +169,28 @@ impl Config {
     }
 
     /// Assembles the configuration's structural netlist (named by its
-    /// canonical key). Prefer the characterization cache for repeated
-    /// builds — this walks the whole tree every call.
+    /// canonical key). Leaves come from a process-wide memo of the five
+    /// leaf netlists, so an 8×8 quad costs one compose; wider trees
+    /// compose every quad node on each call.
     #[must_use]
     pub fn assemble(&self) -> Netlist {
+        self.assemble_shared().into_owned()
+    }
+
+    /// [`Config::assemble`], borrowing a leaf's netlist from the memo.
+    fn assemble_shared(&self) -> Cow<'static, Netlist> {
         match self {
-            Config::Leaf(l) => l.netlist(),
+            Config::Leaf(l) => Cow::Borrowed(l.shared_netlist()),
             Config::Quad { summation, sub } => {
-                let parts: Vec<Netlist> = sub.iter().map(Config::assemble).collect();
-                compose_quad_netlist(
+                let [ll, hl, lh, hh] = sub.each_ref().map(Config::assemble_shared);
+                Cow::Owned(compose_quad_netlist(
                     self.key(),
-                    &parts[0],
-                    &parts[1],
-                    &parts[2],
-                    &parts[3],
+                    &ll,
+                    &hl,
+                    &lh,
+                    &hh,
                     *summation,
-                )
+                ))
             }
         }
     }
@@ -562,6 +586,30 @@ mod tests {
             assert_eq!(buses.len(), 2, "{leaf:?}");
             assert_eq!(buses[0].1.len(), 4);
             assert_eq!(buses[1].1.len(), 4);
+        }
+    }
+
+    #[test]
+    fn memoized_leaves_assemble_like_fresh_builds() {
+        use axmul_netio::fingerprint;
+        for leaf in Leaf::ALL {
+            let fresh = fingerprint(&leaf.netlist());
+            for call in 0..3 {
+                let memo = Config::Leaf(leaf).assemble();
+                assert_eq!(fingerprint(&memo), fresh, "{leaf:?}, call {call}");
+            }
+        }
+        for key in ["(a A T1 X T3)", "(c T2 A A X)"] {
+            let cfg: Config = key.parse().unwrap();
+            let Config::Quad { summation, sub } = &cfg else {
+                unreachable!("{key} is a quad")
+            };
+            let [ll, hl, lh, hh] = sub.each_ref().map(|s| match s {
+                Config::Leaf(l) => l.netlist(),
+                Config::Quad { .. } => unreachable!("{key} is 8x8"),
+            });
+            let fresh = compose_quad_netlist(key.to_string(), &ll, &hl, &lh, &hh, *summation);
+            assert_eq!(fingerprint(&cfg.assemble()), fingerprint(&fresh), "{key}");
         }
     }
 }

@@ -10,11 +10,12 @@ use axmul_dse::{
     evaluate, run, static_bounds, text_report, to_csv, CharCache, Config, DseOptions, Leaf,
     PruneOptions, Strategy,
 };
-use axmul_fabric::cost::Characterizer;
+use axmul_fabric::area::AreaReport;
+use axmul_fabric::cost::{Characterizer, NetlistCost};
 use axmul_metrics::ErrorStats;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A stratified sample of the 8×8 space: every homogeneous quad, the
 /// paper's two named designs, and seeded-random heterogeneous configs.
@@ -36,7 +37,7 @@ fn stratified_8x8(random: usize) -> Vec<Config> {
 
 fn assert_stats_match_netlist(cache: &CharCache, cfg: &Config) {
     let c = cache.characterize(cfg).unwrap();
-    let wide = ErrorStats::exhaustive_wide(&c.netlist).unwrap();
+    let wide = ErrorStats::exhaustive_wide(&cfg.assemble()).unwrap();
     // Full structural equality: every field including the float
     // accumulators and the name (both are the canonical key).
     assert_eq!(c.stats, wide, "composed stats diverge for {}", cfg.key());
@@ -87,7 +88,7 @@ proptest! {
         let cfg = Config::random(8, &mut rng);
         let cache = CharCache::new(Characterizer::virtex7());
         let c = cache.characterize(&cfg).unwrap();
-        let wide = ErrorStats::exhaustive_wide(&c.netlist).unwrap();
+        let wide = ErrorStats::exhaustive_wide(&cfg.assemble()).unwrap();
         prop_assert_eq!(&c.stats, &wide);
     }
 
@@ -102,6 +103,7 @@ proptest! {
         let cache = CharCache::new(Characterizer::virtex7());
         let c = cache.characterize(&cfg).unwrap();
         let m = c.multiplier();
+        let netlist = cfg.assemble();
         let mut state = seed | 1;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -109,8 +111,48 @@ proptest! {
         };
         for _ in 0..64 {
             let (a, b) = (next() & 0xFFFF, next() & 0xFFFF);
-            let out = c.netlist.eval(&[a, b]).unwrap();
+            let out = netlist.eval(&[a, b]).unwrap();
             prop_assert_eq!(out[0], m.multiply(a, b));
+        }
+    }
+}
+
+/// A cost with its floats as bits, so `-0.0`/`+0.0` and NaN payloads
+/// count as different.
+fn cost_bits(c: &NetlistCost) -> (AreaReport, [u64; 3]) {
+    (
+        c.area,
+        [c.critical_path_ns, c.energy_per_op, c.edp].map(f64::to_bits),
+    )
+}
+
+/// The cache keeps no netlists, so what it characterizes must be
+/// exactly what `Config::assemble` builds: every 8×8 key (leaves
+/// included) and a seeded draw of 16×16 configs, cost to the last bit,
+/// and the 16×16 evaluator against that netlist's `eval`.
+#[test]
+fn cache_characterizes_exactly_the_assembled_netlist() {
+    use axmul_core::Multiplier;
+    let cache = CharCache::new(Characterizer::virtex7());
+    let direct = Characterizer::virtex7();
+    let mut rng = StdRng::seed_from_u64(0xA55E);
+    let wide: Vec<Config> = (0..6).map(|_| Config::random(16, &mut rng)).collect();
+    let configs = Config::enumerate(4)
+        .into_iter()
+        .chain(Config::enumerate(8))
+        .chain(wide);
+    for cfg in configs {
+        let c = cache.characterize(&cfg).unwrap();
+        let netlist = cfg.assemble();
+        let want = direct.characterize(&netlist).unwrap();
+        assert_eq!(cost_bits(&c.cost), cost_bits(&want), "{}", cfg.key());
+        if cfg.bits() == 16 {
+            let m = c.multiplier();
+            for _ in 0..256 {
+                let (a, b) = (rng.random::<u64>() & 0xFFFF, rng.random::<u64>() & 0xFFFF);
+                let out = netlist.eval(&[a, b]).unwrap();
+                assert_eq!(out[0], m.multiply(a, b), "{} {a}x{b}", cfg.key());
+            }
         }
     }
 }

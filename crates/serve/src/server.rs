@@ -22,7 +22,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -308,7 +308,7 @@ fn worker_loop(
 ) {
     while !shutdown.load(Ordering::SeqCst) {
         let conn = {
-            let guard = rx.lock().expect("worker queue lock");
+            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
             guard.recv_timeout(Duration::from_millis(50))
         };
         match conn {

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use axmul_dse::{evaluate_on, CharCache, Config, DiskStore, DseResult};
@@ -53,6 +53,9 @@ pub struct Service {
     cache: CharCache,
     /// Signed 8-bit product tables keyed by configuration key; `""` is
     /// the exact backend. Built once per configuration, then shared.
+    /// The lock tolerates poisoning: each critical section is one
+    /// lookup or insert, which leaves the map valid if its holder
+    /// panics.
     tables: Mutex<HashMap<String, Arc<ProductTable>>>,
     linter: Linter,
     counters: Counters,
@@ -399,7 +402,9 @@ impl Service {
             .cache
             .characterize(&cfg)
             .map_err(|e| (ErrorCode::Internal, format!("characterization failed: {e}")))?;
-        let report = self.linter.lint_against(&char.netlist, &char.multiplier());
+        let report = self
+            .linter
+            .lint_against(&cfg.assemble(), &char.multiplier());
         Ok(lint_report_value(&report))
     }
 
@@ -449,7 +454,12 @@ impl Service {
     /// key (`None` = exact int8).
     fn backend(&self, config: Option<&str>) -> Result<Arc<ProductTable>, (ErrorCode, String)> {
         let cache_key = config.unwrap_or("");
-        if let Some(t) = self.tables.lock().expect("table lock").get(cache_key) {
+        if let Some(t) = self
+            .tables
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(cache_key)
+        {
             return Ok(Arc::clone(t));
         }
         let table = match config {
@@ -473,7 +483,7 @@ impl Service {
         let table = Arc::new(table);
         self.tables
             .lock()
-            .expect("table lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(cache_key.to_string(), Arc::clone(&table));
         Ok(table)
     }
@@ -810,6 +820,39 @@ mod tests {
             .unwrap()
             .len();
         assert_eq!(preds, images.len());
+    }
+
+    #[test]
+    fn a_panic_under_the_table_lock_leaves_nn_serving() {
+        let svc = Service::new(None);
+        let images: Vec<Vec<u8>> = axmul_nn::test_set().images[..4].to_vec();
+        let classify = |config: Option<&str>| {
+            let v = response(
+                &svc,
+                Op::NnClassify {
+                    config: config.map(str::to_string),
+                    images: images.clone(),
+                },
+            );
+            assert_ok(&v).get("predictions").cloned().unwrap()
+        };
+        let cached = classify(Some("(a A A A A)"));
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _tables = svc.tables.lock().unwrap();
+                    panic!("handler dies holding the table lock");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(svc.tables.is_poisoned());
+        // A cached backend, and a fresh one checked against direct
+        // inference.
+        assert_eq!(classify(Some("(a A A A A)")), cached);
+        let want = infer_batch(reference_model(), &ProductTable::exact(), &images, 1).unwrap();
+        let want = Value::Arr(want.iter().map(|&p| Value::num(u32::from(p))).collect());
+        assert_eq!(classify(None), want);
     }
 
     #[test]

@@ -91,7 +91,7 @@ fn dse_configs_characterize_bit_identical_to_reference() {
     let configs = Config::enumerate(8);
     for cfg in configs.iter().step_by(97) {
         let block = cache.characterize(cfg).expect("config characterizes");
-        let nl = &*block.netlist;
+        let nl = &cfg.assemble();
         let stimulus = uniform_stimulus(
             nl,
             Characterizer::STIMULUS_LEN,

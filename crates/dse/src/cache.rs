@@ -35,17 +35,23 @@
 //! assert.
 //!
 //! An 8×8 quad's statistics are folded straight from its four leaf
-//! tables by [`ErrorStats::exhaustive_quad`], whose sixteen lanes are
-//! the sixteen 4096-sample relative-error chunks of the sweep: chunk
-//! `bh` is the rows `b = (bh << 4) | bl`, each lane takes its chunk's
-//! samples in the original order, a pair the per-pair fold would skip
-//! adds `+0.0` to its lane's chain (a no-op, since the chain is never
-//! below `+0.0`), and the counts and error sums are exact integers in
-//! any order. So the statistics are bit-identical to
-//! [`ErrorStats::exhaustive`]. The quad's own 65 536-entry table is
-//! built only when something asks for the block's evaluator
-//! ([`BlockChar::multiplier`]) and then kept.
-//! An exhaustive 8×8 sweep therefore holds 1 KiB per leaf instead of
+//! tables by [`ErrorStats::exhaustive_quads`]. Its unit of work is a
+//! 4096-sample relative-error chunk: chunk `c` is the rows
+//! `b = (c << 4) | bl`, and it reads only the `LL` and `HL` tables and
+//! row `c` of `LH` and `HH`. The quads that share their summation and
+//! their `LL` and `HL` leaves form a *sibling group*, and
+//! [`CharCache::characterize_group`] sweeps the quads of a group that it
+//! builds together, each distinct chunk once (217 chunks for a full
+//! group of 25, not 400). Each chunk takes its samples in the original
+//! order, a pair the per-pair fold would skip adds `+0.0` or nothing to
+//! its chain (a no-op, since the chain is never below `+0.0`), the
+//! counts and error sums are exact integers in any order, and each
+//! quad's chunk sums are folded in chunk order. So the statistics are
+//! bit-identical to [`ErrorStats::exhaustive`], whatever group a quad
+//! is swept in. Nothing of a sweep outlives the group build. The quad's
+//! own 65 536-entry table is built only when something asks for the
+//! block's evaluator ([`BlockChar::multiplier`]) and then kept. An
+//! exhaustive 8×8 sweep therefore holds 1 KiB per leaf instead of
 //! 256 KiB per candidate, while a 16×16 parent still evaluates its
 //! 8×8 children by table lookup.
 
@@ -209,13 +215,6 @@ impl LeafQuad<'_> {
         }
     }
 
-    /// Exhaustive error statistics, from the lane-parallel quad kernel
-    /// ([`ErrorStats::exhaustive_quad`]), bit-identical to
-    /// [`ErrorStats::exhaustive`].
-    fn stats(&self, name: &str) -> ErrorStats {
-        ErrorStats::exhaustive_quad(name.to_string(), self.tables, self.summation)
-    }
-
     /// Exhaustive value table, indexed `(b << bits) | a` — exactly the
     /// sweep order.
     fn table(&self) -> Vec<u32> {
@@ -326,6 +325,35 @@ impl Drop for SlotGuard<'_> {
     }
 }
 
+/// What [`CharCache::claim`] found for a key.
+enum Claim<'a> {
+    /// The cached record, counted as a hit.
+    Hit(Arc<BlockChar>),
+    /// Another caller is characterizing the key.
+    Held(Arc<InFlight>),
+    /// The caller now holds the key's slot.
+    Mine(SlotGuard<'a>),
+}
+
+/// A claimed key's record: restored from the store, or built, with
+/// its statistics unless it is an 8×8 quad, whose statistics come from
+/// its sibling group's sweep.
+enum Produced {
+    Restored(BlockChar),
+    Built(Built, Option<ErrorStats>),
+}
+
+/// A freshly built block, but for its statistics, before it is
+/// persisted and inserted.
+struct Built {
+    key: String,
+    bits: u32,
+    cost: NetlistCost,
+    node: EvalNode,
+    /// The store's record hash, when a store is attached.
+    netlist_hash: Option<u64>,
+}
+
 /// Cumulative wall-clock split of the characterizations a [`CharCache`]
 /// has built, by phase (see [`CharCache::time_breakdown`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -334,7 +362,8 @@ pub struct CharTimeBreakdown {
     /// children's), compiling it and taking its area report.
     pub assemble: Duration,
     /// Error-statistics sweeps (exhaustive or sampled), plus the 8×8
-    /// tables that wider parents build on demand.
+    /// tables that wider parents build on demand. The joint sweep of an
+    /// 8×8 sibling group is charged once, not per quad.
     pub error: Duration,
     /// Packed-stimulus energy measurements.
     pub energy: Duration,
@@ -407,54 +436,113 @@ impl CharCache {
     }
 
     /// Characterizes `cfg`, reusing every already-characterized
-    /// sub-block (including `cfg` itself on repeat queries).
-    ///
-    /// Each key is characterized once: a worker that misses on a key
-    /// another worker is building waits for that record (and counts a
-    /// hit). If the build fails or panics, waiters retry it themselves.
+    /// sub-block (including `cfg` itself on repeat queries): a group of
+    /// one for [`CharCache::characterize_group`].
     ///
     /// # Errors
     ///
     /// Propagates netlist simulation errors.
     pub fn characterize(&self, cfg: &Config) -> Result<Arc<BlockChar>, FabricError> {
-        let key = cfg.key();
-        let _slot = loop {
-            if let Some(hit) = self.lookup(&key) {
-                return Ok(hit);
+        let mut records = self.characterize_group(std::slice::from_ref(cfg))?;
+        Ok(records.pop().expect("one record per configuration"))
+    }
+
+    /// Characterizes every configuration of `cfgs`, reusing every
+    /// already-characterized sub-block, and returns the records in
+    /// `cfgs` order.
+    ///
+    /// Each key is characterized once: a key another worker is
+    /// building is left to that worker, and once this call has
+    /// finished its own keys it waits for that record (and counts a
+    /// hit). If the build fails or panics, waiters retry it themselves.
+    /// Per configuration, the hits, misses and builds are those of a
+    /// [`CharCache::characterize`] call.
+    ///
+    /// The 8×8 quads the call builds are swept as *sibling groups*:
+    /// the quads that share their summation and their `LL` and `HL`
+    /// leaves get their statistics from one joint sweep
+    /// ([`ErrorStats::exhaustive_quads`]), which sweeps each distinct
+    /// relative-error chunk of the group once. A search passes whole
+    /// sibling groups here.
+    ///
+    /// # Errors
+    ///
+    /// Propagates netlist simulation errors.
+    pub fn characterize_group(&self, cfgs: &[Config]) -> Result<Vec<Arc<BlockChar>>, FabricError> {
+        let keys: Vec<String> = cfgs.iter().map(Config::key).collect();
+        let mut records: Vec<Option<Arc<BlockChar>>> = vec![None; cfgs.len()];
+        let mut held = Vec::new();
+        // Built 8×8 quads that wait for their group's sweep, with their
+        // claimed slots.
+        let mut waiting: Vec<(usize, Built, SlotGuard<'_>)> = Vec::new();
+        for (i, (cfg, key)) in cfgs.iter().zip(&keys).enumerate() {
+            if cfg.bits() > 8 {
+                // A wider block may have a waiting quad as its child.
+                self.sweep_siblings(cfgs, &mut waiting, &mut records);
             }
-            // Claim the key, or wait for the worker that holds it. The
-            // map is checked again under the in-flight lock, because a
-            // builder inserts its record before it releases its slot.
-            let mut in_flight = self
-                .in_flight
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match in_flight.get(&key) {
-                Some(slot) => {
-                    let slot = Arc::clone(slot);
-                    drop(in_flight);
-                    slot.wait();
+            let slot = match self.claim(key) {
+                Claim::Hit(hit) => {
+                    records[i] = Some(hit);
+                    continue;
                 }
-                None => {
-                    if let Some(hit) = self.lookup(&key) {
-                        return Ok(hit);
-                    }
-                    in_flight.insert(key.clone(), Arc::new(InFlight::default()));
-                    break SlotGuard {
-                        cache: self,
-                        key: &key,
-                    };
+                Claim::Held(slot) => {
+                    held.push((i, slot));
+                    continue;
                 }
+                Claim::Mine(slot) => slot,
+            };
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            match self.restore_or_build(cfg, key)? {
+                Produced::Restored(rec) => records[i] = Some(self.insert(rec)),
+                Produced::Built(built, Some(stats)) => {
+                    records[i] = Some(self.settle(cfg, built, stats))
+                }
+                Produced::Built(built, None) => waiting.push((i, built, slot)),
             }
-        };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let record = match self.restore(cfg, &key) {
+        }
+        self.sweep_siblings(cfgs, &mut waiting, &mut records);
+        for (i, slot) in held {
+            slot.wait();
+            records[i] = Some(self.characterize(&cfgs[i])?);
+        }
+        Ok(records
+            .into_iter()
+            .map(|r| r.expect("every configuration was characterized"))
+            .collect())
+    }
+
+    /// Claims `key` unless it is cached (a counted hit) or another
+    /// caller holds it. The map is checked again under the in-flight
+    /// lock, because a builder inserts its record before it releases
+    /// its slot.
+    fn claim<'a>(&'a self, key: &'a str) -> Claim<'a> {
+        if let Some(hit) = self.lookup(key) {
+            return Claim::Hit(hit);
+        }
+        let mut in_flight = self
+            .in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(slot) = in_flight.get(key) {
+            return Claim::Held(Arc::clone(slot));
+        }
+        if let Some(hit) = self.lookup(key) {
+            return Claim::Hit(hit);
+        }
+        in_flight.insert(key.to_string(), Arc::new(InFlight::default()));
+        Claim::Mine(SlotGuard { cache: self, key })
+    }
+
+    /// Restores a claimed key from the store, or builds it when it is
+    /// not stored or its record cannot be used.
+    fn restore_or_build(&self, cfg: &Config, key: &str) -> Result<Produced, FabricError> {
+        match self.restore(cfg, key) {
             Ok(Some(rec)) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                Arc::new(rec)
+                Ok(Produced::Restored(rec))
             }
-            Ok(None) => Arc::new(self.build_and_persist(cfg, &key)?),
-            Err(RestoreError::Fabric(e)) => return Err(e),
+            Ok(None) => self.build(cfg, key),
+            Err(RestoreError::Fabric(e)) => Err(e),
             Err(RestoreError::Store(e)) => {
                 // Truncated, corrupt, version-mismatched or stale
                 // record: rebuild cleanly and overwrite it.
@@ -463,11 +551,107 @@ impl CharCache {
                     .last_store_error
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner) = Some(e.to_string());
-                Arc::new(self.build_and_persist(cfg, &key)?)
+                self.build(cfg, key)
             }
+        }
+    }
+
+    /// Gives the waiting 8×8 quads their statistics, one joint sweep
+    /// per sibling group (charged to `error` once), then persists and
+    /// inserts their records and releases their slots.
+    fn sweep_siblings(
+        &self,
+        cfgs: &[Config],
+        waiting: &mut Vec<(usize, Built, SlotGuard<'_>)>,
+        records: &mut [Option<Arc<BlockChar>>],
+    ) {
+        if waiting.is_empty() {
+            return;
+        }
+        let t = Instant::now();
+        let quads: Vec<LeafQuad<'_>> = waiting
+            .iter()
+            .map(|(_, built, _)| {
+                built
+                    .node
+                    .leaf_quad()
+                    .expect("a waiting block is a leaf quad")
+            })
+            .collect();
+        let mut groups = HashMap::new();
+        for (j, q) in quads.iter().enumerate() {
+            let [ll, hl, _, _] = q.tables;
+            groups
+                .entry((q.summation, ll, hl))
+                .or_insert_with(Vec::new)
+                .push(j);
+        }
+        let mut stats: Vec<Option<ErrorStats>> = vec![None; quads.len()];
+        for ((summation, ll, hl), members) in groups {
+            let siblings: Vec<(&str, &[u32], &[u32])> = members
+                .iter()
+                .map(|&j| {
+                    let [_, _, lh, hh] = quads[j].tables;
+                    (waiting[j].1.key.as_str(), lh, hh)
+                })
+                .collect();
+            let swept = ErrorStats::exhaustive_quads(ll, hl, summation, &siblings);
+            for (j, s) in members.into_iter().zip(swept) {
+                stats[j] = Some(s);
+            }
+        }
+        charge(&self.time_error_ns, t.elapsed());
+        for ((i, built, _slot), s) in waiting.drain(..).zip(stats) {
+            let stats = s.expect("every waiting quad is in one group");
+            records[i] = Some(self.settle(&cfgs[i], built, stats));
+        }
+    }
+
+    /// Persists a freshly built record when a store is attached, and
+    /// inserts it.
+    fn settle(&self, cfg: &Config, built: Built, stats: ErrorStats) -> Arc<BlockChar> {
+        let block = BlockChar {
+            key: built.key,
+            bits: built.bits,
+            cost: built.cost,
+            stats,
+            node: built.node,
+            table: OnceLock::new(),
         };
-        self.map().insert(key.clone(), Arc::clone(&record));
-        Ok(record)
+        if let (Some(store), Some(netlist_hash)) = (&self.store, built.netlist_hash) {
+            // Leaf value tables are persisted; a quad's evaluator is
+            // composed from its children, so only stats/cost are stored.
+            let table = match (cfg, &block.node) {
+                (Config::Leaf(_), EvalNode::Table { table, .. }) => Some(table.to_vec()),
+                _ => None,
+            };
+            let rec = StoredChar {
+                key: block.key.clone(),
+                bits: block.bits,
+                netlist_hash,
+                luts: block.cost.area.luts as u64,
+                carry4s: block.cost.area.carry4s as u64,
+                wasted_sites: block.cost.area.wasted_sites as u64,
+                dead_outputs: block.cost.area.dead_outputs as u64,
+                ignored_pins: block.cost.area.ignored_pins as u64,
+                critical_path_ns: block.cost.critical_path_ns,
+                energy_per_op: block.cost.energy_per_op,
+                edp: block.cost.edp,
+                stats: block.stats.clone(),
+                table,
+            };
+            if store.save(&rec).is_err() {
+                self.store_failures.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.insert(block)
+    }
+
+    /// Inserts a record under its key.
+    fn insert(&self, block: BlockChar) -> Arc<BlockChar> {
+        let record = Arc::new(block);
+        self.map().insert(record.key.clone(), Arc::clone(&record));
+        record
     }
 
     /// The locked record map (poison-tolerant, see the `map` field).
@@ -589,42 +773,12 @@ impl CharCache {
         h
     }
 
-    fn build_and_persist(&self, cfg: &Config, key: &str) -> Result<BlockChar, FabricError> {
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        let (block, netlist_hash) = self.build(cfg, key)?;
-        if let (Some(store), Some(netlist_hash)) = (&self.store, netlist_hash) {
-            // Leaf value tables are persisted; a quad's evaluator is
-            // composed from its children, so only stats/cost are stored.
-            let table = match (cfg, &block.node) {
-                (Config::Leaf(_), EvalNode::Table { table, .. }) => Some(table.to_vec()),
-                _ => None,
-            };
-            let rec = StoredChar {
-                key: key.to_string(),
-                bits: block.bits,
-                netlist_hash,
-                luts: block.cost.area.luts as u64,
-                carry4s: block.cost.area.carry4s as u64,
-                wasted_sites: block.cost.area.wasted_sites as u64,
-                dead_outputs: block.cost.area.dead_outputs as u64,
-                ignored_pins: block.cost.area.ignored_pins as u64,
-                critical_path_ns: block.cost.critical_path_ns,
-                energy_per_op: block.cost.energy_per_op,
-                edp: block.cost.edp,
-                stats: block.stats.clone(),
-                table,
-            };
-            if store.save(&rec).is_err() {
-                self.store_failures.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(block)
-    }
-
     /// Characterizes `cfg` from its children's records. The netlist is
     /// assembled, measured and dropped here; with a store attached, its
-    /// record hash is returned beside the block.
-    fn build(&self, cfg: &Config, key: &str) -> Result<(BlockChar, Option<u64>), FabricError> {
+    /// record hash is kept beside the block. An 8×8 quad's statistics
+    /// are left to its sibling group's sweep.
+    fn build(&self, cfg: &Config, key: &str) -> Result<Produced, FabricError> {
+        self.builds.fetch_add(1, Ordering::Relaxed);
         let bits = cfg.bits();
         let children = match cfg {
             Config::Leaf(_) => None,
@@ -671,20 +825,23 @@ impl CharCache {
             node,
         };
         let stats = match evaluator.node.leaf_quad() {
-            Some(quad) => quad.stats(key),
-            None if 2 * bits <= 16 => ErrorStats::exhaustive(&evaluator),
-            None => ErrorStats::sampled(&evaluator, self.samples, self.sample_seed),
+            Some(_) => None,
+            None if 2 * bits <= 16 => Some(ErrorStats::exhaustive(&evaluator)),
+            None => Some(ErrorStats::sampled(
+                &evaluator,
+                self.samples,
+                self.sample_seed,
+            )),
         };
         charge(&self.time_error_ns, t_err.elapsed());
-        let block = BlockChar {
+        let built = Built {
             key: key.to_string(),
             bits,
             cost,
-            stats,
             node: evaluator.node,
-            table: OnceLock::new(),
+            netlist_hash,
         };
-        Ok((block, netlist_hash))
+        Ok(Produced::Built(built, stats))
     }
 
     /// Cache hits so far.
@@ -824,6 +981,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_group_with_a_duplicate_a_parent_and_a_leaf_matches_single_calls() {
+        let group: Vec<Config> = [
+            "(c T3 A X X)",
+            "(c T3 A A X)",
+            "(c T3 A X X)",
+            // A parent of two quads that wait for the sweep when it
+            // comes up.
+            "(a (c T3 A X X) (a X X X X) (c T3 A A X) (a X X X X))",
+            "A",
+        ]
+        .iter()
+        .map(|k| k.parse().unwrap())
+        .collect();
+        let grouped = cache().with_sampling(4096, 1);
+        let records = grouped.characterize_group(&group).unwrap();
+        let single = cache().with_sampling(4096, 1);
+        for (cfg, rec) in group.iter().zip(&records) {
+            let one = single.characterize(cfg).unwrap();
+            assert_eq!(rec.key, cfg.key());
+            assert_eq!(rec.stats, one.stats, "{}", rec.key);
+            assert_eq!(rec.cost.area, one.cost.area, "{}", rec.key);
+        }
+        assert!(Arc::ptr_eq(&records[0], &records[2]));
+        // Three leaves, three 8×8 quads and the parent.
+        assert_eq!(grouped.builds(), 7);
+        assert_eq!(
+            (grouped.hits(), grouped.misses()),
+            (single.hits(), single.misses())
+        );
     }
 
     #[test]

@@ -168,6 +168,23 @@ impl Config {
         cfg
     }
 
+    /// The sibling group of an 8×8 quad, its summation and its `LL`
+    /// and `HL` leaves, or `None` for any other configuration. A
+    /// group's quads share every chunk of the exhaustive error sweep on
+    /// which their `LH` and `HH` rows agree
+    /// ([`crate::CharCache::characterize_group`]).
+    pub(crate) fn sibling_group(&self) -> Option<(Summation, Leaf, Leaf)> {
+        match self {
+            Config::Quad { summation, sub } => match **sub {
+                [Config::Leaf(ll), Config::Leaf(hl), Config::Leaf(_), Config::Leaf(_)] => {
+                    Some((*summation, ll, hl))
+                }
+                _ => None,
+            },
+            Config::Leaf(_) => None,
+        }
+    }
+
     /// Assembles the configuration's structural netlist (named by its
     /// canonical key). Leaves come from a process-wide memo of the five
     /// leaf netlists, so an 8×8 quad costs one compose; wider trees

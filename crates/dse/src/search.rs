@@ -8,6 +8,7 @@
 //! heavy lifting exactly once; each worker then assembles candidates
 //! mostly from cache hits.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -19,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::bounds::{static_bounds, PruneOptions, StaticPoint};
-use crate::cache::{CharCache, CharTimeBreakdown};
+use crate::cache::{BlockChar, CharCache, CharTimeBreakdown};
 use crate::config::Config;
 use crate::store::DiskStore;
 
@@ -436,9 +437,8 @@ fn finish(
     }
 }
 
-fn evaluate_one(cache: &CharCache, cfg: &Config) -> Result<CandidateReport, FabricError> {
-    let c = cache.characterize(cfg)?;
-    Ok(CandidateReport {
+fn report(c: &BlockChar) -> CandidateReport {
+    CandidateReport {
         key: c.key.clone(),
         bits: c.bits,
         luts: c.cost.area.luts,
@@ -451,28 +451,60 @@ fn evaluate_one(cache: &CharCache, cfg: &Config) -> Result<CandidateReport, Fabr
         error_probability: c.stats.error_probability,
         on_lut_front: false,
         on_edp_front: false,
-    })
+    }
 }
 
-/// Splits `candidates` round-robin over `workers` scoped threads.
+fn evaluate_one(cache: &CharCache, cfg: &Config) -> Result<CandidateReport, FabricError> {
+    cache.characterize(cfg).map(|c| report(&c))
+}
+
+/// Splits `candidates` into sibling groups ([`Config::sibling_group`];
+/// any other configuration is a group of one), in order of first
+/// appearance, and deals whole groups over `workers` scoped threads:
+/// each group goes to the worker with the fewest candidates so far.
+/// A worker characterizes one group at a time
+/// ([`CharCache::characterize_group`]).
 fn evaluate_sharded(
     cache: &CharCache,
     candidates: &[Config],
     workers: usize,
 ) -> Result<(Vec<CandidateReport>, Vec<WorkerStat>), FabricError> {
-    let workers = workers.min(candidates.len()).max(1);
+    let mut groups: Vec<Vec<Config>> = Vec::new();
+    let mut group_of = HashMap::new();
+    for cfg in candidates {
+        match cfg.sibling_group() {
+            Some(sibling) => {
+                let g = *group_of.entry(sibling).or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+                groups[g].push(cfg.clone());
+            }
+            None => groups.push(vec![cfg.clone()]),
+        }
+    }
+    let workers = workers.min(groups.len()).max(1);
+    let mut shards: Vec<Vec<Vec<Config>>> = vec![Vec::new(); workers];
+    let mut dealt = vec![0usize; workers];
+    for group in groups {
+        let w = (0..workers).min_by_key(|&w| dealt[w]).unwrap_or(0);
+        dealt[w] += group.len();
+        shards[w].push(group);
+    }
     let failure: Mutex<Option<FabricError>> = Mutex::new(None);
     let mut results: Vec<(Vec<CandidateReport>, WorkerStat)> = Vec::new();
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
+        let handles: Vec<_> = shards
+            .iter()
+            .enumerate()
+            .map(|(w, shard)| {
                 let failure = &failure;
                 s.spawn(move || {
                     let t0 = Instant::now();
                     let mut out = Vec::new();
-                    for cfg in candidates.iter().skip(w).step_by(workers) {
-                        match evaluate_one(cache, cfg) {
-                            Ok(r) => out.push(r),
+                    for group in shard {
+                        match cache.characterize_group(group) {
+                            Ok(records) => out.extend(records.iter().map(|c| report(c))),
                             Err(e) => {
                                 *failure.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
                                 break;

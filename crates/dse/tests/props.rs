@@ -7,8 +7,8 @@
 
 use axmul_core::behavioral::Summation;
 use axmul_dse::{
-    evaluate, run, static_bounds, text_report, to_csv, CharCache, Config, DseOptions, Leaf,
-    PruneOptions, Strategy,
+    evaluate, evaluate_on, run, static_bounds, text_report, to_csv, CharCache, Config, DseOptions,
+    Leaf, PruneOptions, Strategy,
 };
 use axmul_fabric::area::AreaReport;
 use axmul_fabric::cost::{Characterizer, NetlistCost};
@@ -74,6 +74,74 @@ fn composed_stats_exactly_match_netlist_sweep_all_1250() {
     let cache = CharCache::new(Characterizer::virtex7());
     for cfg in Config::enumerate(8) {
         assert_stats_match_netlist(&cache, &cfg);
+    }
+}
+
+/// Fisher–Yates shuffle of `items` from a seeded stream.
+fn shuffled(mut items: Vec<Config>, seed: u64) -> Vec<Config> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.random_range(0..=i));
+    }
+    items
+}
+
+/// The property above through the explorer: all 1250 configurations in
+/// a seed-shuffled order on two workers, so every sibling group is
+/// swept jointly, then each cached record against the gate-level
+/// sweep. Ignored like its twin.
+#[test]
+#[ignore = "full 8x8 space sweep; run in release"]
+fn exploration_stats_exactly_match_netlist_sweep_all_1250() {
+    let configs = shuffled(Config::enumerate(8), 0x5B1B);
+    let cache = CharCache::new(Characterizer::virtex7());
+    let result = evaluate_on(&cache, &configs, 2).unwrap();
+    assert_eq!(result.reports.len(), 1250);
+    assert_eq!(result.cache_builds, 1255);
+    for cfg in &configs {
+        assert_stats_match_netlist(&cache, cfg);
+    }
+}
+
+/// Sibling groups are dealt whole to workers and swept jointly; none of
+/// that may show. Two full sibling groups plus a few single
+/// configurations, shuffled and sorted, on one and on two workers,
+/// give the same reports and the same cache accounting.
+#[test]
+fn order_and_worker_count_do_not_change_reports_or_accounting() {
+    let mut configs: Vec<Config> = Config::enumerate(8)
+        .into_iter()
+        .filter(|c| {
+            let key = c.key();
+            key.starts_with("(a A T1 ") || key.starts_with("(c X T3 ")
+        })
+        .collect();
+    assert_eq!(configs.len(), 50);
+    for key in [
+        "(a T3 X A T2)",
+        "(c T1 T1 X X)",
+        "(a X X X X)",
+        "(c A A A A)",
+    ] {
+        configs.push(key.parse().unwrap());
+    }
+    let mut sorted = configs.clone();
+    sorted.sort_by_key(Config::key);
+    let runs: Vec<_> = [shuffled(configs, 0x0D3), sorted]
+        .iter()
+        .flat_map(|order| [1, 2].map(|workers| (order, workers)))
+        .map(|(order, workers)| {
+            let cache = CharCache::new(Characterizer::virtex7());
+            let r = evaluate_on(&cache, order, workers).unwrap();
+            (r.reports, r.cache_hits, r.cache_misses, r.cache_builds)
+        })
+        .collect();
+    // 54 configurations and 5 leaves, each built once; each build of
+    // a quad looks up its 4 leaves.
+    assert_eq!(runs[0].3, 59);
+    assert_eq!(runs[0].1 + runs[0].2, 54 + 4 * 54);
+    for run in &runs[1..] {
+        assert_eq!(run, &runs[0]);
     }
 }
 

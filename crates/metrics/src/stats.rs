@@ -1,3 +1,4 @@
+use std::collections::HashMap;
 use std::fmt;
 
 use axmul_core::behavioral::{combine_products, Summation};
@@ -139,35 +140,85 @@ impl ErrorStats {
         Ok(acc.finish(netlist.name().to_string(), wa, wb))
     }
 
-    /// Exhaustively characterizes the 8×8 multiplier composed, under
-    /// `summation`, from four 4×4 value tables in `LL`, `HL`, `LH`,
-    /// `HH` order, each indexed `(b << 4) | a` — the DSE's quad over
-    /// four leaves. Bit-identical to [`ErrorStats::exhaustive`] of the
-    /// same composition, floats included, but the sixteen
-    /// relative-error chunks of the sweep run side by side as lanes
-    /// (see `Accumulator`).
+    /// Exhaustively characterizes a *sibling group* of 8×8 multipliers.
+    /// Sibling `i` is composed, under `summation`, from the 4×4 value
+    /// tables `ll`, `hl` that all siblings share and its own `lh`, `hh`
+    /// (the `LL`, `HL`, `LH`, `HH` quadrants, each indexed
+    /// `(b << 4) | a`), and is named `siblings[i].0`. Returns one result
+    /// per sibling, in order, each bit-identical to
+    /// [`ErrorStats::exhaustive`] of its composition, floats included.
+    /// A single configuration is a group of one.
+    ///
+    /// Chunk `c` of the sweep (the rows `b = 16c + bl`, see
+    /// `Accumulator`) reads only `ll`, `hl` and row `c` of `lh` and
+    /// `hh`, so siblings that agree there have the same chunk. The
+    /// kernel sweeps each distinct chunk of the group once, sixteen
+    /// chunks side by side as lanes, and assembles every sibling from
+    /// its sixteen chunk results.
     ///
     /// # Panics
     ///
     /// Panics unless every table has 256 entries, each below 256 (a
     /// 4×4 product's range).
     #[must_use]
-    pub fn exhaustive_quad(name: String, tables: [&[u32]; 4], summation: Summation) -> Self {
-        for t in tables {
+    pub fn exhaustive_quads(
+        ll: &[u32],
+        hl: &[u32],
+        summation: Summation,
+        siblings: &[(&str, &[u32], &[u32])],
+    ) -> Vec<Self> {
+        const N: usize = QUAD_ROW;
+        let tables = siblings.iter().flat_map(|&(_, lh, hh)| [lh, hh]);
+        for t in [ll, hl].into_iter().chain(tables) {
             assert!(
-                t.len() == QUAD_ROW * QUAD_ROW && t.iter().all(|&v| v < 256),
+                t.len() == N * N && t.iter().all(|&v| v < 256),
                 "a 4x4 value table has 256 entries below 256"
             );
         }
+        // The distinct chunk keys in order of first use, and each
+        // sibling's chunks as indices into them.
+        let mut keys: Vec<ChunkKey<'_>> = Vec::new();
+        let mut index: HashMap<ChunkKey<'_>, usize> = HashMap::new();
+        let mut chunks_of: Vec<[usize; N]> = Vec::with_capacity(siblings.len());
+        for &(_, lh, hh) in siblings {
+            let mut chunks = [0; N];
+            for (c, slot) in chunks.iter_mut().enumerate() {
+                let key = (c, &lh[c * N..][..N], &hh[c * N..][..N]);
+                *slot = *index.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                });
+            }
+            chunks_of.push(chunks);
+        }
         // One kernel per summation, so the composition is a constant.
-        let compose = |[ll, hl, lh, hh]: [u32; 4], s| {
-            combine_products(ll.into(), hl.into(), lh.into(), hh.into(), 4, s) as u32
-        };
-        let acc = match summation {
-            Summation::Accurate => fold_quad(tables, |p| compose(p, Summation::Accurate)),
-            Summation::CarryFree => fold_quad(tables, |p| compose(p, Summation::CarryFree)),
-        };
-        acc.finish(name, 8, 8)
+        let sums: Vec<ChunkSums> = keys
+            .chunks(LANES)
+            .flat_map(|batch| match summation {
+                Summation::Accurate => sweep_chunks::<false>(ll, hl, batch),
+                Summation::CarryFree => sweep_chunks::<true>(ll, hl, batch),
+            })
+            .collect();
+        siblings
+            .iter()
+            .zip(&chunks_of)
+            .map(|(&(name, lh, hh), chunks)| {
+                let product = |a: usize, b: usize| {
+                    let (al, ah, bl, bh) = (a % N, a / N, b % N, b / N);
+                    let p = |t: &[u32], x: usize, y: usize| u64::from(t[y * N + x]);
+                    combine_products(
+                        p(ll, al, bl),
+                        p(hl, ah, bl),
+                        p(lh, al, bh),
+                        p(hh, ah, bh),
+                        4,
+                        summation,
+                    )
+                };
+                let chunks = chunks.map(|i| &sums[i]);
+                assemble_quad(chunks, product).finish(name.to_string(), 8, 8)
+            })
+            .collect()
     }
 }
 
@@ -187,22 +238,26 @@ const REL_CHUNK: u64 = 4096;
 /// folds the chunk sums left-to-right. That fixes the sequence of float
 /// additions independently of how a kernel walks the chunks.
 ///
-/// The 8×8 quad kernel behind [`ErrorStats::exhaustive_quad`] runs the
-/// chunks of one sweep side by side. In the canonical order
-/// (`b` outer, `a` the fast axis) an 8×8 sweep's chunk `c` is exactly
-/// the sixteen rows `b ∈ [16c, 16c + 16)`, i.e. the rows whose high
-/// operand nibble is `bh = c`. The kernel keeps one lane per chunk and
-/// walks `bl`, then `ah`, then `al`, so every lane sees its chunk's
+/// The 8×8 sibling kernel behind [`ErrorStats::exhaustive_quads`]
+/// runs chunks side by side. In the canonical order (`b` outer, `a`
+/// the fast axis) an 8×8 sweep's chunk `c` is exactly the sixteen rows
+/// `b ∈ [16c, 16c + 16)`, i.e. the rows whose high operand nibble is
+/// `bh = c`, so it reads only the shared `LL`, `HL` tables and row `c`
+/// of `LH` and `HH`. The kernel keys a chunk by `c` and those two rows,
+/// sweeps each distinct key of a sibling group once in its own lane,
+/// and walks `bl`, then `ah`, then `al`, so every lane sees its chunk's
 /// samples in the original order and makes the same roundings. Where
 /// [`Accumulator::push`] skips a sample (`err == 0` or `exact == 0`),
-/// the lane adds `+0.0`, which leaves a chain that is always `≥ +0.0`
-/// unchanged. Counts and error sums are order-independent; the lanes
-/// hold them, like the products, as `f64` values that stay exact
-/// integers (`err < 2¹⁷`, so a lane's sum of squares stays below
-/// 2⁴⁶ < 2⁵³). The kernel records each row's maximum error and finds
-/// the maximum's occurrences and witnesses by rescanning, in sample
-/// order, only the rows that reach it. The result is the accumulator
-/// the sequential pushes would have left.
+/// the lane adds `+0.0` or nothing, which leaves a chain that is always
+/// `≥ +0.0` unchanged. Counts and error sums are order-independent; the
+/// lanes hold them, like the products and errors, as `f64` values that
+/// stay exact integers (`err < 2¹⁷`, so a lane's sum of squares stays
+/// below 2⁴⁶ < 2⁵³). A sibling's accumulator is then built from its
+/// sixteen chunk results: `rel` chunk sums in chunk order, integer
+/// sums, and each row's maximum error, from which a rescan, in sample
+/// order, of only the rows that reach the maximum finds the maximum's
+/// occurrences and witnesses. The result is the accumulator the
+/// sequential pushes would have left.
 #[derive(Debug, Default)]
 struct Accumulator {
     samples: u64,
@@ -281,93 +336,192 @@ impl Accumulator {
     }
 }
 
-/// Row length of an 8×8 sweep and lane count of its quad kernel: one
-/// lane per relative-error chunk.
+/// Row length of an 8×8 sweep: sixteen rows make a relative-error
+/// chunk, and sixteen chunks a sweep.
 const QUAD_ROW: usize = 16;
 
 // A chunk is exactly sixteen rows of 256 pairs.
 const _: () = assert!(REL_CHUNK as usize == QUAD_ROW * QUAD_ROW * QUAD_ROW);
 
-/// The 8×8 quad kernel (see `Accumulator`): lane `bh` accumulates the
-/// relative-error chunk of the rows `b = (bh << 4) | bl`, and
-/// `combine([ll, hl, lh, hh])` composes one product from the four
-/// quadrant products. The lanes are plain arrays that the compiler
-/// turns into vector instructions.
-fn fold_quad(tables: [&[u32]; 4], combine: impl Fn([u32; 4]) -> u32) -> Accumulator {
-    const N: usize = QUAD_ROW;
-    let [ll, hl, lh, hh] = tables;
-    // `LH` and `HH` are indexed by `bh`, so their lane values are
-    // columns: transposed, a row `[x]` holds `t[(bh << 4) | x]` for
-    // every lane `bh` side by side.
-    let transpose = |t: &[u32]| -> [[u32; N]; N] {
-        std::array::from_fn(|x| std::array::from_fn(|bh| t[bh * N + x]))
-    };
-    let (lh_t, hh_t) = (transpose(lh), transpose(hh));
-    let product = |a: usize, b: usize| {
-        let (al, ah, bl, bh) = (a % N, a / N, b % N, b / N);
-        combine([
-            ll[bl * N + al],
-            hl[bl * N + ah],
-            lh[bh * N + al],
-            hh[bh * N + ah],
-        ])
-    };
+/// Chunks an 8×8 sibling sweep runs side by side, one per lane: four
+/// keep every lane's running sums in vector registers.
+const LANES: usize = 4;
 
-    let mut rel = [0.0f64; N];
-    let mut occ = [0.0f64; N];
-    let mut sum = [0.0f64; N];
-    let mut sum_sq = [0.0f64; N];
-    // Largest error of each row `b`.
-    let mut row_max = [0u32; N * N];
-    for bl in 0..N {
-        let b: [f64; N] = std::array::from_fn(|bh| (bh * N + bl) as f64);
-        let mut stripe_max = [0.0f64; N];
-        for ah in 0..N {
-            let p_hl = hl[bl * N + ah];
-            let p_hh = &hh_t[ah];
-            // `a·b` for `a = ah << 4`; each `al` step adds `b`.
-            let mut exact: [f64; N] = std::array::from_fn(|l| (ah * N) as f64 * b[l]);
-            for al in 0..N {
-                let p_ll = ll[bl * N + al];
-                let p_lh = &lh_t[al];
-                for l in 0..N {
-                    // Below 2¹⁷, so the `i32` conversion is exact.
-                    let approx = f64::from(combine([p_ll, p_hl, p_lh[l], p_hh[l]]) as i32);
-                    let err = (exact[l] - approx).abs();
-                    // `+0.0` where the sequential push adds nothing;
-                    // `0.0 / exact` is `+0.0` when only `err` is 0.
-                    let (num, den) = if exact[l] == 0.0 {
-                        (0.0, 1.0)
-                    } else {
-                        (err, exact[l])
-                    };
-                    rel[l] += num / den;
-                    occ[l] += if err != 0.0 { 1.0 } else { 0.0 };
-                    sum[l] += err;
-                    sum_sq[l] += err * err;
-                    // A plain compare: no NaN occurs, and `f64::max` would
-                    // pay to handle one.
-                    stripe_max[l] = if err > stripe_max[l] {
-                        err
-                    } else {
-                        stripe_max[l]
-                    };
-                    exact[l] += b[l];
+/// A chunk of an 8×8 sibling sweep: its index `c` (the high nibble of
+/// `b`) and row `c` of the `LH` and `HH` tables, compared by contents.
+type ChunkKey<'a> = (usize, &'a [u32], &'a [u32]);
+
+/// The sums of one chunk, as the sequential pushes would leave them.
+struct ChunkSums {
+    rel: f64,
+    occ: u64,
+    sum: u128,
+    sum_sq: u128,
+    /// Largest error of each row `b = 16c + bl`, indexed by `bl`.
+    row_max: [u32; QUAD_ROW],
+}
+
+/// The running sums of the lanes of [`sweep_chunks`]. Counts and error
+/// sums are exact integers in `f64`.
+#[derive(Default)]
+struct LaneSums {
+    rel: [f64; LANES],
+    occ: [f64; LANES],
+    sum: [f64; LANES],
+    sum_sq: [f64; LANES],
+}
+
+/// Sweeps up to [`LANES`] chunks side by side (see `Accumulator`):
+/// lane `l` takes the rows `b = 16c + bl` of `batch[l]`, and lanes past
+/// the batch repeat its first key and are dropped.
+fn sweep_chunks<const CARRY_FREE: bool>(
+    ll: &[u32],
+    hl: &[u32],
+    batch: &[ChunkKey<'_>],
+) -> Vec<ChunkSums> {
+    const N: usize = QUAD_ROW;
+    let key = |l: usize| batch[if l < batch.len() { l } else { 0 }];
+    // The lanes' `LH` and `HH` rows side by side: `lh[al][l]` is
+    // `LH[c][al]` of lane `l`'s chunk `c`.
+    let lh: [[u32; LANES]; N] = std::array::from_fn(|al| std::array::from_fn(|l| key(l).1[al]));
+    let hh: [[u32; LANES]; N] = std::array::from_fn(|ah| std::array::from_fn(|l| key(l).2[ah]));
+    let mut sums = LaneSums::default();
+    // Largest error of each lane's row `b = 16c + bl`, indexed `[bl][l]`.
+    let mut row_max = [[0u32; LANES]; N];
+    for (bl, max) in row_max.iter_mut().enumerate() {
+        let b: [f64; LANES] = std::array::from_fn(|l| (key(l).0 * N + bl) as f64);
+        let (ll, hl) = (&ll[bl * N..][..N], &hl[bl * N..][..N]);
+        // Only in the stripe `bl = 0` can a lane's `b` be 0 (`c = 0`).
+        *max = if bl == 0 {
+            stripe::<CARRY_FREE, true>(&mut sums, ll, hl, &b, &lh, &hh)
+        } else {
+            stripe::<CARRY_FREE, false>(&mut sums, ll, hl, &b, &lh, &hh)
+        };
+    }
+    (0..batch.len())
+        .map(|l| ChunkSums {
+            rel: sums.rel[l],
+            occ: sums.occ[l] as u64,
+            sum: sums.sum[l] as u128,
+            sum_sq: sums.sum_sq[l] as u128,
+            row_max: std::array::from_fn(|bl| row_max[bl][l]),
+        })
+        .collect()
+}
+
+/// One stripe of [`sweep_chunks`]: the row `b[l]` of every lane, in
+/// sample order, over that row's `LL` and `HL` entries. Returns each
+/// lane's largest error.
+///
+/// The signed error `a·b − approx` is formed in `f64` from parts
+/// hoisted per `al` and per `ah`; every value is an exact integer below
+/// 2⁵³, so no rounding moves. The exact product `a·b` is 0 only at the
+/// `a = 0` step, which adds nothing to `rel`, and, with
+/// `B_MAY_BE_ZERO`, in a lane whose `b` is 0, which adds `+0.0`; every
+/// other division is unguarded.
+#[inline(always)]
+fn stripe<const CARRY_FREE: bool, const B_MAY_BE_ZERO: bool>(
+    sums: &mut LaneSums,
+    ll: &[u32],
+    hl: &[u32],
+    b: &[f64; LANES],
+    lh: &[[u32; LANES]; QUAD_ROW],
+    hh: &[[u32; LANES]; QUAD_ROW],
+) -> [u32; LANES] {
+    const N: usize = QUAD_ROW;
+    let LaneSums {
+        rel,
+        occ,
+        sum,
+        sum_sq,
+    } = sums;
+    // Hoisted per `al`: `al·b`, the part of the signed error that
+    // depends on `al` alone, and, carry-free, the `al` half of the
+    // middle field's xor.
+    let al_b: [[f64; LANES]; N] =
+        std::array::from_fn(|al| std::array::from_fn(|l| al as f64 * b[l]));
+    let lo: [[f64; LANES]; N] = std::array::from_fn(|al| {
+        std::array::from_fn(|l| {
+            al_b[al][l]
+                - if CARRY_FREE {
+                    f64::from(ll[al] & 15)
+                } else {
+                    f64::from(ll[al]) + 16.0 * f64::from(lh[al][l])
                 }
+        })
+    });
+    let mid_lo: [[i32; LANES]; N] =
+        std::array::from_fn(|al| std::array::from_fn(|l| ((ll[al] >> 4) ^ lh[al][l]) as i32));
+    let mut max = [0.0f64; LANES];
+    for ah in 0..N {
+        // Hoisted per `ah`: `16ah·b`, the part of the signed error that
+        // depends on `ah` alone, and the `ah` half of the xor.
+        let ah_b: [f64; LANES] = std::array::from_fn(|l| (ah * N) as f64 * b[l]);
+        let hi: [f64; LANES] = std::array::from_fn(|l| {
+            ah_b[l]
+                - if CARRY_FREE {
+                    4096.0 * f64::from(hh[ah][l] >> 4)
+                } else {
+                    16.0 * f64::from(hl[ah]) + 256.0 * f64::from(hh[ah][l])
+                }
+        });
+        let mid_hi: [i32; LANES] =
+            std::array::from_fn(|l| (hl[ah] ^ ((hh[ah][l] & 15) << 4)) as i32);
+        let mut step = |al: usize, l: usize| {
+            // Carry-free: `approx = (ll & 15) + 16·mid + 4096·(hh >> 4)`
+            // with `mid = (ll >> 4) ^ hl ^ lh ^ ((hh & 15) << 4)`;
+            // accurate: `approx = ll + 16·(hl + lh) + 256·hh`.
+            let err = if CARRY_FREE {
+                hi[l] + lo[al][l] - 16.0 * f64::from(mid_hi[l] ^ mid_lo[al][l])
+            } else {
+                hi[l] + lo[al][l]
+            }
+            .abs();
+            // Plain compares: no NaN occurs, and `f64::min` and
+            // `f64::max` would pay to handle one.
+            occ[l] += if err < 1.0 { err } else { 1.0 };
+            sum[l] += err;
+            sum_sq[l] += err * err;
+            max[l] = if err > max[l] { err } else { max[l] };
+            err
+        };
+        // The `a = 0` step adds nothing to `rel`.
+        if ah == 0 {
+            for l in 0..LANES {
+                step(0, l);
             }
         }
-        for (bh, &m) in stripe_max.iter().enumerate() {
-            row_max[bh * N + bl] = m as u32;
+        for (al, al_b) in al_b.iter().enumerate().skip(usize::from(ah == 0)) {
+            for l in 0..LANES {
+                let err = step(al, l);
+                let exact = ah_b[l] + al_b[l];
+                rel[l] += if B_MAY_BE_ZERO && b[l] == 0.0 {
+                    0.0
+                } else {
+                    err / exact
+                };
+            }
         }
     }
+    max.map(|m| m as u32)
+}
 
-    let max = row_max.iter().copied().max().unwrap_or(0);
+/// A sibling's accumulator from its sixteen chunk results, in chunk
+/// order; `product(a, b)` is its composed product, used only to
+/// rescan the rows that reach the maximum.
+fn assemble_quad(
+    chunks: [&ChunkSums; QUAD_ROW],
+    product: impl Fn(usize, usize) -> u64,
+) -> Accumulator {
+    const N: usize = QUAD_ROW;
+    let max = chunks.iter().flat_map(|c| c.row_max).max().unwrap_or(0);
     let mut max_occ = 0;
     let mut witnesses = Vec::new();
     if max > 0 {
-        for (b, _) in row_max.iter().enumerate().filter(|&(_, &m)| m == max) {
+        let rows = chunks.iter().flat_map(|c| c.row_max).enumerate();
+        for (b, _) in rows.filter(|&(_, m)| m == max) {
             for a in 0..N * N {
-                if ((a * b) as u32).abs_diff(product(a, b)) == max {
+                if ((a * b) as u64).abs_diff(product(a, b)) == u64::from(max) {
                     max_occ += 1;
                     if witnesses.len() < WITNESS_CAP {
                         witnesses.push((a as u64, b as u64));
@@ -376,16 +530,16 @@ fn fold_quad(tables: [&[u32]; 4], combine: impl Fn([u32; 4]) -> u32) -> Accumula
             }
         }
     }
-    let (done, last) = rel.split_at(N - 1);
+    let (done, last) = chunks.split_at(N - 1);
     Accumulator {
         samples: REL_CHUNK * N as u64,
-        occ: occ.iter().map(|&n| n as u64).sum(),
+        occ: chunks.iter().map(|c| c.occ).sum(),
         max: i64::from(max),
         max_occ,
-        sum: sum.iter().map(|&s| s as u128).sum(),
-        sum_sq: sum_sq.iter().map(|&s| s as u128).sum(),
-        rel_chunks: done.to_vec(),
-        chunk_rel: last[0],
+        sum: chunks.iter().map(|c| c.sum).sum(),
+        sum_sq: chunks.iter().map(|c| c.sum_sq).sum(),
+        rel_chunks: done.iter().map(|c| c.rel).collect(),
+        chunk_rel: last[0].rel,
         in_chunk: REL_CHUNK,
         witnesses,
     }

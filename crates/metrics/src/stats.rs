@@ -152,7 +152,7 @@ impl ErrorStats {
     /// Chunk `c` of the sweep (the rows `b = 16c + bl`, see
     /// `Accumulator`) reads only `ll`, `hl` and row `c` of `lh` and
     /// `hh`, so siblings that agree there have the same chunk. The
-    /// kernel sweeps each distinct chunk of the group once, sixteen
+    /// kernel sweeps each distinct chunk of the group once, a few
     /// chunks side by side as lanes, and assembles every sibling from
     /// its sixteen chunk results.
     ///

@@ -1,9 +1,9 @@
 //! Golden transcript of the CLI's netlist operations: `import` (the
 //! summary, `--lint`, `--absint`, both `--verify --config` verdicts and
 //! the error paths), `verify FILE` (against a configuration, a second
-//! file, the exact product, and a refutation), `absint --config` and
-//! `verify --config --json`, plus `characterize` and `import
-//! --characterize`. Each command's stdout, or its rendered error, must
+//! file, the exact product, and a refutation), `absint --config`,
+//! `verify --config --json` and `verify --arch` (text and `--json`),
+//! plus `characterize` and `import --characterize`. Each command's stdout, or its rendered error, must
 //! equal `tests/golden/ops_cli.txt`. The fixture directory is written
 //! as `$DIR` and solve times as `<ms>`.
 //!
@@ -136,6 +136,8 @@ const COMMANDS: &[&[&str]] = &[
     &["absint", "--config", "(a A A A A)", "--json"],
     &["absint", "--config", "(q A A A A)"],
     &["verify", "--config", "(a A A A A)", "--json"],
+    &["verify", "--arch", "ca", "--bits", "8"],
+    &["verify", "--arch", "k", "--bits", "8", "--json"],
     &["characterize", "--arch", "ca", "--bits", "8"],
     &["characterize", "--arch", "cc", "--bits", "8"],
     &["import", "$DIR/ca8.v", "--characterize"],

@@ -31,14 +31,13 @@
 //! record the CI gate greps for `"all_equiv": true` and
 //! `"bounds_certified": true`.
 
-use axmul_absint::analyze_netlist;
 use axmul_baselines::{kulkarni_netlist, pp_truncated_netlist, rehman_netlist};
 use axmul_core::structural::{ca_netlist, cc_netlist};
-use axmul_dse::{static_bounds, Config};
 use axmul_fabric::export::to_verilog;
 use axmul_fabric::Netlist;
 use axmul_metrics::ErrorStats;
-use axmul_sat::{check_equiv, prove_wce, EquivOutcome, ProofOptions, WceEngine, WceOptions};
+use axmul_sat::{check_equiv, EquivOutcome, ProofOptions, WceEngine};
+use axmul_serve::ops::{certify_wce, CertifiedWce, WceDesign};
 
 use crate::report::{mode, BenchRecord, Field, Table};
 
@@ -88,15 +87,20 @@ const MIX16: &[(&str, &str)] = &[
     ),
 ];
 
-/// One design queued for a wce proof: its absint bracket and witness
-/// hint ride along.
+/// One roster design queued for a wce proof.
 struct WceCase {
     name: String,
-    key: Option<String>,
-    netlist: Netlist,
-    lb: u128,
-    ub: u128,
-    hint: Option<(u64, u64)>,
+    design: WceDesign,
+}
+
+impl WceCase {
+    /// The canonical key of a configuration-tree case.
+    fn key(&self) -> Option<String> {
+        match &self.design {
+            WceDesign::Config(cfg) => Some(cfg.key()),
+            WceDesign::Netlist(_) => None,
+        }
+    }
 }
 
 /// One proven design.
@@ -119,35 +123,21 @@ struct WceRow {
     engine: WceEngine,
 }
 
-/// A structural roster design with its bracket from the generic
-/// netlist analyzer.
+/// A structural roster design, bracketed by the generic netlist
+/// analyzer.
 fn structural_case(name: &str, netlist: Netlist) -> WceCase {
-    let analysis = analyze_netlist(&netlist);
-    let bound = analysis
-        .error
-        .expect("roster multipliers carry a deviation bound");
     WceCase {
         name: name.to_string(),
-        key: None,
-        netlist,
-        lb: bound.wce_lb,
-        ub: bound.wce_ub(),
-        hint: bound.witness,
+        design: WceDesign::Netlist(netlist),
     }
 }
 
-/// A configuration-tree roster design with its bracket from the tree
-/// analyzer (the same bracket the DSE pruning screen consults).
+/// A configuration-tree roster design, bracketed by the tree analyzer
+/// (the same bracket the DSE pruning screen consults).
 fn config_case(name: &str, key: &str) -> WceCase {
-    let cfg: Config = key.parse().expect("roster keys parse");
-    let analysis = static_bounds(&cfg).expect("roster configs analyze");
     WceCase {
         name: name.to_string(),
-        key: Some(analysis.key),
-        netlist: cfg.assemble(),
-        lb: analysis.bound.wce_lb,
-        ub: analysis.bound.wce_ub(),
-        hint: analysis.bound.witness,
+        design: WceDesign::Config(key.parse().expect("roster keys parse")),
     }
 }
 
@@ -189,30 +179,32 @@ fn roster32() -> Vec<WceCase> {
     ]
 }
 
-/// Proves one case, comparing against exhaustive truth at ≤ 8 bits.
+/// Proves one case ([`certify_wce`]), comparing against exhaustive
+/// truth at ≤ 8 bits.
 fn prove_case(case: WceCase) -> WceRow {
-    let bits = case
-        .netlist
-        .input_buses()
-        .first()
-        .map_or(0, |(_, nets)| u32::try_from(nets.len()).expect("bus width"));
-    let opts = WceOptions {
-        hint: case.hint,
-        ..WceOptions::default()
-    };
-    let proof = prove_wce(&case.netlist, &opts).expect("roster proofs fit the conflict budget");
-    let exact_match = (bits <= 8).then(|| {
-        let stats = ErrorStats::exhaustive_wide(&case.netlist).expect("two-bus roster netlist");
+    let CertifiedWce {
+        proof,
+        bracket,
+        contained,
+    } = certify_wce(&case.design).expect("roster proofs fit the conflict budget");
+    let bound = bracket.expect("roster multipliers carry a deviation bound");
+    let key = case.key();
+    let exact_match = (proof.a_bits <= 8).then(|| {
+        let netlist = match case.design {
+            WceDesign::Netlist(netlist) => netlist,
+            WceDesign::Config(cfg) => cfg.assemble(),
+        };
+        let stats = ErrorStats::exhaustive_wide(&netlist).expect("two-bus roster netlist");
         u128::from(stats.max_error.unsigned_abs()) == proof.wce
     });
     WceRow {
         name: case.name,
-        key: case.key,
-        bits,
+        key,
+        bits: proof.a_bits,
         wce: proof.wce,
-        lb: case.lb,
-        ub: case.ub,
-        certified: case.lb <= proof.wce && proof.wce <= case.ub,
+        lb: bound.wce_lb,
+        ub: bound.wce_ub(),
+        certified: contained,
         exact_match,
         witness: proof.witness,
         ascent_steps: proof.ascent_steps,
@@ -564,7 +556,7 @@ mod tests {
         let r32 = roster32();
         assert!(r32.len() >= 3);
         // Roster keys are distinct designs (no duplicated mixes).
-        let keys: Vec<&String> = r16.iter().filter_map(|c| c.key.as_ref()).collect();
+        let keys: Vec<String> = r16.iter().filter_map(WceCase::key).collect();
         let mut deduped = keys.clone();
         deduped.sort();
         deduped.dedup();

@@ -8,7 +8,7 @@ use axmul_core::Multiplier;
 use axmul_fabric::cost::Characterizer;
 use axmul_fabric::export::{to_verilog, to_vhdl};
 use axmul_metrics::ErrorStats;
-use axmul_serve::ops::{self, ImportError, Side, SideError};
+use axmul_serve::ops::{self, CertifiedWce, ImportError, Side, SideError, WceDesign, WceError};
 use axmul_susan::{susan_smooth, synthetic_test_image, Image, SusanParams};
 
 use crate::arch::{Arch, ALL};
@@ -784,37 +784,32 @@ fn verify_imported(netlist: &axmul_fabric::Netlist, opts: &Opts) -> Result<Strin
 
 /// `verify --config KEY | --arch A [--bits N]`: SAT-proves the design's
 /// *exact* worst-case error and checks the proven value against the
-/// absint bracket — certifying the static analysis (or refuting it,
-/// which would be a soundness bug worth a hard failure).
+/// absint bracket ([`ops::certify_wce`]) — certifying the static
+/// analysis (or refuting it, which would be a soundness bug worth a
+/// hard failure).
 fn verify(opts: &Opts) -> Result<String, CliError> {
-    use axmul_sat::{prove_wce, WceOptions};
-
-    let (netlist, name, bracket) = if let Some(key) = opts.get("config") {
+    let (name, design) = if let Some(key) = opts.get("config") {
         let cfg = parse_config(key)?;
-        let analysis =
-            axmul_dse::static_bounds(&cfg).map_err(|e| CliError::Usage(e.to_string()))?;
-        let b = &analysis.bound;
-        (
-            cfg.assemble(),
-            analysis.key.clone(),
-            Some((b.wce_lb, b.wce_ub(), b.witness)),
-        )
+        (cfg.key(), WceDesign::Config(cfg))
     } else {
         let arch = opts.arch()?;
         let bits = opts.bits()?;
-        let nl = arch.netlist(bits)?;
-        let a = axmul_absint::analyze_netlist(&nl);
-        let bracket = a.error.as_ref().map(|e| (e.wce_lb, e.wce_ub(), e.witness));
-        (nl, format!("{arch} {bits}x{bits}"), bracket)
+        (
+            format!("{arch} {bits}x{bits}"),
+            WceDesign::Netlist(arch.netlist(bits)?),
+        )
     };
-    let wce_opts = WceOptions {
-        hint: bracket.and_then(|(_, _, w)| w),
-        ..WceOptions::default()
-    };
-    let proof = prove_wce(&netlist, &wce_opts)?;
-    let contained = bracket.is_none_or(|(lb, ub, _)| lb <= proof.wce && proof.wce <= ub);
+    let CertifiedWce {
+        proof,
+        bracket,
+        contained,
+    } = ops::certify_wce(&design).map_err(|e| match e {
+        WceError::Absint(e) => CliError::Usage(e.to_string()),
+        WceError::Sat(e) => CliError::Sat(e),
+    })?;
+    let bracket = bracket.map(|b| (b.wce_lb, b.wce_ub()));
     if opts.flag("json") {
-        let (lb, ub) = bracket.map_or((0, u128::MAX), |(lb, ub, _)| (lb, ub));
+        let (lb, ub) = bracket.unwrap_or((0, u128::MAX));
         return Ok(format!(
             "{{\"name\":\"{}\",\"a_bits\":{},\"b_bits\":{},\"wce\":{},\
              \"witness\":[{},{}],\"absint_lb\":{lb},\"absint_ub\":{ub},\
@@ -849,7 +844,7 @@ fn verify(opts: &Opts) -> Result<String, CliError> {
         proof.stats.elapsed_ms,
     );
     match bracket {
-        Some((lb, ub, _)) => {
+        Some((lb, ub)) => {
             out.push_str(&format!(
                 "  absint bracket: [{lb}, {ub}] — {}\n",
                 if contained {

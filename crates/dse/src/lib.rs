@@ -15,9 +15,10 @@
 //! The pipeline:
 //!
 //! 1. [`Config`] encodes one candidate as a tree with a canonical key.
-//! 2. [`CharCache`] memoizes per-sub-block characterization — netlist,
-//!    LUTs, critical path, energy (via [`axmul_fabric::cost::Characterizer`])
-//!    and *exact* composed error statistics (value tables combined with
+//! 2. [`CharCache`] memoizes per-sub-block characterization — LUTs,
+//!    critical path, energy (via [`axmul_fabric::cost::Characterizer`],
+//!    measured on a netlist that is then dropped; the cache holds
+//!    numbers, not netlists) and *exact* composed error statistics (value tables combined with
 //!    [`axmul_core::behavioral::combine_products`], never independent
 //!    PMF convolution — quadrants share operand halves).
 //! 3. [`run`] drives a [`Strategy`] over a sharded worker pool and
@@ -43,7 +44,6 @@ pub mod bounds;
 mod cache;
 mod config;
 mod report;
-pub mod sat_verify;
 mod search;
 pub mod store;
 
@@ -51,7 +51,6 @@ pub use bounds::{abs_tree, static_bounds, PruneOptions, StaticPoint};
 pub use cache::{BlockChar, CharCache, CharTimeBreakdown, ComposedMultiplier};
 pub use config::{Config, Leaf, ParseConfigError, LEAF_BITS};
 pub use report::{text_report, to_csv};
-pub use sat_verify::{sat_verify, SatVerifyReport, SpotCheck};
 pub use search::{
     evaluate, evaluate_on, run, CandidateReport, DseOptions, DseResult, Strategy, WorkerStat,
 };

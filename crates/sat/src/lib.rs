@@ -36,14 +36,11 @@
 //!   private `compose` module).
 //! * [`oracle`] — an incremental per-netlist constant oracle for
 //!   lint's dead-logic pass past the truth-table cap.
-//! * [`dimacs`] — DIMACS CNF parsing with typed errors for hostile
-//!   input.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod compose;
-pub mod dimacs;
 pub mod encode;
 pub mod equiv;
 pub mod gates;
@@ -51,7 +48,6 @@ pub mod oracle;
 pub mod solver;
 pub mod wce;
 
-pub use dimacs::{parse_dimacs, Dimacs};
 pub use encode::{encode_netlist, Encoded};
 pub use equiv::{
     check_against_exact, check_equiv, Counterexample, EquivOutcome, EquivReport, ProofOptions,
@@ -62,8 +58,8 @@ pub use oracle::NetOracle;
 pub use solver::{Lit, Model, SolveResult, Solver, SolverStats};
 pub use wce::{prove_wce, WceEngine, WceOptions, WceProof};
 
-/// Typed error taxonomy: every failure mode of parsing, encoding and
-/// proving is a variant, and no public entry point panics on hostile
+/// Typed error taxonomy: every failure mode of encoding and proving is
+/// a variant, and no public entry point panics on hostile
 /// input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SatError {
@@ -74,13 +70,6 @@ pub enum SatError {
     /// The netlist could not be encoded (e.g. a non-topological cell
     /// list from a hand-assembled import).
     Encode(String),
-    /// Malformed DIMACS input, with the 1-based line number.
-    Dimacs {
-        /// Line where parsing failed (0 when the input has no lines).
-        line: usize,
-        /// What went wrong.
-        msg: String,
-    },
     /// The proof search exhausted its conflict and case-split budgets.
     Budget {
         /// Conflicts spent when the search conceded.
@@ -97,7 +86,6 @@ impl std::fmt::Display for SatError {
             SatError::Interface(m) => write!(f, "interface mismatch: {m}"),
             SatError::Width(m) => write!(f, "unsupported width: {m}"),
             SatError::Encode(m) => write!(f, "encode error: {m}"),
-            SatError::Dimacs { line, msg } => write!(f, "dimacs parse error at line {line}: {msg}"),
             SatError::Budget { conflicts } => {
                 write!(f, "proof budget exhausted after {conflicts} conflicts")
             }

@@ -2,14 +2,12 @@
 //! where exhaustive truth exists, every SAT equivalence verdict must
 //! *coincide* with a bit-identical sweep — an UNSAT miter exactly when
 //! the designs agree on all inputs, and every SAT counterexample
-//! replaying to a real mismatch through `Netlist::eval`. Hostile
-//! DIMACS-style inputs must always come back as typed errors, never a
-//! panic.
+//! replaying to a real mismatch through `Netlist::eval`.
 
 use axmul_baselines::{array_mult_netlist, kulkarni_netlist, pp_truncated_netlist, rehman_netlist};
 use axmul_core::structural::{ca_netlist, cc_netlist};
 use axmul_fabric::{Cell, Init, Netlist};
-use axmul_sat::{check_equiv, parse_dimacs, EquivOutcome, ProofOptions, SatError};
+use axmul_sat::{check_equiv, EquivOutcome, ProofOptions};
 use proptest::prelude::*;
 
 /// The structural designs available at a given width, by index.
@@ -131,57 +129,5 @@ proptest! {
         let nl = design(8, d);
         let mutant = flip_init_bit(&nl, pick, bit).expect("every design has LUTs");
         check_pair_against_sweep(&nl, &mutant, 8);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Arbitrary byte soup fed to the DIMACS parser: a typed
-    /// `SatError::Dimacs` or a successful parse — never a panic, and
-    /// never any other error class.
-    #[test]
-    fn hostile_dimacs_bytes_are_typed_errors(
-        bytes in proptest::collection::vec(any::<u8>(), 0..256)
-    ) {
-        let text = String::from_utf8_lossy(&bytes);
-        match parse_dimacs(&text) {
-            Ok(_) => {}
-            Err(SatError::Dimacs { .. }) => {}
-            Err(other) => panic!("non-dimacs error class from parser: {other}"),
-        }
-    }
-
-    /// Structured-but-wrong DIMACS: headers with absurd counts,
-    /// literals past the declared range, truncated clauses. All typed.
-    #[test]
-    fn malformed_dimacs_structures_are_typed_errors(
-        vars in 0..20u64,
-        clauses in 0..8u64,
-        lits in proptest::collection::vec(-25i64..25i64, 0..24),
-        truncate in any::<bool>(),
-    ) {
-        let mut text = format!("c fuzz\np cnf {vars} {clauses}\n");
-        for chunk in lits.chunks(3) {
-            for l in chunk {
-                text.push_str(&format!("{l} "));
-            }
-            if !truncate {
-                text.push_str("0\n");
-            }
-        }
-        match parse_dimacs(&text) {
-            Ok(d) => {
-                // Accepted instances must be internally consistent:
-                // every literal within the declared variable range.
-                for c in &d.clauses {
-                    for l in c {
-                        prop_assert!(l.var() >= 1 && l.var() <= d.num_vars);
-                    }
-                }
-            }
-            Err(SatError::Dimacs { .. }) => {}
-            Err(other) => panic!("non-dimacs error class from parser: {other}"),
-        }
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! - [`ops`]: the operations the daemon shares with the `axmul` CLI
 //!   (configuration keys, netlist import, the config-twin check,
-//!   equivalence sides), each decided once.
+//!   equivalence sides, the certified worst-case error), each decided
+//!   once.
 //! - [`proto`]: a versioned length-prefixed JSON wire protocol
 //!   (`b"AX"` magic, version byte, `u32` payload length), with typed
 //!   request/response envelopes and typed framing errors.

@@ -1,16 +1,20 @@
 //! The operations the `axmul` CLI and the daemon share, each decided
 //! once: parsing a configuration key, importing a netlist document,
 //! checking an import against the configuration it claims to implement,
-//! and resolving one side of an equivalence check. Results are the
+//! resolving one side of an equivalence check, and certifying a proven
+//! worst-case error against its absint bracket. Results are the
 //! library's own types and errors keep their source error, so each
 //! front end renders them in its own words.
 
 use std::fmt;
 
-use axmul_dse::{Config, ParseConfigError};
+use axmul_absint::{analyze_netlist, AbsintError, ErrorBound};
+use axmul_dse::{static_bounds, Config, ParseConfigError};
 use axmul_fabric::Netlist;
 use axmul_netio::{Format, NetioError};
-use axmul_sat::{check_equiv, EquivReport, ProofOptions, SatError};
+use axmul_sat::{
+    check_equiv, prove_wce, EquivReport, ProofOptions, SatError, WceOptions, WceProof,
+};
 
 /// Why a configuration key was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,6 +168,78 @@ pub fn resolve_side(side: Side<'_>, max_bits: Option<u32>) -> Result<Netlist, Si
     }
 }
 
+/// A design whose worst-case error [`certify_wce`] proves.
+#[derive(Debug, Clone)]
+pub enum WceDesign {
+    /// A configuration, bracketed by [`static_bounds`] and proven on
+    /// the netlist it assembles.
+    Config(Config),
+    /// A netlist, bracketed by [`analyze_netlist`] when absint bounds
+    /// its shape.
+    Netlist(Netlist),
+}
+
+/// A SAT-proven worst-case error and the absint bracket it was checked
+/// against.
+#[derive(Debug, Clone)]
+pub struct CertifiedWce {
+    /// The exact worst-case error, with its replayed witness.
+    pub proof: WceProof,
+    /// Absint's bound on the design; `None` when absint cannot bound
+    /// the netlist's shape.
+    pub bracket: Option<ErrorBound>,
+    /// `wce_lb ≤ wce ≤ wce_ub`: the proof certifies the bracket.
+    /// Vacuously `true` without a bracket; `false` means the static
+    /// analysis is unsound.
+    pub contained: bool,
+}
+
+/// Why a worst-case error was not proven.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WceError {
+    /// The configuration is too wide for the abstract interpreter.
+    Absint(AbsintError),
+    /// The proof did not complete.
+    Sat(SatError),
+}
+
+/// Proves `design`'s exact worst-case error, hinted by the witness of
+/// its absint bracket, and checks that the proven value lies inside the
+/// bracket.
+///
+/// # Errors
+///
+/// [`WceError::Absint`] before any proof, or [`WceError::Sat`].
+pub fn certify_wce(design: &WceDesign) -> Result<CertifiedWce, WceError> {
+    match design {
+        WceDesign::Config(cfg) => {
+            let bound = static_bounds(cfg).map_err(WceError::Absint)?.bound;
+            prove_in_bracket(&cfg.assemble(), Some(bound))
+        }
+        WceDesign::Netlist(netlist) => prove_in_bracket(netlist, analyze_netlist(netlist).error),
+    }
+    .map_err(WceError::Sat)
+}
+
+fn prove_in_bracket(
+    netlist: &Netlist,
+    bracket: Option<ErrorBound>,
+) -> Result<CertifiedWce, SatError> {
+    let opts = WceOptions {
+        hint: bracket.as_ref().and_then(|b| b.witness),
+        ..WceOptions::default()
+    };
+    let proof = prove_wce(netlist, &opts)?;
+    let contained = bracket
+        .as_ref()
+        .is_none_or(|b| b.wce_lb <= proof.wce && proof.wce <= b.wce_ub());
+    Ok(CertifiedWce {
+        proof,
+        bracket,
+        contained,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,5 +312,45 @@ mod tests {
             SideError::Config(ConfigError::TooWide { bits: 8, limit: 4 })
         );
         assert!(resolve_side(Side::Config("A"), None).is_ok());
+    }
+
+    #[test]
+    fn certification_checks_the_proof_against_the_bracket() {
+        let cfg: Config = "(a A A A A)".parse().unwrap();
+        let paper = certify_wce(&WceDesign::Config(cfg.clone())).unwrap();
+        assert_eq!(paper.proof.wce, 2312);
+        let bound = paper.bracket.clone().unwrap();
+        assert_eq!((bound.wce_lb, bound.wce_ub()), (2312, 2312));
+        assert!(paper.contained);
+
+        // A bracket that stops short of the proven 2312 is refuted.
+        let short = ErrorBound {
+            err_lo: -2000,
+            wce_lb: 0,
+            witness: None,
+            ..bound
+        };
+        let refuted = prove_in_bracket(&cfg.assemble(), Some(short)).unwrap();
+        assert_eq!(refuted.proof.wce, 2312);
+        assert!(!refuted.contained);
+        // Without a bracket there is nothing to refute.
+        assert!(prove_in_bracket(&cfg.assemble(), None).unwrap().contained);
+
+        let ca8 = certify_wce(&WceDesign::Netlist(
+            axmul_core::structural::ca_netlist(8).unwrap(),
+        ))
+        .unwrap();
+        assert_eq!(ca8.proof.wce, 2312);
+        assert!(ca8.bracket.is_some() && ca8.contained);
+
+        // 64 bits is past absint's headroom: refused before any proof.
+        let mut wide = "(a A A A A)".to_string();
+        for _ in 0..3 {
+            wide = format!("(c {wide} {wide} {wide} {wide})");
+        }
+        assert!(matches!(
+            certify_wce(&WceDesign::Config(wide.parse().unwrap())),
+            Err(WceError::Absint(_))
+        ));
     }
 }

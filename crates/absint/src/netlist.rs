@@ -42,40 +42,6 @@ pub struct NetlistAnalysis {
     pub error: Option<ErrorBound>,
 }
 
-impl NetlistAnalysis {
-    /// Compact JSON rendering (hand-rolled — the workspace has no
-    /// serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let outs = self
-            .outputs
-            .iter()
-            .map(|o| {
-                format!(
-                    "{{\"bus\":\"{}\",\"lo\":{},\"hi\":{}}}",
-                    o.bus, o.interval.lo, o.interval.hi
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let err = self.error.as_ref().map_or("null".to_string(), |e| {
-            format!(
-                "{{\"wce_ub\":{},\"err_lo\":{},\"err_hi\":{}}}",
-                e.wce_ub(),
-                e.err_lo,
-                e.err_hi
-            )
-        });
-        format!(
-            "{{\"name\":\"{}\",\"outputs\":[{}],\"derived_constants\":{},\"error\":{}}}",
-            self.name,
-            outs,
-            self.derived_constants.len(),
-            err
-        )
-    }
-}
-
 /// Analyzes a fault-free netlist.
 #[must_use]
 pub fn analyze_netlist(netlist: &Netlist) -> NetlistAnalysis {

@@ -145,36 +145,6 @@ pub struct TreeAnalysis {
     pub certificate: Certificate,
 }
 
-impl TreeAnalysis {
-    /// Compact JSON rendering of the headline numbers (hand-rolled —
-    /// the workspace has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let b = &self.bound;
-        format!(
-            concat!(
-                "{{\"key\":\"{}\",\"bits\":{},\"wce_lb\":{},\"wce_ub\":{},",
-                "\"err_lo\":{},\"err_hi\":{},\"mre_ub\":{},",
-                "\"value_lo\":{},\"value_hi\":{},\"witness\":{},",
-                "\"cert_steps\":{},\"sound\":{}}}"
-            ),
-            self.key,
-            self.bits,
-            b.wce_lb,
-            b.wce_ub(),
-            b.err_lo,
-            b.err_hi,
-            b.mre,
-            b.value.lo,
-            b.value.hi,
-            b.witness
-                .map_or("null".to_string(), |(a, bb)| format!("[{a},{bb}]")),
-            self.certificate.steps().len(),
-            self.certificate.verify().is_ok(),
-        )
-    }
-}
-
 /// The seed [`ErrorBound`] of one leaf kernel (see the module docs for
 /// the derivation of each entry).
 ///
@@ -547,15 +517,5 @@ mod tests {
         // so the single-quadrant HH lift wins: 5·256.
         assert_eq!(a.bound.wce_lb, 5 * 256);
         a.certificate.verify().unwrap();
-    }
-
-    #[test]
-    fn json_mentions_soundness_and_witness() {
-        let t = uniform(LeafKind::Approx4x4, 8, Summation::Accurate);
-        let a = analyze_tree(&t).unwrap();
-        let j = a.to_json();
-        assert!(j.contains("\"sound\":true"), "{j}");
-        assert!(j.contains("\"wce_ub\":2312"), "{j}");
-        assert!(j.contains("\"witness\":[119,102]"), "{j}");
     }
 }

@@ -2,7 +2,9 @@
 //! warm persistent store) and the CI smoke check, both driving a real
 //! daemon over real sockets.
 
-use axmul_serve::loadgen::{self, LoadgenOptions};
+use axmul_serve::loadgen::{self, BenchReport, LoadgenOptions, PhaseReport, TypeLatency};
+
+use crate::report::{mode, BenchRecord, Field};
 
 /// **Serve benchmark.** Mixed requests over concurrent TCP connections
 /// against a cold store, then the identical workload against the warmed
@@ -20,15 +22,50 @@ pub fn serve_bench(quick: bool) -> (String, String) {
         LoadgenOptions::full()
     };
     match loadgen::run(&opts) {
-        Ok(report) => (report.render_text(), report.to_json()),
+        Ok(report) => (report.render_text(), record(&report, quick).render()),
         Err(e) => (
             format!("serve-bench FAILED: {e}\n"),
-            format!(
-                "{{\"bench\":\"serve\",\"error\":\"{}\"}}",
-                e.replace('"', "'")
-            ),
+            BenchRecord::new("serve")
+                .field("mode", mode(quick))
+                .field("error", e)
+                .render(),
         ),
     }
+}
+
+fn record(report: &BenchReport, quick: bool) -> BenchRecord {
+    let digest = |t: &TypeLatency| {
+        Field::Obj(vec![
+            ("count", t.count.into()),
+            ("p50_us", t.p50_us.into()),
+            ("p99_us", t.p99_us.into()),
+        ])
+    };
+    let phase = |p: &PhaseReport| {
+        let mut latency: Vec<_> = p.per_type.iter().map(|t| (t.name, digest(t))).collect();
+        latency.push(("overall", digest(&p.overall)));
+        Field::Obj(vec![
+            ("elapsed_s", Field::Fixed(p.elapsed_s, 3)),
+            ("requests", p.requests.into()),
+            ("throughput_rps", Field::Fixed(p.throughput_rps, 1)),
+            ("builds", p.builds.into()),
+            ("disk_hits", p.disk_hits.into()),
+            ("latency_us", Field::Obj(latency)),
+        ])
+    };
+    let opts = &report.opts;
+    BenchRecord::new("serve")
+        .field("mode", mode(quick))
+        .field("roster_configs", opts.roster)
+        .field("requests_per_phase", opts.requests)
+        .field("connections", opts.connections)
+        .field("workers", opts.workers)
+        .field("seed", opts.seed)
+        .field("cold", phase(&report.cold))
+        .field("warm", phase(&report.warm))
+        .field("cold_builds", report.cold.builds)
+        .field("warm_builds", report.warm.builds)
+        .field("warm_disk_hits", report.warm.disk_hits)
 }
 
 /// **Serve smoke.** Boots a daemon on a Unix socket, issues one request

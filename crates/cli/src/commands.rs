@@ -8,7 +8,8 @@ use axmul_core::Multiplier;
 use axmul_fabric::cost::Characterizer;
 use axmul_fabric::export::{to_verilog, to_vhdl};
 use axmul_metrics::ErrorStats;
-use axmul_serve::ops::{self, CertifiedWce, ImportError, Side, SideError, WceDesign, WceError};
+use axmul_serve::json::Value;
+use axmul_serve::ops::{self, ImportError, Side, SideError, WceDesign, WceError};
 use axmul_susan::{susan_smooth, synthetic_test_image, Image, SusanParams};
 
 use crate::arch::{Arch, ALL};
@@ -421,7 +422,7 @@ fn absint(opts: &Opts) -> Result<String, CliError> {
     if let Some(key) = opts.get("config") {
         let a = static_bounds(&parse_config(key)?).map_err(|e| CliError::Usage(e.to_string()))?;
         if opts.flag("json") {
-            return Ok(format!("{}\n", a.to_json()));
+            return Ok(format!("{}\n", ops::tree_bounds_value(&a)));
         }
         let b = &a.bound;
         let verdict = match a.certificate.verify() {
@@ -462,7 +463,7 @@ fn absint(opts: &Opts) -> Result<String, CliError> {
     let nl = arch.netlist(bits)?;
     let a = axmul_absint::analyze_netlist(&nl);
     if opts.flag("json") {
-        return Ok(format!("{}\n", a.to_json()));
+        return Ok(format!("{}\n", ops::netlist_bounds_value(&a)));
     }
     let mut out = format!("static analysis of {} ({})\n", arch, a.name);
     for o in &a.outputs {
@@ -788,52 +789,33 @@ fn verify_imported(netlist: &axmul_fabric::Netlist, opts: &Opts) -> Result<Strin
 /// analysis (or refuting it, which would be a soundness bug worth a
 /// hard failure).
 fn verify(opts: &Opts) -> Result<String, CliError> {
-    let (name, design) = if let Some(key) = opts.get("config") {
+    // A configuration key does not name its width; an `--arch` design's
+    // name does.
+    let (name, width, design) = if let Some(key) = opts.get("config") {
         let cfg = parse_config(key)?;
-        (cfg.key(), WceDesign::Config(cfg))
+        let width = format!(" at {0}x{0}", cfg.bits());
+        (cfg.key(), width, WceDesign::Config(cfg))
     } else {
         let arch = opts.arch()?;
         let bits = opts.bits()?;
         (
             format!("{arch} {bits}x{bits}"),
+            String::new(),
             WceDesign::Netlist(arch.netlist(bits)?),
         )
     };
-    let CertifiedWce {
-        proof,
-        bracket,
-        contained,
-    } = ops::certify_wce(&design).map_err(|e| match e {
+    let certified = ops::certify_wce(&design).map_err(|e| match e {
         WceError::Absint(e) => CliError::Usage(e.to_string()),
         WceError::Sat(e) => CliError::Sat(e),
     })?;
-    let bracket = bracket.map(|b| (b.wce_lb, b.wce_ub()));
     if opts.flag("json") {
-        let (lb, ub) = bracket.unwrap_or((0, u128::MAX));
-        return Ok(format!(
-            "{{\"name\":\"{}\",\"a_bits\":{},\"b_bits\":{},\"wce\":{},\
-             \"witness\":[{},{}],\"absint_lb\":{lb},\"absint_ub\":{ub},\
-             \"contained\":{contained},\"engine\":\"{}\",\"ascent_steps\":{},\
-             \"solves\":{},\"conflicts\":{},\"elapsed_ms\":{:.3}}}\n",
-            name,
-            proof.a_bits,
-            proof.b_bits,
-            proof.wce,
-            proof.witness.0,
-            proof.witness.1,
-            proof.engine,
-            proof.ascent_steps,
-            proof.stats.solves,
-            proof.stats.conflicts,
-            proof.stats.elapsed_ms,
-        ));
+        return Ok(format!("{}\n", ops::certified_wce_value(&name, &certified)));
     }
+    let (proof, contained) = (&certified.proof, certified.contained);
     let mut out = format!(
-        "SAT worst-case-error proof for {name} at {}x{}\n  \
+        "SAT worst-case-error proof for {name}{width}\n  \
          exact wce: {} (witness {} x {}, confirmed by replay)\n  \
          proof: {} engine, {} solve(s), {} conflicts, {} ascent step(s), {:.1} ms\n",
-        proof.a_bits,
-        proof.b_bits,
         proof.wce,
         proof.witness.0,
         proof.witness.1,
@@ -843,7 +825,7 @@ fn verify(opts: &Opts) -> Result<String, CliError> {
         proof.ascent_steps,
         proof.stats.elapsed_ms,
     );
-    match bracket {
+    match certified.bracket.map(|b| (b.wce_lb, b.wce_ub())) {
         Some((lb, ub)) => {
             out.push_str(&format!(
                 "  absint bracket: [{lb}, {ub}] — {}\n",
@@ -933,7 +915,7 @@ fn lint(opts: &Opts) -> Result<String, CliError> {
     };
     let linter = Linter::new();
     let mut text = String::new();
-    let mut jsons = Vec::new();
+    let mut values = Vec::new();
     let (mut errors, mut denied) = (0usize, 0usize);
     for arch in targets {
         let bits = match arch {
@@ -959,13 +941,13 @@ fn lint(opts: &Opts) -> Result<String, CliError> {
                 .count();
         }
         if opts.flag("json") {
-            jsons.push(report.to_json());
+            values.push(ops::lint_report_value(&report));
         } else {
             text.push_str(&report.to_string());
         }
     }
     let out = if opts.flag("json") {
-        format!("[{}]\n", jsons.join(","))
+        format!("{}\n", Value::Arr(values))
     } else {
         text.push_str(&format!(
             "lint verdict: {} ({errors} error(s), {denied} denied warning(s))\n",

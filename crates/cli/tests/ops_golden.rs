@@ -10,12 +10,15 @@
 //! A second test holds the front ends to one EDP per design: the CLI's
 //! `characterize`, `import --characterize`, the `axmul dse` golden and
 //! the daemon's `characterize-config` report the same energy and EDP
-//! for the paper's Ca and Cc 8×8 designs.
+//! for the paper's Ca and Cc 8×8 designs. A third holds them to one
+//! absint document: `absint --config KEY --json` prints the bytes of
+//! the daemon's `absint-query` result.
 
 use std::path::{Path, PathBuf};
 
 use axmul_cli::run;
 use axmul_serve::json;
+use axmul_serve::loadgen::roster;
 use axmul_serve::proto::render_request;
 use axmul_serve::{Op, Request, Service};
 
@@ -229,4 +232,58 @@ fn front_ends_report_one_edp_per_design() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The key of the `bits`-wide configuration that nests `(s A A A A)`
+/// with summation `s` at every level.
+fn uniform_key(summation: char, bits: u32) -> String {
+    let mut key = "A".to_string();
+    let mut width = 4;
+    while width < bits {
+        key = format!("({summation} {key} {key} {key} {key})");
+        width *= 2;
+    }
+    key
+}
+
+#[test]
+fn front_ends_render_one_absint_document() {
+    let svc = Service::new(None);
+    let mut keys: Vec<String> = ['a', 'c']
+        .iter()
+        .flat_map(|&s| [uniform_key(s, 8), uniform_key(s, 16)])
+        .collect();
+    keys.extend(roster(9, 29).iter().map(axmul_dse::Config::key));
+    for key in keys {
+        let cli = run(&[
+            "absint".into(),
+            "--config".into(),
+            key.clone(),
+            "--json".into(),
+        ]);
+        let op = Op::AbsintQuery {
+            config: key.clone(),
+        };
+        let reply = svc.handle_payload(&render_request(&Request { id: 1, op }));
+        let reply = json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
+        let result = reply
+            .get("result")
+            .unwrap_or_else(|| panic!("no result for {key}: {reply}"));
+        assert_eq!(cli.unwrap(), format!("{result}\n"), "{key}");
+    }
+}
+
+#[test]
+fn absint_json_prints_a_32_bit_wce_exactly() {
+    let key = uniform_key('a', 32);
+    let cfg: axmul_dse::Config = key.parse().unwrap();
+    let ub = axmul_dse::static_bounds(&cfg).unwrap().bound.wce_ub();
+    assert!(
+        ub > 1 << 53,
+        "{ub} fits f64 exactly; the test shows nothing"
+    );
+    let out = run(&["absint".into(), "--config".into(), key, "--json".into()]).unwrap();
+    assert!(out.contains(&format!("\"wce_ub\":{ub},")), "{out}");
+    let doc = json::parse(&out).unwrap();
+    assert_eq!(doc.get("wce_ub"), Some(&json::Value::int(ub)));
 }

@@ -2,7 +2,9 @@
 //! one finding with a pass, a severity, a stable code, and a locus
 //! (cell, net, or the whole netlist). A [`LintReport`] aggregates the
 //! findings of one netlist and renders them for humans (via
-//! [`std::fmt::Display`]) or machines (via [`LintReport::to_json`]).
+//! [`std::fmt::Display`]); its JSON view for machines is
+//! `axmul_serve::ops::lint_report_value`, shared by the CLI and the
+//! daemon.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -140,7 +142,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// All findings for one netlist, plus what was skipped and why.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LintReport {
     /// Name of the linted netlist.
     pub netlist: String,
@@ -213,67 +215,6 @@ impl LintReport {
                 .then(a.code.cmp(b.code))
         });
     }
-
-    /// Renders the report as a single JSON object (no external
-    /// dependencies; the encoder escapes control characters, quotes and
-    /// backslashes).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + 128 * self.diagnostics.len());
-        s.push_str("{\"netlist\":");
-        json_string(&mut s, &self.netlist);
-        s.push_str(&format!(
-            ",\"luts\":{},\"carry4s\":{},\"errors\":{},\"warnings\":{},\"infos\":{}",
-            self.luts,
-            self.carry4s,
-            self.errors(),
-            self.warnings(),
-            self.infos()
-        ));
-        s.push_str(",\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"pass\":\"{}\",\"severity\":\"{}\",\"code\":\"{}\",\"engine\":\"{}\",",
-                d.pass, d.severity, d.code, d.engine
-            ));
-            match d.locus {
-                Locus::Global => s.push_str("\"locus\":null,"),
-                Locus::Cell(i) => s.push_str(&format!("\"locus\":{{\"cell\":{i}}},")),
-                Locus::Net(i) => s.push_str(&format!("\"locus\":{{\"net\":{i}}},")),
-            }
-            s.push_str("\"message\":");
-            json_string(&mut s, &d.message);
-            s.push('}');
-        }
-        s.push_str("],\"skipped\":[");
-        for (i, sk) in self.skipped.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json_string(&mut s, sk);
-        }
-        s.push_str("]}");
-        s
-    }
-}
-
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl fmt::Display for LintReport {
@@ -351,18 +292,6 @@ mod tests {
         let mut r = sample();
         r.sort();
         assert_eq!(r.diagnostics[0].code, "comb-loop");
-    }
-
-    #[test]
-    fn json_escapes_and_structures() {
-        let r = sample();
-        let j = r.to_json();
-        assert!(j.contains("\"netlist\":\"m\""));
-        assert!(j.contains("\\\"here\\\""), "{j}");
-        assert!(j.contains("\"locus\":{\"net\":3}"));
-        assert!(j.contains("\"errors\":1"));
-        assert!(j.contains("\"engine\":\"sat\""), "{j}");
-        assert!(j.contains("\"engine\":\"static\""), "{j}");
     }
 
     #[test]

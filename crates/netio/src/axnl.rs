@@ -72,7 +72,7 @@ pub fn fingerprint(netlist: &Netlist) -> u64 {
 }
 
 fn id(net: NetId) -> Value {
-    Value::Num(net.index() as f64)
+    Value::int(net.index())
 }
 
 fn opt_id(net: Option<NetId>) -> Value {
@@ -95,7 +95,7 @@ pub fn to_axnl(netlist: &Netlist) -> String {
         .enumerate()
         .filter_map(|(n, d)| match d {
             Driver::Const(v) => Some(Value::obj([
-                ("net", Value::Num(n as f64)),
+                ("net", Value::int(n)),
                 ("value", Value::Bool(*v)),
             ])),
             _ => None,
@@ -133,7 +133,7 @@ pub fn to_axnl(netlist: &Netlist) -> String {
     let doc = Value::obj([
         ("format", Value::str(AXNL_FORMAT)),
         ("name", Value::str(netlist.name())),
-        ("net_count", Value::Num(netlist.drivers().len() as f64)),
+        ("net_count", Value::int(netlist.drivers().len())),
         (
             "inputs",
             Value::Arr(netlist.input_buses().iter().map(bus).collect()),

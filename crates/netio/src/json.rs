@@ -4,13 +4,19 @@
 //! JSON implementation: a [`Value`] tree, a recursive-descent parser
 //! with depth guards (hostile input reaches it straight off the wire or
 //! from untrusted files), and a writer whose output round-trips through
-//! the parser. Numbers are `f64` — every quantity the `axnl` schema and
-//! the daemon protocol carry is either well below 2^53 or a float to
-//! begin with; the one exception, 64-bit LUT INITs, travels as a hex
-//! string (see [`crate::axnl`]). This module started life inside
-//! `axmul-serve`; it lives here so both the interchange formats and the
-//! wire protocol share one parser, and `axmul-serve` re-exports it
-//! unchanged.
+//! the parser. A number is exact or a float: an integer literal that
+//! fits `i128` parses to [`Value::Int`], so request ids up to
+//! `u64::MAX`, ±2^64 absint brackets and 32×32 worst-case errors (past
+//! 2^53) survive a round trip digit for digit; any other literal (a
+//! fraction, an exponent, or an integer past `i128`) parses to
+//! [`Value::Num`]. The writer prints both as plain decimals (so an
+//! integral float reads back as an `Int`), and a reader that asks
+//! [`Value::as_f64`] or [`Value::as_u64`] need not care which one it
+//! holds. 64-bit LUT INITs still travel as hex
+//! strings (see [`crate::axnl`]). This module started life inside
+//! `axmul-serve`; it lives here so the interchange formats, the wire
+//! protocol and the JSON views of analysis results share one model,
+//! and `axmul-serve` re-exports it unchanged.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -25,7 +31,9 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// An integer, exactly.
+    Int(i128),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
@@ -55,20 +63,23 @@ impl Value {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number (an integer rounds to
+    /// the nearest `f64`).
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
     }
 
     /// The numeric payload as a non-negative integer, if it is one
-    /// exactly (no fraction, no overflow).
+    /// exactly (no fraction, no overflow; a float only up to 2^53).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Value::Int(n) => u64::try_from(*n).ok(),
             Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 2f64.powi(53) => {
                 Some(*n as u64)
             }
@@ -106,11 +117,24 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Numeric value from anything convertible to `f64` losslessly
-    /// enough for the protocol (counts are well below 2^53).
+    /// Float value.
     #[must_use]
     pub fn num(n: impl Into<f64>) -> Value {
         Value::Num(n.into())
+    }
+
+    /// Exact integer value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` does not fit `i128`, which only a `u128` above
+    /// `i128::MAX` can fail to do.
+    #[must_use]
+    pub fn int<T: TryInto<i128>>(n: T) -> Value {
+        match n.try_into() {
+            Ok(n) => Value::Int(n),
+            Err(_) => panic!("integer does not fit i128"),
+        }
     }
 }
 
@@ -119,6 +143,7 @@ impl fmt::Display for Value {
         match self {
             Value::Null => f.write_str("null"),
             Value::Bool(b) => write!(f, "{b}"),
+            Value::Int(n) => write!(f, "{n}"),
             Value::Num(n) => {
                 if n.is_finite() {
                     write!(f, "{n}")
@@ -326,6 +351,7 @@ impl Parser<'_> {
         if !digits(self) {
             return Err(self.err("expected digits"));
         }
+        let integral = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
         if self.peek() == Some(b'.') {
             self.pos += 1;
             if !digits(self) {
@@ -342,6 +368,11 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
+        if integral {
+            if let Ok(n) = text.parse::<i128>() {
+                return Ok(Value::Int(n));
+            }
+        }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("unparseable number"))
@@ -441,9 +472,9 @@ mod tests {
         assert_eq!(
             parse(r#"[1, "two", [3], {}]"#).unwrap(),
             Value::Arr(vec![
-                Value::Num(1.0),
+                Value::Int(1),
                 Value::Str("two".into()),
-                Value::Arr(vec![Value::Num(3.0)]),
+                Value::Arr(vec![Value::Int(3)]),
                 Value::Obj(BTreeMap::new()),
             ])
         );
@@ -482,17 +513,38 @@ mod tests {
                 Value::str("quote \" backslash \\ newline \n ünïcødé 😀"),
             ),
             ("n", Value::num(0.1f64)),
-            ("i", Value::num(65536u32)),
-            ("neg", Value::Num(-7.0)),
+            ("i", Value::int(65536u32)),
+            ("neg", Value::int(-7)),
+            ("u64_max", Value::int(u64::MAX)),
+            ("neg_u64_max", Value::int(-i128::from(u64::MAX))),
+            ("past_f64", Value::int((1u64 << 53) + 1)),
+            ("zero", Value::int(0)),
             ("b", Value::Bool(false)),
             ("z", Value::Null),
             (
                 "a",
-                Value::Arr(vec![Value::Num(1.0), Value::str("x"), Value::Null]),
+                Value::Arr(vec![Value::int(1), Value::str("x"), Value::Null]),
             ),
         ]);
         let text = v.to_string();
+        assert!(text.contains("\"u64_max\":18446744073709551615"), "{text}");
+        assert!(text.contains("\"past_f64\":9007199254740993"), "{text}");
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn fractions_and_exponents_stay_floats() {
+        assert_eq!(parse("7").unwrap(), Value::Int(7));
+        assert_eq!(parse("-0").unwrap(), Value::Int(0));
+        assert_eq!(parse("7.0").unwrap(), Value::Num(7.0));
+        assert_eq!(parse("7e0").unwrap(), Value::Num(7.0));
+        assert_eq!(parse("1E3").unwrap(), Value::Num(1000.0));
+        // Past i128 an integer literal is still a number, as a float.
+        let huge = "1".repeat(40);
+        assert_eq!(
+            parse(&huge).unwrap(),
+            Value::Num(1.111_111_111_111_111_2e39)
+        );
     }
 
     #[test]
@@ -507,5 +559,10 @@ mod tests {
         assert_eq!(Value::Num(5.5).as_u64(), None);
         assert_eq!(Value::Num(-1.0).as_u64(), None);
         assert_eq!(Value::str("5").as_u64(), None);
+        assert_eq!(Value::Int(5).as_u64(), Some(5));
+        assert_eq!(Value::int(u64::MAX).as_u64(), Some(u64::MAX));
+        assert_eq!(Value::Int(i128::from(u64::MAX) + 1).as_u64(), None);
+        assert_eq!(Value::Int(-1).as_u64(), None);
+        assert_eq!(Value::Int(-1).as_f64(), Some(-1.0));
     }
 }

@@ -91,8 +91,8 @@ fn roster_import_preserves_lint_reports() {
             let orig = linter.lint(&n);
             let back = linter.lint(&from_verilog(&to_verilog(&n)).expect("imports"));
             assert_eq!(
-                orig.to_json(),
-                back.to_json(),
+                orig,
+                back,
                 "{} @ {bits} bits lints differently after import",
                 n.name()
             );
@@ -161,8 +161,8 @@ fn sampled_dse_configs_round_trip() {
         // while still pinning semantic identity across the space.
         if i % 10 == 0 {
             assert_eq!(
-                linter.lint(&n).to_json(),
-                linter.lint(&back).to_json(),
+                linter.lint(&n),
+                linter.lint(&back),
                 "config #{i} lints differently"
             );
             assert_eq!(

@@ -152,47 +152,6 @@ impl BenchReport {
         ));
         s
     }
-
-    /// Machine-readable summary (the contents of `BENCH_serve.json`).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let phase = |p: &PhaseReport| {
-            let digest = |t: &TypeLatency| {
-                Value::obj([
-                    ("count", Value::Num(t.count as f64)),
-                    ("p50_us", Value::Num(t.p50_us as f64)),
-                    ("p99_us", Value::Num(t.p99_us as f64)),
-                ])
-            };
-            let mut types: Vec<(String, Value)> = p
-                .per_type
-                .iter()
-                .map(|t| (t.name.to_string(), digest(t)))
-                .collect();
-            types.push(("overall".to_string(), digest(&p.overall)));
-            Value::obj([
-                ("elapsed_s", Value::Num(p.elapsed_s)),
-                ("requests", Value::Num(p.requests as f64)),
-                ("throughput_rps", Value::Num(p.throughput_rps)),
-                ("builds", Value::Num(p.builds as f64)),
-                ("disk_hits", Value::Num(p.disk_hits as f64)),
-                ("latency_us", Value::Obj(types.into_iter().collect())),
-            ])
-        };
-        Value::obj([
-            ("bench", Value::str("serve")),
-            ("roster_configs", Value::Num(self.opts.roster as f64)),
-            ("requests_per_phase", Value::Num(self.opts.requests as f64)),
-            ("connections", Value::Num(self.opts.connections as f64)),
-            ("workers", Value::Num(self.opts.workers as f64)),
-            ("cold", phase(&self.cold)),
-            ("warm", phase(&self.warm)),
-            ("cold_builds", Value::Num(self.cold.builds as f64)),
-            ("warm_builds", Value::Num(self.warm.builds as f64)),
-            ("warm_disk_hits", Value::Num(self.warm.disk_hits as f64)),
-        ])
-        .to_string()
-    }
 }
 
 /// Deterministic 8×8 roster: the paper's headline configurations first,

@@ -4,17 +4,27 @@
 //! resolving one side of an equivalence check, and certifying a proven
 //! worst-case error against its absint bracket. Results are the
 //! library's own types and errors keep their source error, so each
-//! front end renders them in its own words.
+//! front end renders text in its own words.
+//!
+//! JSON is rendered once, here: [`lint_report_value`],
+//! [`tree_bounds_value`], [`netlist_bounds_value`] and
+//! [`certified_wce_value`] are the one JSON view of each shared result.
+//! `axmul lint|absint|verify --json` print them and the daemon replies
+//! with them, so both front ends print the same bytes. Integers are
+//! exact ([`Value::Int`]): a 32×32 worst-case error exceeds 2^53.
 
 use std::fmt;
 
-use axmul_absint::{analyze_netlist, AbsintError, ErrorBound};
+use axmul_absint::{analyze_netlist, AbsintError, ErrorBound, NetlistAnalysis, TreeAnalysis};
 use axmul_dse::{static_bounds, Config, ParseConfigError};
 use axmul_fabric::Netlist;
+use axmul_lint::{LintReport, Locus};
 use axmul_netio::{Format, NetioError};
 use axmul_sat::{
     check_equiv, prove_wce, EquivReport, ProofOptions, SatError, WceOptions, WceProof,
 };
+
+use crate::json::Value;
 
 /// Why a configuration key was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,6 +250,136 @@ fn prove_in_bracket(
     })
 }
 
+/// The JSON view of a lint report: the netlist, its size, the finding
+/// counts, every finding and every skipped analysis.
+#[must_use]
+pub fn lint_report_value(report: &LintReport) -> Value {
+    let diagnostics = report
+        .diagnostics
+        .iter()
+        .map(|d| {
+            let locus = match d.locus {
+                Locus::Global => Value::Null,
+                Locus::Cell(i) => Value::obj([("cell", Value::int(i))]),
+                Locus::Net(i) => Value::obj([("net", Value::int(i))]),
+            };
+            Value::obj([
+                ("pass", Value::str(d.pass.name())),
+                ("severity", Value::str(d.severity.name())),
+                ("code", Value::str(d.code)),
+                ("engine", Value::str(d.engine)),
+                ("locus", locus),
+                ("message", Value::str(d.message.clone())),
+            ])
+        })
+        .collect();
+    let skipped = report
+        .skipped
+        .iter()
+        .map(|s| Value::str(s.clone()))
+        .collect();
+    Value::obj([
+        ("netlist", Value::str(report.netlist.clone())),
+        ("luts", Value::int(report.luts)),
+        ("carry4s", Value::int(report.carry4s)),
+        ("errors", Value::int(report.errors())),
+        ("warnings", Value::int(report.warnings())),
+        ("infos", Value::int(report.infos())),
+        ("diagnostics", Value::Arr(diagnostics)),
+        ("skipped", Value::Arr(skipped)),
+    ])
+}
+
+/// An operand pair as a two-element array.
+pub(crate) fn pair((a, b): (u64, u64)) -> Value {
+    Value::Arr(vec![Value::int(a), Value::int(b)])
+}
+
+/// The JSON view of a configuration tree's static bounds: the wce
+/// bracket, the deviation and value intervals, the relative-error
+/// bound, the witness and whether the certificate verifies.
+#[must_use]
+pub fn tree_bounds_value(analysis: &TreeAnalysis) -> Value {
+    let b = &analysis.bound;
+    Value::obj([
+        ("key", Value::str(analysis.key.clone())),
+        ("bits", Value::int(analysis.bits)),
+        ("wce_lb", Value::int(b.wce_lb)),
+        ("wce_ub", Value::int(b.wce_ub())),
+        ("err_lo", Value::int(b.err_lo)),
+        ("err_hi", Value::int(b.err_hi)),
+        ("mre_ub", Value::num(b.mre)),
+        ("value_lo", Value::int(b.value.lo)),
+        ("value_hi", Value::int(b.value.hi)),
+        ("witness", b.witness.map_or(Value::Null, pair)),
+        ("cert_steps", Value::int(analysis.certificate.steps().len())),
+        ("sound", Value::Bool(analysis.certificate.verify().is_ok())),
+    ])
+}
+
+/// The JSON view of a netlist's static bounds: each output bus's value
+/// interval, the number of derived constant nets, and the error bound
+/// when absint bounds the netlist's shape.
+#[must_use]
+pub fn netlist_bounds_value(analysis: &NetlistAnalysis) -> Value {
+    let outputs = analysis
+        .outputs
+        .iter()
+        .map(|o| {
+            Value::obj([
+                ("bus", Value::str(o.bus.clone())),
+                ("lo", Value::int(o.interval.lo)),
+                ("hi", Value::int(o.interval.hi)),
+            ])
+        })
+        .collect();
+    let error = analysis.error.as_ref().map_or(Value::Null, |e| {
+        Value::obj([
+            ("wce_ub", Value::int(e.wce_ub())),
+            ("err_lo", Value::int(e.err_lo)),
+            ("err_hi", Value::int(e.err_hi)),
+        ])
+    });
+    Value::obj([
+        ("name", Value::str(analysis.name.clone())),
+        ("outputs", Value::Arr(outputs)),
+        (
+            "derived_constants",
+            Value::int(analysis.derived_constants.len()),
+        ),
+        ("error", error),
+    ])
+}
+
+/// The JSON view of a certified worst-case error of the design called
+/// `name`: the proof, the bracket it was checked against (`null` bounds
+/// without one) and the verdict.
+#[must_use]
+pub fn certified_wce_value(name: &str, certified: &CertifiedWce) -> Value {
+    let proof = &certified.proof;
+    let (lb, ub) = certified
+        .bracket
+        .as_ref()
+        .map_or((Value::Null, Value::Null), |b| {
+            (Value::int(b.wce_lb), Value::int(b.wce_ub()))
+        });
+    Value::obj([
+        ("name", Value::str(name)),
+        ("a_bits", Value::int(proof.a_bits)),
+        ("b_bits", Value::int(proof.b_bits)),
+        ("wce", Value::int(proof.wce)),
+        ("witness", pair(proof.witness)),
+        ("absint_lb", lb),
+        ("absint_ub", ub),
+        ("contained", Value::Bool(certified.contained)),
+        ("engine", Value::str(proof.engine.to_string())),
+        ("ascent_steps", Value::int(proof.ascent_steps)),
+        ("solves", Value::int(proof.stats.solves)),
+        ("conflicts", Value::int(proof.stats.conflicts)),
+        ("elapsed_ms", Value::num(proof.stats.elapsed_ms)),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,5 +492,82 @@ mod tests {
             certify_wce(&WceDesign::Config(wide.parse().unwrap())),
             Err(WceError::Absint(_))
         ));
+    }
+
+    #[test]
+    fn lint_view_escapes_and_structures() {
+        use axmul_lint::{Diagnostic, Pass, Severity};
+        let report = LintReport {
+            netlist: "m".into(),
+            luts: 2,
+            carry4s: 1,
+            diagnostics: vec![
+                Diagnostic {
+                    pass: Pass::Structure,
+                    severity: Severity::Error,
+                    code: "comb-loop",
+                    engine: "sat",
+                    locus: Locus::Net(3),
+                    message: "cycle \"here\"".into(),
+                },
+                Diagnostic {
+                    pass: Pass::DeadLogic,
+                    severity: Severity::Info,
+                    code: "dead-o5",
+                    engine: "static",
+                    locus: Locus::Global,
+                    message: "O5 unused".into(),
+                },
+            ],
+            skipped: vec!["tables: too wide".into()],
+        };
+        let j = lint_report_value(&report).to_string();
+        for part in [
+            "\"netlist\":\"m\"",
+            "\\\"here\\\"",
+            "\"locus\":{\"net\":3}",
+            "\"locus\":null",
+            "\"errors\":1",
+            "\"infos\":1",
+            "\"engine\":\"sat\"",
+            "\"engine\":\"static\"",
+            "\"pass\":\"dead-logic\"",
+            "\"skipped\":[\"tables: too wide\"]",
+        ] {
+            assert!(j.contains(part), "{part} missing from {j}");
+        }
+        let back = crate::json::parse(&j).unwrap();
+        let diags = back.get("diagnostics").and_then(Value::as_arr).unwrap();
+        assert_eq!(
+            diags[0].get("message").and_then(Value::as_str),
+            Some("cycle \"here\"")
+        );
+    }
+
+    #[test]
+    fn tree_view_mentions_soundness_and_witness() {
+        let cfg: Config = "(a A A A A)".parse().unwrap();
+        let j = tree_bounds_value(&static_bounds(&cfg).unwrap()).to_string();
+        assert!(j.contains("\"sound\":true"), "{j}");
+        assert!(j.contains("\"wce_ub\":2312"), "{j}");
+        assert!(j.contains("\"witness\":[119,102]"), "{j}");
+    }
+
+    #[test]
+    fn netlist_view_keeps_a_hostile_name() {
+        let ca8 = axmul_core::structural::ca_netlist(8).unwrap();
+        let name = "a\"b\\c\n";
+        let renamed = Netlist::from_parts(
+            name.to_string(),
+            ca8.drivers().to_vec(),
+            ca8.cells().to_vec(),
+            ca8.input_buses().to_vec(),
+            ca8.output_buses().to_vec(),
+        );
+        let text = netlist_bounds_value(&analyze_netlist(&renamed)).to_string();
+        let back = crate::json::parse(&text).unwrap();
+        assert_eq!(back.get("name").and_then(Value::as_str), Some(name));
+        let error = back.get("error").unwrap();
+        assert_eq!(error.get("wce_ub").and_then(Value::as_u64), Some(65535));
     }
 }

@@ -490,7 +490,7 @@ pub fn render_request(req: &Request) -> Vec<u8> {
             let imgs = Value::Arr(
                 images
                     .iter()
-                    .map(|img| Value::Arr(img.iter().map(|&p| Value::num(u32::from(p))).collect()))
+                    .map(|img| Value::Arr(img.iter().map(|&p| Value::int(p)).collect()))
                     .collect(),
             );
             let cfg = match config {
@@ -538,7 +538,7 @@ pub fn render_request(req: &Request) -> Vec<u8> {
         Op::Stats => Value::obj([]),
     };
     let doc = Value::obj([
-        ("id", Value::Num(req.id as f64)),
+        ("id", Value::int(req.id)),
         ("type", Value::str(req.op.type_name())),
         ("params", params),
     ]);
@@ -549,7 +549,7 @@ pub fn render_request(req: &Request) -> Vec<u8> {
 #[must_use]
 pub fn render_ok(id: u64, result: Value) -> Vec<u8> {
     Value::obj([
-        ("id", Value::Num(id as f64)),
+        ("id", Value::int(id)),
         ("ok", Value::Bool(true)),
         ("result", result),
     ])
@@ -561,7 +561,7 @@ pub fn render_ok(id: u64, result: Value) -> Vec<u8> {
 #[must_use]
 pub fn render_err(id: u64, code: ErrorCode, message: &str) -> Vec<u8> {
     Value::obj([
-        ("id", Value::Num(id as f64)),
+        ("id", Value::int(id)),
         ("ok", Value::Bool(false)),
         (
             "error",
@@ -716,6 +716,25 @@ mod tests {
                 "{}",
                 req.op.type_name()
             );
+        }
+    }
+
+    #[test]
+    fn ids_past_f64_precision_echo_exactly() {
+        for id in [(1u64 << 53) + 1, 1 << 60, u64::MAX] {
+            let req = Request { id, op: Op::Stats };
+            assert_eq!(parse_request(&render_request(&req)).unwrap().id, id);
+            let wire = format!("{{\"id\":{id},\"type\":\"no-such-op\"}}");
+            assert_eq!(parse_request(wire.as_bytes()).unwrap_err().id, id);
+            for reply in [
+                render_ok(id, Value::Null),
+                render_err(id, ErrorCode::BadRequest, "x"),
+            ] {
+                let text = String::from_utf8(reply).unwrap();
+                assert!(text.contains(&format!("\"id\":{id},")), "{text}");
+                let doc = json::parse(&text).unwrap();
+                assert_eq!(doc.get("id").and_then(Value::as_u64), Some(id));
+            }
         }
     }
 

@@ -15,11 +15,11 @@ use std::time::Instant;
 use axmul_dse::{evaluate_on, CharCache, Config, DiskStore, DseResult};
 use axmul_fabric::cost::Characterizer;
 use axmul_fabric::Netlist;
-use axmul_lint::{LintReport, Linter};
+use axmul_lint::Linter;
 use axmul_nn::{infer_batch, reference_model, ProductTable};
 use axmul_sat::{check_equiv, EquivOutcome, EquivReport, ProofOptions, SatError};
 
-use crate::json::{self, Value};
+use crate::json::Value;
 use crate::ops::{self, ConfigError, ImportError, Side, SideError};
 use crate::proto::{parse_request, render_err, render_ok, ErrorCode, Op, RequestError};
 
@@ -167,15 +167,15 @@ impl Service {
         let stats = &char.stats;
         Ok(Value::obj([
             ("key", Value::str(char.key.clone())),
-            ("bits", Value::num(char.bits)),
+            ("bits", Value::int(char.bits)),
             (
                 "cost",
                 Value::obj([
-                    ("luts", Value::num(char.cost.area.luts as u32)),
-                    ("carry4s", Value::num(cost.area.carry4s as u32)),
-                    ("wasted_sites", Value::num(cost.area.wasted_sites as u32)),
-                    ("dead_outputs", Value::num(cost.area.dead_outputs as u32)),
-                    ("ignored_pins", Value::num(cost.area.ignored_pins as u32)),
+                    ("luts", Value::int(char.cost.area.luts)),
+                    ("carry4s", Value::int(cost.area.carry4s)),
+                    ("wasted_sites", Value::int(cost.area.wasted_sites)),
+                    ("dead_outputs", Value::int(cost.area.dead_outputs)),
+                    ("ignored_pins", Value::int(cost.area.ignored_pins)),
                     ("critical_path_ns", Value::Num(cost.critical_path_ns)),
                     ("energy_per_op", Value::Num(cost.energy_per_op)),
                     ("edp", Value::Num(cost.edp)),
@@ -184,15 +184,12 @@ impl Service {
             (
                 "stats",
                 Value::obj([
-                    ("samples", Value::Num(stats.samples as f64)),
-                    (
-                        "error_occurrences",
-                        Value::Num(stats.error_occurrences as f64),
-                    ),
-                    ("max_error", Value::Num(stats.max_error as f64)),
+                    ("samples", Value::int(stats.samples)),
+                    ("error_occurrences", Value::int(stats.error_occurrences)),
+                    ("max_error", Value::int(stats.max_error)),
                     (
                         "max_error_occurrences",
-                        Value::Num(stats.max_error_occurrences as f64),
+                        Value::int(stats.max_error_occurrences),
                     ),
                     ("avg_error", Value::Num(stats.avg_error)),
                     ("avg_relative_error", Value::Num(stats.avg_relative_error)),
@@ -205,16 +202,14 @@ impl Service {
                     ("rmse", Value::Num(stats.rmse)),
                     (
                         // Worst-case operand witnesses (store v2): pairs
-                        // `[a, b]` attaining `max_error`. Exact in f64 at
-                        // every served width (≤ 16-bit operands).
+                        // `[a, b]` attaining `max_error`.
                         "worst_case_inputs",
                         Value::Arr(
                             stats
                                 .worst_case_inputs
                                 .iter()
-                                .map(|&(a, b)| {
-                                    Value::Arr(vec![Value::Num(a as f64), Value::Num(b as f64)])
-                                })
+                                .copied()
+                                .map(ops::pair)
                                 .collect(),
                         ),
                     ),
@@ -287,10 +282,10 @@ impl Service {
             ("name", Value::str(netlist.name())),
             ("format", Value::str(format.name())),
             ("fingerprint", Value::str(format!("{fp:016x}"))),
-            ("luts", Value::num(netlist.lut_count() as u32)),
-            ("carry4s", Value::num(netlist.carry4_count() as u32)),
-            ("nets", Value::num(netlist.drivers().len() as u32)),
-            ("lint", lint_report_value(&report)),
+            ("luts", Value::int(netlist.lut_count())),
+            ("carry4s", Value::int(netlist.carry4_count())),
+            ("nets", Value::int(netlist.drivers().len())),
+            ("lint", ops::lint_report_value(&report)),
             ("verify_note", verify_note),
             ("characterization", characterization),
         ]))
@@ -358,28 +353,18 @@ impl Service {
                         cex.inputs
                             .iter()
                             .map(|(name, v)| {
-                                Value::Arr(vec![Value::str(name.clone()), Value::Num(*v as f64)])
+                                Value::Arr(vec![Value::str(name.clone()), Value::int(*v)])
                             })
                             .collect(),
                     ),
                 ),
                 (
                     "lhs_outputs",
-                    Value::Arr(
-                        cex.lhs_outputs
-                            .iter()
-                            .map(|&v| Value::Num(v as f64))
-                            .collect(),
-                    ),
+                    Value::Arr(cex.lhs_outputs.iter().map(|&v| Value::int(v)).collect()),
                 ),
                 (
                     "rhs_outputs",
-                    Value::Arr(
-                        cex.rhs_outputs
-                            .iter()
-                            .map(|&v| Value::Num(v as f64))
-                            .collect(),
-                    ),
+                    Value::Arr(cex.rhs_outputs.iter().map(|&v| Value::int(v)).collect()),
                 ),
             ]),
         };
@@ -389,9 +374,9 @@ impl Service {
             ("equivalent", Value::Bool(report.is_equivalent())),
             ("structural", Value::Bool(report.structural)),
             ("counterexample", counterexample),
-            ("solves", Value::Num(report.stats.solves as f64)),
-            ("conflicts", Value::Num(report.stats.conflicts as f64)),
-            ("decisions", Value::Num(report.stats.decisions as f64)),
+            ("solves", Value::int(report.stats.solves)),
+            ("conflicts", Value::int(report.stats.conflicts)),
+            ("decisions", Value::int(report.stats.decisions)),
             ("elapsed_ms", Value::Num(report.stats.elapsed_ms)),
         ]))
     }
@@ -405,7 +390,7 @@ impl Service {
         let report = self
             .linter
             .lint_against(&cfg.assemble(), &char.multiplier());
-        Ok(lint_report_value(&report))
+        Ok(ops::lint_report_value(&report))
     }
 
     fn nn_classify(
@@ -440,12 +425,7 @@ impl Service {
             ("backend", Value::str(config.unwrap_or("exact"))),
             (
                 "predictions",
-                Value::Arr(
-                    predictions
-                        .iter()
-                        .map(|&p| Value::num(u32::from(p)))
-                        .collect(),
-                ),
+                Value::Arr(predictions.iter().map(|&p| Value::int(p)).collect()),
             ),
         ]))
     }
@@ -514,15 +494,13 @@ impl Service {
 
     /// Static bounds from the abstract interpreter. Pure tree walk, no
     /// characterization — the one request type that never touches the
-    /// cache. Reuses the analysis' own JSON rendering (one source of
-    /// truth for the schema); every numeric field fits `f64` exactly at
-    /// the served widths.
+    /// cache. The reply is [`ops::tree_bounds_value`], the document
+    /// `axmul absint --config KEY --json` prints.
     fn absint_query(&self, key: &str) -> Result<Value, (ErrorCode, String)> {
         let cfg = served_config(key)?;
         let analysis = axmul_dse::static_bounds(&cfg)
             .map_err(|e| (ErrorCode::InvalidConfig, e.to_string()))?;
-        json::parse(&analysis.to_json())
-            .map_err(|e| (ErrorCode::Internal, format!("render failed: {e}")))
+        Ok(ops::tree_bounds_value(&analysis))
     }
 
     fn stats(&self) -> Value {
@@ -530,7 +508,7 @@ impl Service {
         let store = self.cache.store().map(|s| {
             Value::obj([
                 ("root", Value::str(s.root().display().to_string())),
-                ("records", Value::num(s.stored_records() as u32)),
+                ("records", Value::int(s.stored_records())),
             ])
         });
         Value::obj([
@@ -540,49 +518,37 @@ impl Service {
                 Value::obj([
                     (
                         "characterize-config",
-                        Value::Num(c.characterize.load(Ordering::Relaxed) as f64),
+                        Value::int(c.characterize.load(Ordering::Relaxed)),
                     ),
-                    (
-                        "lint-netlist",
-                        Value::Num(c.lint.load(Ordering::Relaxed) as f64),
-                    ),
+                    ("lint-netlist", Value::int(c.lint.load(Ordering::Relaxed))),
                     (
                         "nn-classify-batch",
-                        Value::Num(c.nn_classify.load(Ordering::Relaxed) as f64),
+                        Value::int(c.nn_classify.load(Ordering::Relaxed)),
                     ),
-                    (
-                        "dse-query",
-                        Value::Num(c.dse_query.load(Ordering::Relaxed) as f64),
-                    ),
+                    ("dse-query", Value::int(c.dse_query.load(Ordering::Relaxed))),
                     (
                         "absint-query",
-                        Value::Num(c.absint_query.load(Ordering::Relaxed) as f64),
+                        Value::int(c.absint_query.load(Ordering::Relaxed)),
                     ),
                     (
                         "import-netlist",
-                        Value::Num(c.import_netlist.load(Ordering::Relaxed) as f64),
+                        Value::int(c.import_netlist.load(Ordering::Relaxed)),
                     ),
                     (
                         "equiv-check",
-                        Value::Num(c.equiv_check.load(Ordering::Relaxed) as f64),
+                        Value::int(c.equiv_check.load(Ordering::Relaxed)),
                     ),
-                    (
-                        "server-stats",
-                        Value::Num(c.stats.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "errors",
-                        Value::Num(c.errors.load(Ordering::Relaxed) as f64),
-                    ),
+                    ("server-stats", Value::int(c.stats.load(Ordering::Relaxed))),
+                    ("errors", Value::int(c.errors.load(Ordering::Relaxed))),
                 ]),
             ),
             (
                 "cache",
                 Value::obj([
-                    ("hits", Value::Num(self.cache.hits() as f64)),
-                    ("misses", Value::Num(self.cache.misses() as f64)),
-                    ("disk_hits", Value::Num(self.cache.disk_hits() as f64)),
-                    ("builds", Value::Num(self.cache.builds() as f64)),
+                    ("hits", Value::int(self.cache.hits())),
+                    ("misses", Value::int(self.cache.misses())),
+                    ("disk_hits", Value::int(self.cache.disk_hits())),
+                    ("builds", Value::int(self.cache.builds())),
                     // Wall-clock split of this process's cache builds
                     // (netlist assembly vs error sweeps vs packed energy
                     // vs STA), so operators see where characterization
@@ -608,10 +574,7 @@ impl Service {
                             ),
                         ]),
                     ),
-                    (
-                        "store_failures",
-                        Value::Num(self.cache.store_failures() as f64),
-                    ),
+                    ("store_failures", Value::int(self.cache.store_failures())),
                     (
                         "last_store_error",
                         self.cache
@@ -654,17 +617,6 @@ fn counterexample_text(report: &EquivReport) -> String {
     }
 }
 
-/// Converts a [`LintReport`] to a protocol value by parsing the lint
-/// crate's own JSON rendering — one source of truth for the schema.
-fn lint_report_value(report: &LintReport) -> Value {
-    json::parse(&report.to_json()).unwrap_or_else(|e| {
-        Value::obj([
-            ("netlist", Value::str(report.netlist.clone())),
-            ("render_error", Value::str(e.to_string())),
-        ])
-    })
-}
-
 fn dse_result_value(result: &DseResult) -> Value {
     let reports = result
         .reports
@@ -672,14 +624,14 @@ fn dse_result_value(result: &DseResult) -> Value {
         .map(|r| {
             Value::obj([
                 ("key", Value::str(r.key.clone())),
-                ("bits", Value::num(r.bits)),
-                ("luts", Value::num(r.luts as u32)),
+                ("bits", Value::int(r.bits)),
+                ("luts", Value::int(r.luts)),
                 ("critical_path_ns", Value::Num(r.critical_path_ns)),
                 ("energy_per_op", Value::Num(r.energy_per_op)),
                 ("edp", Value::Num(r.edp)),
                 ("avg_error", Value::Num(r.avg_error)),
                 ("avg_relative_error", Value::Num(r.avg_relative_error)),
-                ("max_error", Value::Num(r.max_error as f64)),
+                ("max_error", Value::int(r.max_error)),
                 ("error_probability", Value::Num(r.error_probability)),
                 ("on_lut_front", Value::Bool(r.on_lut_front)),
                 ("on_edp_front", Value::Bool(r.on_edp_front)),
@@ -688,17 +640,18 @@ fn dse_result_value(result: &DseResult) -> Value {
         .collect();
     Value::obj([
         ("reports", Value::Arr(reports)),
-        ("cache_hits", Value::Num(result.cache_hits as f64)),
-        ("cache_misses", Value::Num(result.cache_misses as f64)),
-        ("cache_disk_hits", Value::Num(result.cache_disk_hits as f64)),
-        ("cache_builds", Value::Num(result.cache_builds as f64)),
-        ("elapsed_us", Value::Num(result.elapsed.as_micros() as f64)),
+        ("cache_hits", Value::int(result.cache_hits)),
+        ("cache_misses", Value::int(result.cache_misses)),
+        ("cache_disk_hits", Value::int(result.cache_disk_hits)),
+        ("cache_builds", Value::int(result.cache_builds)),
+        ("elapsed_us", Value::int(result.elapsed.as_micros())),
     ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use crate::proto::{render_request, Request};
 
     fn response(svc: &Service, op: Op) -> Value {
@@ -851,7 +804,7 @@ mod tests {
         // inference.
         assert_eq!(classify(Some("(a A A A A)")), cached);
         let want = infer_batch(reference_model(), &ProductTable::exact(), &images, 1).unwrap();
-        let want = Value::Arr(want.iter().map(|&p| Value::num(u32::from(p))).collect());
+        let want = Value::Arr(want.iter().map(|&p| Value::int(p)).collect());
         assert_eq!(classify(None), want);
     }
 
@@ -1189,7 +1142,8 @@ mod tests {
             assert!(
                 split
                     .get(phase)
-                    .is_some_and(|v| matches!(v, Value::Num(s) if *s >= 0.0)),
+                    .and_then(Value::as_f64)
+                    .is_some_and(|s| s >= 0.0),
                 "missing char_time_s.{phase}"
             );
         }

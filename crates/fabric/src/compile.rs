@@ -715,6 +715,40 @@ const PATTERNS: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
+/// Transposes up to 64 lane values into bit-major words: bit `l` of
+/// word `b` is bit `b` of `lanes[l]`, for `b < width` (words at and above
+/// `width` hold bits the caller ignores). Eight lanes by eight bits at a
+/// time, each block one 8×8 bit-matrix transpose inside a word.
+fn transpose_lanes(lanes: &[u64], width: usize) -> [u64; 64] {
+    debug_assert!(lanes.len() <= 64 && width <= 64);
+    let mut words = [0u64; 64];
+    for (group, eight) in lanes.chunks(8).enumerate() {
+        for byte in 0..width.div_ceil(8) {
+            // Row `i` (byte `i`) is lane `8 * group + i`'s byte `byte`.
+            let mut block = 0u64;
+            for (i, &value) in eight.iter().enumerate() {
+                block |= (value >> (8 * byte) & 0xFF) << (8 * i);
+            }
+            let block = transpose8(block);
+            for (b, word) in words[8 * byte..][..8].iter_mut().enumerate() {
+                *word |= (block >> (8 * b) & 0xFF) << (8 * group);
+            }
+        }
+    }
+    words
+}
+
+/// Transposes the 8×8 bit matrix whose element `(i, j)` is bit `8i + j`
+/// (Hacker's Delight §7-3: three rounds of delta swaps).
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
 /// A reusable multi-word bit-parallel executor over a [`CompiledNetlist`].
 ///
 /// Each value slot holds `[u64; W]`: lane `l` lives in bit `l % 64` of
@@ -771,17 +805,14 @@ impl<'p, const W: usize> CompiledSim<'p, W> {
             });
         }
         for (bus, slots) in inputs.iter().zip(&self.prog.inputs) {
-            for (bit, &slot) in slots.iter().enumerate() {
-                // One register accumulator per 64-lane word: no
-                // read-modify-write of `word` through memory per lane.
-                let mut word = [0u64; W];
-                for (w, chunk) in word.iter_mut().zip(bus.chunks(64)) {
-                    *w = chunk
-                        .iter()
-                        .enumerate()
-                        .fold(0, |acc, (l, &val)| acc | ((val >> bit) & 1) << l);
+            for &slot in slots {
+                self.values[slot as usize] = [0; W];
+            }
+            for (wi, chunk) in bus.chunks(64).enumerate() {
+                let words = transpose_lanes(chunk, slots.len());
+                for (&slot, &word) in slots.iter().zip(&words) {
+                    self.values[slot as usize][wi] = word;
                 }
-                self.values[slot as usize] = word;
             }
         }
         Ok(lanes)
@@ -1182,6 +1213,64 @@ mod tests {
                     let want = eval_with_faults(&nl, &[a, c], &[fault]).unwrap();
                     assert_eq!(out[0][0], want[0], "fault {fault:?} a={a} b={c}");
                     assert_eq!(out[1][0], want[1], "fault {fault:?} a={a} b={c}");
+                }
+            }
+        }
+    }
+
+    /// `load`'s word transpose against the per-lane fold it replaced:
+    /// random lane values (bits above each bus's width set too) on bus
+    /// widths 1–64, at lane counts from 1 to 256 around the 8- and
+    /// 64-lane edges, the width itself and a random count.
+    #[test]
+    fn load_transposes_lanes_like_the_per_lane_fold() {
+        let mut state = 0x7A4E_5B0Fu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for width in 1..=64usize {
+            let mut b = NetlistBuilder::new("buses");
+            let x = b.inputs("x", width);
+            let y = b.inputs("y", 65 - width);
+            b.output_bus("px", &x);
+            b.output_bus("py", &y);
+            let nl = b.finish().unwrap();
+            let prog = CompiledNetlist::compile(&nl);
+            let mut sim: CompiledSim<'_, 4> = prog.simulator();
+            let counts = [
+                1,
+                7,
+                8,
+                9,
+                63,
+                64,
+                65,
+                255,
+                256,
+                1 + (next() % 256) as usize,
+            ];
+            for lanes in counts.into_iter().chain(width..=width) {
+                let buses: Vec<Vec<u64>> = (0..2)
+                    .map(|_| (0..lanes).map(|_| next()).collect())
+                    .collect();
+                sim.load(&[&buses[0], &buses[1]]).unwrap();
+                for (bus, slots) in buses.iter().zip(&prog.inputs) {
+                    for (bit, &slot) in slots.iter().enumerate() {
+                        let mut want = [0u64; 4];
+                        for (w, chunk) in want.iter_mut().zip(bus.chunks(64)) {
+                            *w = chunk
+                                .iter()
+                                .enumerate()
+                                .fold(0, |acc, (l, &val)| acc | ((val >> bit) & 1) << l);
+                        }
+                        assert_eq!(
+                            sim.values[slot as usize], want,
+                            "width {width}, {lanes} lanes, bit {bit}"
+                        );
+                    }
                 }
             }
         }

@@ -52,6 +52,9 @@
 //! the table-level search returns is still replayed through
 //! `Netlist::eval` on the full design.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
 use axmul_fabric::{Cell, Driver, NetId, Netlist};
 
 use crate::encode::{encode_cells, lut_output, Cone};
@@ -78,10 +81,19 @@ struct LeafTerm {
     shift: u32,
     /// Operand nets, `a` then `b`; the table index is their value.
     operands: Vec<NetId>,
-    /// `(q − a·b) − low` per operand index.
-    biased: Vec<u64>,
+    table: Arc<LeafTable>,
+}
+
+/// A leaf's error `q − a·b` over every operand index.
+#[derive(Debug)]
+struct LeafTable {
+    /// Bit `i` of the biased error `(q − a·b) − low`, as a 256-bit
+    /// truth table over the operand index, per bit up to the largest.
+    bits: Vec<[u64; 4]>,
     /// The smallest error of the leaf.
     low: i64,
+    /// The leaf's largest product.
+    max: u128,
 }
 
 /// `2^shift · (S − X)` of one Cc node, over its children's buses.
@@ -109,12 +121,224 @@ struct Node {
     children: Option<[usize; 4]>,
 }
 
+/// Most entries a [`ProofMemo`] holds; a full memo is emptied before
+/// its next insert.
+const MEMO_CAP: usize = 1024;
+
+/// Leaf tables and cut-point verdicts, keyed by their cone's canonical
+/// bytes ([`ConeKey`]) and compared by equality, never by hash alone.
+/// Equal bytes describe the same cells over the same kinds of nets, so
+/// they tabulate to the same table and encode to the same solver calls.
+#[derive(Debug, Default)]
+pub(crate) struct ProofMemo {
+    entries: Mutex<HashMap<Vec<u8>, Memoized>>,
+}
+
+#[derive(Debug, Clone)]
+enum Memoized {
+    Leaf(Arc<LeafTable>),
+    Cut(CutProof),
+}
+
+/// A cut-point verdict and what proving it cost.
+#[derive(Debug, Clone, Copy)]
+struct CutProof {
+    verdict: Option<Summation>,
+    /// The proof's counters (no time); a hit adds them to the effort
+    /// again, so no counter depends on what the memo holds.
+    stats: ProofStats,
+    /// The conflict budget the proof solved under; `None` if it folded
+    /// without a solve and holds under any budget.
+    budget: Option<u64>,
+}
+
+impl ProofMemo {
+    /// The process-wide memo that [`decompose`] uses.
+    pub(crate) fn global() -> &'static ProofMemo {
+        static MEMO: OnceLock<ProofMemo> = OnceLock::new();
+        MEMO.get_or_init(ProofMemo::default)
+    }
+
+    /// The entries. Each update is one map call, so a guard poisoned by
+    /// another thread's panic still holds a valid map.
+    fn entries(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<u8>, Memoized>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: &[u8]) -> Option<Memoized> {
+        self.entries().get(key).cloned()
+    }
+
+    fn insert(&self, key: Vec<u8>, value: Memoized) {
+        let mut entries = self.entries();
+        if entries.len() >= MEMO_CAP && !entries.contains_key(&key) {
+            entries.clear();
+        }
+        entries.insert(key, value);
+    }
+
+    /// How many entries the memo holds.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries().len()
+    }
+}
+
+/// What a net is to a cone, written into its key at the net's first
+/// reference.
+#[derive(Debug, Clone, Copy)]
+enum NetClass {
+    /// A leaf operand bit, by its position in the operand list.
+    Operand(usize),
+    /// A primary input bit, by its position over all input buses.
+    Input(usize),
+    /// A cut child-bus bit, by the order of its free variable.
+    Cut(usize),
+    Const(bool),
+    /// An input net the cone gives no value of its own.
+    OtherInput,
+    /// Driven by a cell.
+    Cell,
+}
+
+impl NetClass {
+    /// A net's class from its driver alone.
+    fn of(netlist: &Netlist, net: NetId) -> NetClass {
+        match netlist.drivers()[net.index()] {
+            Driver::Const(c) => NetClass::Const(c),
+            Driver::Input(..) => NetClass::OtherInput,
+            _ => NetClass::Cell,
+        }
+    }
+}
+
+/// The canonical bytes of a cone: a kind byte and the caller's header
+/// words, then the cone's cells in netlist order (a LUT's INIT, pins and
+/// outputs; a CARRY4's `cin`, `s`, `di` and optional `o`, `co`), then
+/// the caller's buses in order. Nets are numbered by first reference,
+/// and a first reference also writes the net's [`NetClass`]. Every
+/// field has a fixed length per tag, so equal bytes mean equal cones up
+/// to a renaming of nets that keeps each net's class.
+struct ConeKey<'a, F> {
+    netlist: &'a Netlist,
+    class: F,
+    /// Per net, its number in this key (`u32::MAX` if unreferenced);
+    /// reset for the numbered nets by [`ConeKey::finish`].
+    code: &'a mut [u32],
+    numbered: Vec<NetId>,
+    bytes: Vec<u8>,
+}
+
+impl<'a, F: Fn(NetId) -> NetClass> ConeKey<'a, F> {
+    /// A key of `kind` over `netlist`, numbering nets in `code` (one
+    /// `u32::MAX` per net, as `finish` leaves it).
+    fn new(netlist: &'a Netlist, kind: u8, code: &'a mut [u32], class: F) -> Self {
+        ConeKey {
+            netlist,
+            class,
+            code,
+            numbered: Vec::new(),
+            bytes: vec![kind],
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes.extend_from_slice(&w.to_le_bytes());
+    }
+
+    fn net(&mut self, net: NetId) {
+        let code = self.code[net.index()];
+        if code != u32::MAX {
+            self.bytes.push(0);
+            self.bytes.extend_from_slice(&code.to_le_bytes());
+            return;
+        }
+        self.code[net.index()] = self.numbered.len() as u32;
+        self.numbered.push(net);
+        match (self.class)(net) {
+            NetClass::Operand(k) => {
+                self.bytes.push(1);
+                self.word(k as u64);
+            }
+            NetClass::Input(k) => {
+                self.bytes.push(2);
+                self.word(k as u64);
+            }
+            NetClass::Cut(k) => {
+                self.bytes.push(3);
+                self.word(k as u64);
+            }
+            NetClass::Const(c) => self.bytes.extend_from_slice(&[4, u8::from(c)]),
+            NetClass::OtherInput => self.bytes.push(5),
+            NetClass::Cell => self.bytes.push(6),
+        }
+    }
+
+    fn optional(&mut self, net: Option<NetId>) {
+        match net {
+            Some(net) => self.net(net),
+            None => self.bytes.push(7),
+        }
+    }
+
+    /// The cells marked in `keep`, in netlist order.
+    fn cells(&mut self, keep: &[bool]) {
+        let netlist = self.netlist;
+        for (cell, _) in netlist.cells().iter().zip(keep).filter(|(_, &k)| k) {
+            match cell {
+                Cell::Lut {
+                    init,
+                    inputs,
+                    o6,
+                    o5,
+                } => {
+                    self.bytes.push(b'L');
+                    self.word(init.raw());
+                    for &pin in inputs {
+                        self.net(pin);
+                    }
+                    self.net(*o6);
+                    self.optional(*o5);
+                }
+                Cell::Carry4 { cin, s, di, o, co } => {
+                    self.bytes.push(b'C');
+                    self.net(*cin);
+                    for &net in s.iter().chain(di) {
+                        self.net(net);
+                    }
+                    for &net in o.iter().chain(co) {
+                        self.optional(net);
+                    }
+                }
+            }
+        }
+        self.bytes.push(b'E');
+    }
+
+    /// A bus: its width, then its nets in order.
+    fn bus(&mut self, bus: &[NetId]) {
+        self.word(bus.len() as u64);
+        for &net in bus {
+            self.net(net);
+        }
+    }
+
+    fn finish(self) -> Vec<u8> {
+        for net in self.numbered {
+            self.code[net.index()] = u32::MAX;
+        }
+        self.bytes
+    }
+}
+
 /// Verifies `netlist`'s claimed product blocks and decomposes its error
-/// (see the module docs). `None` when the design has no claims or any
+/// (see the module docs), with leaf tables and cut verdicts looked up in
+/// and added to `memo`. `None` when the design has no claims or any
 /// check fails; `Err` only for encoding failures.
 pub(crate) fn decompose(
     netlist: &Netlist,
     opts: &ProofOptions,
+    memo: &ProofMemo,
 ) -> Result<Option<Decomposition>, SatError> {
     if netlist.product_blocks().is_empty() {
         return Ok(None);
@@ -168,14 +392,20 @@ pub(crate) fn decompose(
         next += 1;
     }
 
-    // Step 2: leaf tables; step 4 needs their maxima.
+    // Step 2: leaf tables; step 4 needs their maxima. Memo keys number
+    // their nets in `code`.
+    let mut code = vec![u32::MAX; netlist.net_count()];
     let mut max_value = vec![0u128; nodes.len()];
     let mut leaves = Vec::new();
     for (id, node) in nodes.iter().enumerate() {
         if node.children.is_none() {
-            let (term, max) = tabulate(netlist, node);
-            max_value[id] = max;
-            leaves.push(term);
+            let table = leaf_table(netlist, node, memo, &mut code);
+            max_value[id] = table.max;
+            leaves.push(LeafTerm {
+                shift: node.shift,
+                operands: node.a.iter().chain(&node.b).copied().collect(),
+                table,
+            });
         }
     }
 
@@ -189,7 +419,13 @@ pub(crate) fn decompose(
         };
         let m = node.a.len() / 2;
         let quadrants = children.map(|c| nodes[c].p.clone());
-        let Some(summation) = prove_cut(netlist, node, &quadrants, opts, &mut effort)? else {
+        let (verdict, stats) =
+            cut_verdict(netlist, node, &quadrants, opts, memo, &input_bit, &mut code)?;
+        effort.solves += stats.solves;
+        effort.conflicts += stats.conflicts;
+        effort.decisions += stats.decisions;
+        effort.propagations += stats.propagations;
+        let Some(summation) = verdict else {
             return Ok(None);
         };
         let bound = max_value[children[0]]
@@ -384,15 +620,42 @@ fn cell_driven(netlist: &Netlist, net: NetId) -> bool {
     )
 }
 
-/// Tabulates a leaf's bus by simulating its cone over every operand
-/// pair; returns its error term and its largest value.
-fn tabulate(netlist: &Netlist, node: &Node) -> (LeafTerm, u128) {
-    let operands: Vec<NetId> = node.a.iter().chain(&node.b).copied().collect();
+/// Step 2 for one leaf: its table from `memo`, or tabulated and added.
+fn leaf_table(
+    netlist: &Netlist,
+    node: &Node,
+    memo: &ProofMemo,
+    code: &mut [u32],
+) -> Arc<LeafTable> {
     let (_, in_cone) = fanin(netlist, &node.p, None);
+    let operands: Vec<NetId> = node.a.iter().chain(&node.b).copied().collect();
+    // An operand listed twice takes the value of its last position.
+    let mut key = ConeKey::new(netlist, b'T', code, |net| {
+        match operands.iter().rposition(|&n| n == net) {
+            Some(k) => NetClass::Operand(k),
+            None => NetClass::of(netlist, net),
+        }
+    });
+    key.word(node.a.len() as u64);
+    key.word(node.b.len() as u64);
+    key.cells(&in_cone);
+    key.bus(&node.p);
+    let key = key.finish();
+    if let Some(Memoized::Leaf(table)) = memo.get(&key) {
+        return table;
+    }
+    let table = Arc::new(tabulate(netlist, node, &operands, &in_cone));
+    memo.insert(key, Memoized::Leaf(Arc::clone(&table)));
+    table
+}
+
+/// Tabulates a leaf's bus by simulating its cone (`in_cone`, per cell)
+/// over every operand pair.
+fn tabulate(netlist: &Netlist, node: &Node, operands: &[NetId], in_cone: &[bool]) -> LeafTable {
     let cone: Vec<&Cell> = netlist
         .cells()
         .iter()
-        .zip(&in_cone)
+        .zip(in_cone)
         .filter_map(|(cell, &keep)| keep.then_some(cell))
         .collect();
     let mut values = vec![false; netlist.net_count()];
@@ -422,13 +685,22 @@ fn tabulate(netlist: &Netlist, node: &Node) -> (LeafTerm, u128) {
         errors.push(q as i64 - (a * b) as i64);
     }
     let low = errors.iter().copied().min().unwrap_or(0);
-    let term = LeafTerm {
-        shift: node.shift,
-        operands,
-        biased: errors.iter().map(|e| (e - low) as u64).collect(),
+    let biased: Vec<u64> = errors.iter().map(|e| (e - low) as u64).collect();
+    let width = 64 - biased.iter().max().map_or(0, |m| m.leading_zeros());
+    let bits = (0..width)
+        .map(|bit| {
+            let mut table = [0u64; 4];
+            for (index, &value) in biased.iter().enumerate() {
+                table[index / 64] |= (value >> bit & 1) << (index % 64);
+            }
+            table
+        })
+        .collect();
+    LeafTable {
+        bits,
         low,
-    };
-    (term, u128::from(max))
+        max: u128::from(max),
+    }
 }
 
 /// Fresh solver signals for every input bus and constant net.
@@ -450,40 +722,114 @@ fn fresh_inputs(solver: &mut Solver, netlist: &Netlist) -> (Vec<Sig>, Vec<bool>)
     (nets, defined)
 }
 
-/// Step 3: proves `node`'s bus equals the Cc or Ca combination of its
-/// children's buses cut to free variables; `None` if neither holds.
-fn prove_cut(
+/// Step 3 for one node: its verdict and what its proof cost, from
+/// `memo`, or proven by [`prove_cut`] and added. `input_bit` is each
+/// net's primary-input bit; `code` numbers the key's nets.
+fn cut_verdict(
     netlist: &Netlist,
     node: &Node,
     quadrants: &[Vec<NetId>; 4],
     opts: &ProofOptions,
-    effort: &mut ProofStats,
-) -> Result<Option<Summation>, SatError> {
-    let mut solver = Solver::new();
-    let (mut nets, mut defined) = fresh_inputs(&mut solver, netlist);
+    memo: &ProofMemo,
+    input_bit: &[Option<u8>],
+    code: &mut [u32],
+) -> Result<(Option<Summation>, ProofStats), SatError> {
     // Cell-driven bus bits become free variables; constant and input
     // bits keep their signals, which is all the values they can take.
     let mut cut = vec![false; netlist.net_count()];
+    let mut cut_vars = Vec::new();
     for &net in quadrants.iter().flatten() {
         if cell_driven(netlist, net) {
-            nets[net.index()] = Sig::Lit(solver.new_var());
-            defined[net.index()] = true;
             cut[net.index()] = true;
+            cut_vars.push(net);
         }
     }
     let (_, keep) = fanin(netlist, &node.p, Some(&cut));
+
+    // A bus bit listed twice gets two variables, and keeps the last.
+    let mut key = ConeKey::new(netlist, b'P', code, |net| {
+        if let Some(k) = cut_vars.iter().rposition(|&n| n == net) {
+            NetClass::Cut(k)
+        } else if let Some(k) = input_bit[net.index()] {
+            NetClass::Input(usize::from(k))
+        } else {
+            NetClass::of(netlist, net)
+        }
+    });
+    let input_bits: usize = netlist
+        .input_buses()
+        .iter()
+        .map(|(_, bits)| bits.len())
+        .sum();
+    key.word(input_bits as u64);
+    key.word(cut_vars.len() as u64);
+    key.word(node.a.len() as u64);
+    key.cells(&keep);
+    key.bus(&node.p);
+    for bus in quadrants {
+        key.bus(bus);
+    }
+    let key = key.finish();
+    if let Some(Memoized::Cut(cut)) = memo.get(&key) {
+        if cut.budget.is_none_or(|b| b == opts.max_conflicts) {
+            return Ok((cut.verdict, cut.stats));
+        }
+    }
+    let (verdict, stats, solved) =
+        prove_cut(netlist, node, quadrants, &cut_vars, &cut, &keep, opts)?;
+    memo.insert(
+        key,
+        Memoized::Cut(CutProof {
+            verdict,
+            stats,
+            budget: solved.then_some(opts.max_conflicts),
+        }),
+    );
+    Ok((verdict, stats))
+}
+
+/// Proves `node`'s bus equals the Cc or Ca combination of its children's
+/// buses, whose cell-driven bits (`cut_vars`, marked in `cut`) are cut to
+/// free variables, over the cells marked in `keep`. Returns the verdict
+/// (`None` if neither holds), what the proof cost, and whether it
+/// needed a solve.
+fn prove_cut(
+    netlist: &Netlist,
+    node: &Node,
+    quadrants: &[Vec<NetId>; 4],
+    cut_vars: &[NetId],
+    cut: &[bool],
+    keep: &[bool],
+    opts: &ProofOptions,
+) -> Result<(Option<Summation>, ProofStats, bool), SatError> {
+    let mut solver = Solver::new();
+    let (mut nets, mut defined) = fresh_inputs(&mut solver, netlist);
+    for &net in cut_vars {
+        nets[net.index()] = Sig::Lit(solver.new_var());
+        defined[net.index()] = true;
+    }
     encode_cells(
         &mut solver,
         netlist,
         &mut nets,
         &mut defined,
         Cone {
-            keep: Some(&keep),
-            cut: Some(&cut),
+            keep: Some(keep),
+            cut: Some(cut),
         },
     )?;
+    let stats = |solver: &Solver| {
+        let s = solver.stats();
+        ProofStats {
+            solves: s.solves,
+            conflicts: s.conflicts,
+            decisions: s.decisions,
+            propagations: s.propagations,
+            elapsed_ms: 0.0,
+        }
+    };
     if node.p.iter().any(|n| !defined[n.index()]) {
-        return Ok(None);
+        return Ok((None, stats(&solver), false));
     }
     let p: Vec<Sig> = node.p.iter().map(|n| nets[n.index()]).collect();
     let q = quadrants
@@ -501,9 +847,9 @@ fn prove_cut(
     });
     // The paper's combiners hash onto `combine`'s gates, so their miter
     // folds to false; any other cone goes to the solver.
-    let proven = miters
-        .iter()
-        .find(|(_, miter)| *miter == Sig::FALSE)
+    let folded = miters.iter().find(|(_, miter)| *miter == Sig::FALSE);
+    let solved = folded.is_none() && miters.iter().any(|(_, miter)| matches!(miter, Sig::Lit(_)));
+    let proven = folded
         .or_else(|| {
             miters.iter().find(|(_, miter)| match *miter {
                 Sig::Const(_) => false,
@@ -511,12 +857,7 @@ fn prove_cut(
             })
         })
         .map(|&(summation, _)| summation);
-    let stats = solver.stats();
-    effort.solves += stats.solves;
-    effort.conflicts += stats.conflicts;
-    effort.decisions += stats.decisions;
-    effort.propagations += stats.propagations;
-    Ok(proven)
+    Ok((proven, stats(&solver), solved))
 }
 
 /// The `4m` bits of the Cc or Ca combination of four `2m`-bit quadrant
@@ -586,18 +927,14 @@ pub(crate) fn encode_error(
     let mut low_sum: i128 = 0;
     for leaf in &decomposition.leaves {
         let pins: Vec<Sig> = leaf.operands.iter().map(|n| nets[n.index()]).collect();
-        let width = 64 - leaf.biased.iter().max().map_or(0, |m| m.leading_zeros());
-        let bits = (0..width)
-            .map(|bit| {
-                let mut table = [0u64; 4];
-                for (index, &value) in leaf.biased.iter().enumerate() {
-                    table[index / 64] |= (value >> bit & 1) << (index % 64);
-                }
-                table_output(solver, &table, &pins)
-            })
+        let bits = leaf
+            .table
+            .bits
+            .iter()
+            .map(|table| table_output(solver, table, &pins))
             .collect();
         errors.push((leaf.shift, bits));
-        low_sum += i128::from(leaf.low) << leaf.shift;
+        low_sum += i128::from(leaf.table.low) << leaf.shift;
     }
 
     // Σ 2^s·(S − X) over the Cc nodes, from the design's own cones.
@@ -684,13 +1021,19 @@ fn table_output(solver: &mut Solver, table: &[u64; 4], pins: &[Sig]) -> Sig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wce::{prove_wce_in, WceOptions, WceProof};
     use axmul_baselines::{kulkarni_netlist, rehman_netlist};
-    use axmul_core::structural::{ca_netlist, cc_netlist};
+    use axmul_core::behavioral::Summation as Combiner;
+    use axmul_core::structural::{
+        approx_4x4_netlist, ca_netlist, cc_netlist, combine_partial_products,
+    };
     use axmul_dse::Config;
+    use axmul_fabric::compile::CompiledNetlist;
+    use axmul_fabric::{Init, NetlistBuilder};
 
     /// Decomposes `nl` and checks that every cut point folded.
     fn assert_folds(nl: &Netlist) {
-        let decomposition = decompose(nl, &ProofOptions::default())
+        let decomposition = decompose(nl, &ProofOptions::default(), &ProofMemo::default())
             .expect("encodable")
             .unwrap_or_else(|| panic!("{}: claims must verify", nl.name()));
         assert_eq!(
@@ -717,6 +1060,200 @@ mod tests {
     fn every_8x8_config_folds_its_cut_point() {
         for cfg in Config::enumerate(8) {
             assert_folds(&cfg.assemble());
+        }
+    }
+
+    /// Everything a proof reports but its time.
+    fn outcome(proof: &WceProof) -> (u128, (u64, u64), u32, [u64; 4], bool) {
+        let s = proof.stats;
+        (
+            proof.wce,
+            proof.witness,
+            proof.ascent_steps,
+            [s.solves, s.conflicts, s.decisions, s.propagations],
+            proof.engine == crate::WceEngine::Compositional,
+        )
+    }
+
+    fn prove_in(nl: &Netlist, memo: &ProofMemo) -> WceProof {
+        prove_wce_in(nl, &WceOptions::default(), memo).expect("provable")
+    }
+
+    /// Exhaustive max |P − A·B| of an 8×8 netlist.
+    fn swept_wce(nl: &Netlist) -> u128 {
+        let mut worst = 0u128;
+        CompiledNetlist::compile(nl)
+            .for_each_operand_pair_in(0..1 << 16, |a, b, out| {
+                worst = worst.max(u128::from(out[0]).abs_diff(u128::from(a * b)));
+            })
+            .expect("sweep");
+        worst
+    }
+
+    /// A Cc 8×8 quad of approximate 4×4 leaves with honest claims, the
+    /// `hh` leaf replaced by `top`.
+    fn quad_with_top(top: &Netlist) -> Netlist {
+        let leaf = approx_4x4_netlist();
+        let mut bld = NetlistBuilder::new("quad");
+        let a = bld.inputs("a", 8);
+        let b = bld.inputs("b", 8);
+        let (al, ah) = a.split_at(4);
+        let (bl, bh) = b.split_at(4);
+        let mut q: Vec<Vec<NetId>> = Vec::new();
+        for (i, (x, y)) in [(al, bl), (ah, bl), (al, bh), (ah, bh)]
+            .into_iter()
+            .enumerate()
+        {
+            let part = if i == 3 { top } else { &leaf };
+            q.push(bld.instantiate(part, &[x, y]).remove(0));
+            bld.claim_product(x, y, &q[i]);
+        }
+        let p = combine_partial_products(&mut bld, &q[0], &q[1], &q[2], &q[3], Combiner::CarryFree);
+        bld.output_bus("p", &p);
+        bld.finish().expect("well-formed")
+    }
+
+    /// The approximate 4×4 leaf with its first LUT changed by `edit`,
+    /// checked to compute a different function.
+    fn edited_leaf(edit: impl Fn(&mut Cell)) -> Netlist {
+        let good = approx_4x4_netlist();
+        let mut cells = good.cells().to_vec();
+        let first = cells
+            .iter()
+            .position(|c| matches!(c, Cell::Lut { .. }))
+            .expect("a LUT");
+        edit(&mut cells[first]);
+        let edited = Netlist::from_parts(
+            "edited",
+            good.drivers().to_vec(),
+            cells,
+            good.input_buses().to_vec(),
+            good.output_buses().to_vec(),
+        );
+        let differs = (0..256u64).any(|i| {
+            let ab = [i & 15, i >> 4];
+            edited.eval(&ab).expect("eval") != good.eval(&ab).expect("eval")
+        });
+        assert!(differs, "the edit must change the leaf's function");
+        edited
+    }
+
+    #[test]
+    fn cones_differing_in_one_init_bit_or_a_pin_order_get_their_own_entries() {
+        let memo = ProofMemo::default();
+        let good = quad_with_top(&approx_4x4_netlist());
+        let proof = prove_in(&good, &memo);
+        assert_eq!(proof.wce, swept_wce(&good));
+        // Four equal leaves and one cut: two entries.
+        assert_eq!(memo.len(), 2);
+
+        let flipped = quad_with_top(&edited_leaf(|cell| {
+            if let Cell::Lut { init, .. } = cell {
+                // The table bit at the all-ones index of its live pins.
+                let live = (0..6u8)
+                    .filter(|&k| init.depends_on(k))
+                    .fold(0, |m, k| m | 1 << k);
+                *init = Init::from_raw(init.raw() ^ 1 << live);
+            }
+        }));
+        let swapped = quad_with_top(&edited_leaf(|cell| {
+            if let Cell::Lut { init, inputs, .. } = cell {
+                let live: Vec<usize> = (0..6).filter(|&k| init.depends_on(k as u8)).collect();
+                inputs.swap(live[0], live[1]);
+            }
+        }));
+        for (variant, entries) in [(&flipped, 3), (&swapped, 4)] {
+            let proof = prove_in(variant, &memo);
+            assert_eq!(proof.engine, crate::WceEngine::Compositional);
+            assert_eq!(
+                proof.wce,
+                swept_wce(variant),
+                "the edited design's own truth"
+            );
+            // Only the edited leaf is new: the other leaves and the cut hit.
+            assert_eq!(memo.len(), entries);
+        }
+        // The edits change the answer, so a shared entry would show.
+        assert_ne!(swept_wce(&flipped), swept_wce(&good));
+    }
+
+    #[test]
+    fn warm_proofs_repeat_every_counter_of_cold_ones() {
+        let designs = [
+            ca_netlist(8).expect("width"),
+            cc_netlist(16).expect("width"),
+            kulkarni_netlist(16).expect("width"),
+            "(c T3 T1 T3 A)".parse::<Config>().expect("key").assemble(),
+            "(a T2 A A A)".parse::<Config>().expect("key").assemble(),
+        ];
+        let memo = ProofMemo::default();
+        let cold: Vec<_> = designs
+            .iter()
+            .map(|nl| outcome(&prove_in(nl, &memo)))
+            .collect();
+        let entries = memo.len();
+        assert!(entries > 0);
+        let warm: Vec<_> = designs
+            .iter()
+            .map(|nl| outcome(&prove_in(nl, &memo)))
+            .collect();
+        assert_eq!(memo.len(), entries, "a warm proof hits every entry");
+        assert_eq!(cold, warm);
+    }
+
+    /// The twelve 8×8 designs of the benchmark's `sat-wce` workload.
+    const SAT_WCE_KEYS: [&str; 12] = [
+        "(a T2 A T3 T3)",
+        "(a T2 T2 T3 A)",
+        "(a T3 T2 T3 T3)",
+        "(c T3 T1 T3 A)",
+        "(c T3 T3 T2 A)",
+        "(c T2 A T1 T3)",
+        "(c T1 T2 A A)",
+        "(c T2 A A A)",
+        "(a T2 A A A)",
+        "(c A T2 T3 A)",
+        "(a T3 T2 A A)",
+        "(c T3 T1 T1 T3)",
+    ];
+
+    #[test]
+    fn two_threads_on_one_cleared_memo_prove_what_one_thread_proves() {
+        let designs: Vec<Netlist> = SAT_WCE_KEYS
+            .iter()
+            .map(|key| key.parse::<Config>().expect("key").assemble())
+            .collect();
+        let sequential: Vec<_> = designs
+            .iter()
+            .map(|nl| outcome(&prove_in(nl, &ProofMemo::default())))
+            .collect();
+        let shared = ProofMemo::default();
+        let barrier = std::sync::Barrier::new(2);
+        let runs: Vec<Vec<_>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = [false, true]
+                .map(|reversed| {
+                    let (designs, shared, barrier) = (&designs, &shared, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let mut order: Vec<usize> = (0..designs.len()).collect();
+                        if reversed {
+                            order.reverse();
+                        }
+                        let mut out = vec![None; designs.len()];
+                        for i in order {
+                            out[i] = Some(outcome(&prove_in(&designs[i], shared)));
+                        }
+                        out.into_iter().map(|o| o.expect("proven")).collect()
+                    })
+                })
+                .into();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("prover thread"))
+                .collect()
+        });
+        for run in runs {
+            assert_eq!(run, sequential);
         }
     }
 }

@@ -216,6 +216,98 @@ fn o5_table(raw: u64) -> u64 {
     low | low << 32
 }
 
+/// Truth table of variable `j` over six variables: bit `m` is bit `j`
+/// of `m`.
+const VAR_MASKS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// A LUT table reduced over its distinct support variables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Reduced {
+    /// Bit `m` is the output when support variable `vars[slot]` takes
+    /// bit `slot` of `m`; no bits at or above `2^k`.
+    table: u64,
+    /// The variables the table depends on, ascending; `vars[..k]`.
+    vars: [u32; 6],
+    k: usize,
+}
+
+/// Substitutes constant, repeated and negated pins into `table` and
+/// drops the variables the result ignores. Word-level: the pins become
+/// truth tables over the support slots, the table is composed with them
+/// by one mux level per pin (63 word muxes), and each slot's dependence
+/// is one compare against its [`VAR_MASKS`] cofactor.
+fn reduce(table: u64, pins: &[Sig; 6]) -> Reduced {
+    let mut vars = [0u32; 6];
+    let mut k = 0;
+    for pin in pins {
+        if let Sig::Lit(l) = pin {
+            if !vars[..k].contains(&l.var()) {
+                vars[k] = l.var();
+                k += 1;
+            }
+        }
+    }
+    vars[..k].sort_unstable();
+    debug_assert!(k <= 6);
+
+    // Shannon expansion on I0, then I1, …: `words[j]` is the cofactor of
+    // the pins consumed so far, as a function of the support slots.
+    let mut words = [0u64; 64];
+    for (index, word) in words.iter_mut().enumerate() {
+        *word = 0u64.wrapping_sub(table >> index & 1);
+    }
+    for (level, pin) in pins.iter().enumerate() {
+        let select = match pin {
+            Sig::Const(b) => 0u64.wrapping_sub(u64::from(*b)),
+            Sig::Lit(l) => {
+                let slot = vars[..k].partition_point(|&v| v < l.var());
+                VAR_MASKS[slot] ^ 0u64.wrapping_sub(u64::from(l.is_neg()))
+            }
+        };
+        for j in 0..32 >> level {
+            words[j] = (select & words[2 * j + 1]) | (!select & words[2 * j]);
+        }
+    }
+    let mut word = words[0];
+
+    // Drop the variables the table ignores (an O5 half never reads I5,
+    // and the ternary adder's O5 never reads I3): each is moved to the
+    // top slot by adjacent swaps, where it no longer shows.
+    for slot in (0..k).rev() {
+        let shift = 1 << slot;
+        if (word ^ word >> shift) & !VAR_MASKS[slot] != 0 {
+            continue;
+        }
+        for i in slot..5 {
+            let t = (word ^ word >> (1 << i)) & VAR_MASKS[i] & !VAR_MASKS[i + 1];
+            word ^= t ^ t << (1 << i);
+        }
+        vars.copy_within(slot + 1..k, slot);
+        k -= 1;
+    }
+    Reduced {
+        table: word & table_mask(k),
+        vars,
+        k,
+    }
+}
+
+/// The bits of a `k`-variable truth table.
+fn table_mask(k: usize) -> u64 {
+    if k == 6 {
+        u64::MAX
+    } else {
+        (1u64 << (1 << k)) - 1
+    }
+}
+
 /// Encodes one LUT output. The 64-bit table is reduced over the
 /// distinct variable pins (in variable order) and then over the
 /// variables it really depends on. Constants and copies fold; a parity,
@@ -224,51 +316,12 @@ fn o5_table(raw: u64) -> u64 {
 /// with gate-level logic of the same function; any other table gets
 /// ISOP cofactor clauses for a fresh output variable.
 pub(crate) fn lut_output(solver: &mut Solver, table: u64, pins: &[Sig; 6]) -> Sig {
-    // Distinct support variables. A pin is either constant, or a
-    // literal over some variable (possibly negated, possibly shared
-    // with another pin).
-    let mut vars: Vec<u32> = pins
-        .iter()
-        .filter_map(|pin| match pin {
-            Sig::Lit(l) => Some(l.var()),
-            Sig::Const(_) => None,
-        })
-        .collect();
-    vars.sort_unstable();
-    vars.dedup();
-    let mut k = vars.len();
-    debug_assert!(k <= 6);
-    let slot_of = pins.map(|pin| match pin {
-        Sig::Lit(l) => vars.partition_point(|&v| v < l.var()),
-        Sig::Const(_) => 0,
-    });
-
-    // Reduced table over the k support variables (by *value* of the
-    // variable, with per-pin polarity folded in).
-    let mut rtab = 0u64;
-    for m in 0u64..(1 << k) {
-        let mut idx = 0u64;
-        for (i, pin) in pins.iter().enumerate() {
-            let bit = match pin {
-                Sig::Const(b) => *b,
-                Sig::Lit(l) => ((m >> slot_of[i]) & 1 == 1) ^ l.is_neg(),
-            };
-            idx |= (bit as u64) << i;
-        }
-        if (table >> idx) & 1 == 1 {
-            rtab |= 1 << m;
-        }
-    }
-    // Drop the variables the table ignores (an O5 half never reads I5,
-    // and the ternary adder's O5 never reads I3).
-    for slot in (0..k).rev() {
-        let low = cofactor(rtab, k, slot, false);
-        if low == cofactor(rtab, k, slot, true) {
-            rtab = low;
-            vars.remove(slot);
-            k -= 1;
-        }
-    }
+    let Reduced {
+        table: rtab,
+        vars,
+        k,
+    } = reduce(table, pins);
+    let vars = &vars[..k];
     let lit = |slot: usize, negated: bool| Sig::Lit(Lit::new(vars[slot], negated));
 
     if k == 0 {
@@ -278,14 +331,8 @@ pub(crate) fn lut_output(solver: &mut Solver, table: u64, pins: &[Sig; 6]) -> Si
         // Depends on its one variable: a copy (0b10) or an inversion.
         return lit(0, rtab == 0b01);
     }
-    let mask: u64 = if k == 6 {
-        u64::MAX
-    } else {
-        (1u64 << (1 << k)) - 1
-    };
-    let parity = (0u64..1 << k)
-        .filter(|m| m.count_ones() % 2 == 1)
-        .fold(0u64, |t, m| t | 1 << m);
+    let mask = table_mask(k);
+    let parity = VAR_MASKS[..k].iter().fold(0, |t, v| t ^ v) & mask;
     if rtab == parity || rtab == !parity & mask {
         let operands: Vec<Sig> = (0..k).map(|slot| lit(slot, false)).collect();
         let out = gates::xor_many(solver, &operands);
@@ -306,10 +353,9 @@ pub(crate) fn lut_output(solver: &mut Solver, table: u64, pins: &[Sig; 6]) -> Si
         // maj(x₀ ⊕ n₀, x₁ ⊕ n₁, x₂ ⊕ n₂) for some polarity mask n; its
         // complement is the majority of the complemented inputs.
         for neg in 0u64..8 {
-            let majority = (0u64..8)
-                .filter(|m| (m ^ neg).count_ones() >= 2)
-                .fold(0u64, |t, m| t | 1 << m);
-            if rtab == majority {
+            let [x, y, z] =
+                [0, 1, 2].map(|slot| VAR_MASKS[slot] ^ 0u64.wrapping_sub(neg >> slot & 1));
+            if rtab == (x & y | y & z | x & z) & mask {
                 let [a, b, c] = [0, 1, 2].map(|slot| lit(slot, neg >> slot & 1 == 1));
                 return gates::maj(solver, a, b, c);
             }
@@ -337,7 +383,7 @@ pub(crate) fn lut_output(solver: &mut Solver, table: u64, pins: &[Sig; 6]) -> Si
         for &cube in &cubes {
             clause.clear();
             clause.push(head);
-            push_cube_negation(&mut clause, cube, &vars);
+            push_cube_negation(&mut clause, cube, vars);
             solver.add_clause(&clause);
         }
     }
@@ -369,11 +415,7 @@ fn push_cube_negation(clause: &mut Vec<Lit>, cube: Cube, vars: &[u32]) {
 /// variable's cofactors are the table's halves, and each cover comes
 /// back from the recursion.
 fn isop(l: u64, u: u64, k: usize, out: &mut Vec<Cube>) -> u64 {
-    let full: u64 = if k == 6 {
-        u64::MAX
-    } else {
-        (1u64 << (1 << k)) - 1
-    };
+    let full = table_mask(k);
     debug_assert_eq!(l & !u, 0);
     debug_assert_eq!(u & !full, 0);
     if l == 0 {
@@ -403,21 +445,6 @@ fn isop(l: u64, u: u64, k: usize, out: &mut Vec<Cube>) -> u64 {
     let l_star = (l0 & !cov0) | (l1 & !cov1);
     let cov_star = isop(l_star, u0 & u1, j, out);
     (cov0 | cov_star) | (cov1 | cov_star) << half
-}
-
-/// Cofactor of a `k`-variable table with respect to variable `j`,
-/// compacted to `k-1` variables.
-fn cofactor(t: u64, k: usize, j: usize, v: bool) -> u64 {
-    let mut out = 0u64;
-    for m in 0u64..(1 << (k - 1)) {
-        let low = m & ((1 << j) - 1);
-        let high = m >> j;
-        let idx = low | ((v as u64) << j) | (high << (j + 1));
-        if (t >> idx) & 1 == 1 {
-            out |= 1 << m;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -470,6 +497,116 @@ mod tests {
         check_isop(0, 4);
         check_isop(u64::MAX, 6);
         check_isop(Init::XOR2.raw(), 2);
+    }
+
+    /// The per-minterm reduction `reduce` replaced, kept as its oracle:
+    /// every minterm of the support is mapped through the six pins, then
+    /// ignored variables are cofactored out one at a time.
+    fn reduce_by_minterms(table: u64, pins: &[Sig; 6]) -> (u64, Vec<u32>) {
+        fn cofactor(t: u64, k: usize, j: usize, v: bool) -> u64 {
+            let mut out = 0u64;
+            for m in 0u64..(1 << (k - 1)) {
+                let low = m & ((1 << j) - 1);
+                let high = m >> j;
+                let idx = low | ((v as u64) << j) | (high << (j + 1));
+                if (t >> idx) & 1 == 1 {
+                    out |= 1 << m;
+                }
+            }
+            out
+        }
+        let mut vars: Vec<u32> = pins
+            .iter()
+            .filter_map(|pin| match pin {
+                Sig::Lit(l) => Some(l.var()),
+                Sig::Const(_) => None,
+            })
+            .collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let mut k = vars.len();
+        let slot_of = pins.map(|pin| match pin {
+            Sig::Lit(l) => vars.partition_point(|&v| v < l.var()),
+            Sig::Const(_) => 0,
+        });
+        let mut rtab = 0u64;
+        for m in 0u64..(1 << k) {
+            let mut idx = 0u64;
+            for (i, pin) in pins.iter().enumerate() {
+                let bit = match pin {
+                    Sig::Const(b) => *b,
+                    Sig::Lit(l) => ((m >> slot_of[i]) & 1 == 1) ^ l.is_neg(),
+                };
+                idx |= (bit as u64) << i;
+            }
+            if (table >> idx) & 1 == 1 {
+                rtab |= 1 << m;
+            }
+        }
+        for slot in (0..k).rev() {
+            let low = cofactor(rtab, k, slot, false);
+            if low == cofactor(rtab, k, slot, true) {
+                rtab = low;
+                vars.remove(slot);
+                k -= 1;
+            }
+        }
+        (rtab, vars)
+    }
+
+    #[test]
+    fn word_level_reduction_matches_the_minterm_oracle() {
+        let mut state = 0x0DD_B1A5_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Pins drawn from two constants and four variables in both
+        // polarities, so patterns repeat, negate and fold; tables are
+        // random, sparse, dense, or depend on few pins.
+        let shapes = [u64::MAX, 0x0101_0101_0101_0101, 0xFFFF_FFFF, 0xF0F0];
+        for round in 0..20_000 {
+            let raw = next();
+            let table = match round % 4 {
+                0 => raw,
+                1 => raw & next() & next(),
+                2 => raw | next() | next(),
+                _ => {
+                    let t = raw & shapes[(next() % 4) as usize];
+                    t | t << 32
+                }
+            };
+            let draw = next();
+            let pins: [Sig; 6] = std::array::from_fn(|i| {
+                let code = draw >> (8 * i) & 0xFF;
+                match code % 10 {
+                    0 => Sig::FALSE,
+                    1 => Sig::TRUE,
+                    c => Sig::Lit(Lit::new(1 + (c as u32 - 2) % 4 * 3, code & 0x80 != 0)),
+                }
+            });
+            let reduced = reduce(table, &pins);
+            let (oracle_table, oracle_vars) = reduce_by_minterms(table, &pins);
+            assert_eq!(
+                (reduced.table, &reduced.vars[..reduced.k]),
+                (oracle_table, &oracle_vars[..]),
+                "table {table:#x}, pins {pins:?}"
+            );
+        }
+        // Every pin a distinct variable: the table itself, less the
+        // variables it ignores.
+        let distinct: [Sig; 6] = std::array::from_fn(|i| Sig::Lit(Lit::new(i as u32 + 1, false)));
+        for _ in 0..1000 {
+            let table = next();
+            let reduced = reduce(table, &distinct);
+            let (oracle_table, oracle_vars) = reduce_by_minterms(table, &distinct);
+            assert_eq!(
+                (reduced.table, &reduced.vars[..reduced.k]),
+                (oracle_table, &oracle_vars[..])
+            );
+        }
     }
 
     /// Exhaustively compares an encoded netlist against `Netlist::eval`.

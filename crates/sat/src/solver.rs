@@ -177,6 +177,12 @@ pub struct Solver {
     stats: SolverStats,
     learned_cap: u64,
     cache: HashMap<GateKey, Lit>,
+    /// The clause [`Solver::analyze`] learns, asserting literal first.
+    learnt: Vec<Lit>,
+    /// Variables `analyze` marked seen.
+    to_clear: Vec<u32>,
+    /// The clause [`Solver::add_clause`] normalizes.
+    normalized: Vec<Lit>,
 }
 
 impl Default for Solver {
@@ -209,6 +215,9 @@ impl Solver {
             stats: SolverStats::default(),
             learned_cap: 20_000,
             cache: HashMap::new(),
+            learnt: Vec::new(),
+            to_clear: Vec::new(),
+            normalized: Vec::new(),
         };
         let t = s.new_var();
         s.add_clause(&[t]);
@@ -306,7 +315,29 @@ impl Solver {
             return;
         }
         self.backtrack(0);
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
+        let mut c = std::mem::take(&mut self.normalized);
+        c.clear();
+        if self.normalize(lits, &mut c) {
+            match c.len() {
+                0 => self.ok = false,
+                1 => {
+                    self.enqueue(c[0], NO_REASON);
+                    if self.propagate().is_some() {
+                        self.ok = false;
+                    }
+                }
+                _ => {
+                    self.attach(&c, false, 0.0);
+                }
+            }
+        }
+        self.normalized = c;
+    }
+
+    /// Appends `lits` to `c` less duplicates and literals false at
+    /// level 0; `false` if the clause is a tautology or already
+    /// satisfied.
+    fn normalize(&mut self, lits: &[Lit], c: &mut Vec<Lit>) -> bool {
         for &l in lits {
             if l.var() >= self.num_vars() {
                 // Hostile input: grow rather than panic.
@@ -315,29 +346,18 @@ impl Solver {
                 }
             }
             if c.contains(&!l) {
-                return; // tautology
+                return false; // tautology
             }
             match self.value_lit(l) {
-                1 => return,    // satisfied at level 0
-                -1 => continue, // falsified at level 0: drop the literal
+                1 => return false, // satisfied at level 0
+                -1 => continue,    // falsified at level 0: drop the literal
                 _ => {}
             }
             if !c.contains(&l) {
                 c.push(l);
             }
         }
-        match c.len() {
-            0 => self.ok = false,
-            1 => {
-                self.enqueue(c[0], NO_REASON);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                }
-            }
-            _ => {
-                self.attach(&c, false, 0.0);
-            }
-        }
+        true
     }
 
     fn enqueue(&mut self, l: Lit, reason: u32) {
@@ -442,11 +462,12 @@ impl Solver {
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (with
-    /// the asserting literal at index 0) and the backjump level.
-    fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::new(0, false)];
-        let mut to_clear: Vec<u32> = Vec::new();
+    /// First-UIP conflict analysis into `self.learnt` (the asserting
+    /// literal at index 0); returns the backjump level.
+    fn analyze(&mut self, conflict: u32) -> u32 {
+        self.learnt.clear();
+        self.learnt.push(Lit::new(0, false));
+        self.to_clear.clear();
         let mut path_c = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -462,11 +483,11 @@ impl Solver {
                 if !self.seen[v as usize] && self.level[v as usize] > 0 {
                     self.var_bump(v);
                     self.seen[v as usize] = true;
-                    to_clear.push(v);
+                    self.to_clear.push(v);
                     if self.level[v as usize] >= self.decision_level() {
                         path_c += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
@@ -486,23 +507,27 @@ impl Solver {
             confl = self.reason[pl.var() as usize];
             debug_assert_ne!(confl, NO_REASON, "interior UIP-path literal has a reason");
         }
-        learnt[0] = !p.expect("conflict analysis found the UIP");
+        self.learnt[0] = !p.expect("conflict analysis found the UIP");
 
-        // Basic (reason-local) minimization.
-        let keep: Vec<Lit> = learnt[1..]
-            .iter()
-            .copied()
-            .filter(|&q| !self.lit_redundant(q))
-            .collect();
-        learnt.truncate(1);
-        learnt.extend(keep);
+        // Basic (reason-local) minimization, in place: the seen marks
+        // it reads are not changed until every literal is judged.
+        let mut kept = 1;
+        for i in 1..self.learnt.len() {
+            let q = self.learnt[i];
+            if !self.lit_redundant(q) {
+                self.learnt[kept] = q;
+                kept += 1;
+            }
+        }
+        self.learnt.truncate(kept);
 
-        for v in to_clear {
+        for &v in &self.to_clear {
             self.seen[v as usize] = false;
         }
 
         // Backjump level: highest level among the non-asserting lits.
-        let bt = if learnt.len() == 1 {
+        let learnt = &mut self.learnt;
+        if learnt.len() == 1 {
             0
         } else {
             let mut max_i = 1;
@@ -513,8 +538,7 @@ impl Solver {
             }
             learnt.swap(1, max_i);
             self.level[learnt[1].var() as usize]
-        };
-        (learnt, bt)
+        }
     }
 
     fn lit_redundant(&self, q: Lit) -> bool {
@@ -528,18 +552,18 @@ impl Solver {
             .all(|&l| self.seen[l.var() as usize] || self.level[l.var() as usize] == 0)
     }
 
-    fn learn(&mut self, learnt: Vec<Lit>) {
+    /// Adds `self.learnt` and asserts its first literal.
+    fn learn(&mut self) {
         self.stats.conflicts += 1;
-        let assert_lit = learnt[0];
-        match learnt.len() {
-            1 => {
-                self.enqueue(assert_lit, NO_REASON);
-            }
-            _ => {
-                let idx = self.attach(&learnt, true, self.cla_inc);
-                self.stats.learned += 1;
-                self.enqueue(assert_lit, idx);
-            }
+        let assert_lit = self.learnt[0];
+        if self.learnt.len() == 1 {
+            self.enqueue(assert_lit, NO_REASON);
+        } else {
+            let learnt = std::mem::take(&mut self.learnt);
+            let idx = self.attach(&learnt, true, self.cla_inc);
+            self.learnt = learnt;
+            self.stats.learned += 1;
+            self.enqueue(assert_lit, idx);
         }
         self.var_inc /= 0.95;
         self.cla_inc /= 0.999;
@@ -698,9 +722,9 @@ impl Solver {
                     // under these assumptions (but not globally).
                     return SearchOutcome::Unsat;
                 }
-                let (learnt, bt) = self.analyze(confl);
+                let bt = self.analyze(confl);
                 self.backtrack(bt);
-                self.learn(learnt);
+                self.learn();
                 conflicts_here += 1;
                 if self.stats.conflicts >= budget_end {
                     return SearchOutcome::BudgetExhausted;

@@ -23,12 +23,17 @@
 //! Only those answers pay the full refutation cost, and by then the
 //! solver has learned the instance. The result is the exact worst-case
 //! error with a witness input that achieves it, both independently
-//! confirmed by replay.
+//! confirmed by replay: the final witness goes through `Netlist::eval`
+//! once more before it is returned, since a seed witness was only ever
+//! simulated by the compiled engine.
 //!
 //! When the design carries product-block provenance that checks out
 //! (see the private `compose` module), the same ascent runs over a CNF
 //! with no multiplier in it: per-leaf error tables, weighted by their
-//! shifts, plus the carry-drop terms of carry-free levels.
+//! shifts, plus the carry-drop terms of carry-free levels. Leaf tables
+//! and cut-point verdicts come from a process-wide memo keyed by each
+//! cone's canonical bytes, and a reused verdict adds its proof's
+//! counters back, so no [`ProofStats`] field depends on the memo.
 //! [`WceProof::engine`] says which CNF the proof used.
 
 use std::time::Instant;
@@ -36,7 +41,7 @@ use std::time::Instant;
 use axmul_fabric::compile::CompiledNetlist;
 use axmul_fabric::Netlist;
 
-use crate::compose;
+use crate::compose::{self, ProofMemo};
 use crate::equiv::{multiplier_interface, solve_with_split, split_order, ProofOptions, ProofStats};
 use crate::gates::{self, Side, Sig};
 use crate::solver::Solver;
@@ -116,9 +121,19 @@ pub struct WceProof {
 ///
 /// [`SatError::Interface`]/[`SatError::Width`] for non-multiplier
 /// shapes, [`SatError::Budget`] if the refutation defeats the budget
-/// even after case-splitting, [`SatError::Replay`] if a model fails to
-/// replay (soundness self-check).
+/// even after case-splitting, [`SatError::Replay`] if a model, or the
+/// returned witness, fails to replay (soundness self-check).
 pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatError> {
+    prove_wce_in(netlist, opts, ProofMemo::global())
+}
+
+/// [`prove_wce`], with a compositional proof's leaf tables and cut
+/// verdicts looked up in and added to `memo`.
+pub(crate) fn prove_wce_in(
+    netlist: &Netlist,
+    opts: &WceOptions,
+    memo: &ProofMemo,
+) -> Result<WceProof, SatError> {
     let (wa, wb) = multiplier_interface(netlist)?;
     let started = Instant::now();
 
@@ -180,7 +195,7 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
         .map_err(|e| SatError::Replay(e.to_string()))?;
 
     // Encode D = P − E once; side comparators accrete per round.
-    let decomposition = compose::decompose(netlist, &opts.proof)?;
+    let decomposition = compose::decompose(netlist, &opts.proof, memo)?;
     let mut solver = Solver::new();
     let before = solver.stats();
     let (engine, effort, inputs, diff) = match &decomposition {
@@ -240,6 +255,15 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
                 ascent_steps += 1;
             }
         }
+    }
+
+    // A seed witness was only ever simulated by the compiled engine.
+    let (e, _) = err_at(witness.0, witness.1)?;
+    if e != m {
+        return Err(SatError::Replay(format!(
+            "witness ({}, {}) of the worst-case error {m} replays to an error of {e}",
+            witness.0, witness.1
+        )));
     }
 
     let after = solver.stats();

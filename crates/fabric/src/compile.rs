@@ -650,14 +650,39 @@ impl CompiledNetlist {
             sim.load(&[&a[..n], &b[..n]])?;
             sim.run();
             for wi in 0..n.div_ceil(64) {
-                let lanes_here = self.gather_rows(&sim, wi, n, &mut rows);
-                for l in 0..lanes_here {
+                self.transpose_rows(&sim, wi, &mut rows);
+                for l in 0..(n - 64 * wi).min(64) {
                     let lane = 64 * wi + l;
                     visit(a[lane], b[lane], &rows[l * n_buses..][..n_buses]);
                 }
             }
             if n < LANES {
                 return Ok(());
+            }
+        }
+    }
+
+    /// Transposes word `wi` of `sim`'s output slots into lane-major
+    /// `rows` (`rows[l * buses + j]` = output bus `j` on lane `l` of the
+    /// word) for all 64 lanes, by 8×8 bit blocks: a listed pass's
+    /// outputs are dense, where [`CompiledNetlist::gather_rows`]'s
+    /// scatter pays per set bit.
+    fn transpose_rows<const W: usize>(
+        &self,
+        sim: &CompiledSim<'_, W>,
+        wi: usize,
+        rows: &mut [u64],
+    ) {
+        let n_buses = self.outputs.len();
+        let mut bits = [0u64; 64];
+        for (j, bus) in self.outputs.iter().enumerate() {
+            for (word, &slot) in bits.iter_mut().zip(bus) {
+                *word = sim.values[slot as usize][wi];
+            }
+            // Bit rows are lanes of the transposed matrix, and back.
+            let lanes = transpose_lanes(&bits[..bus.len()], 64);
+            for (l, &value) in lanes.iter().enumerate() {
+                rows[l * n_buses + j] = value;
             }
         }
     }

@@ -55,7 +55,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use axmul_fabric::{Cell, Driver, NetId, Netlist};
+use axmul_fabric::{Cell, Driver, NetId, Netlist, ProductBlock};
 
 use crate::encode::{encode_cells, lut_output, Cone};
 use crate::equiv::{ProofOptions, ProofStats};
@@ -225,20 +225,43 @@ struct ConeKey<'a, F> {
     /// Per net, its number in this key (`u32::MAX` if unreferenced);
     /// reset for the numbered nets by [`ConeKey::finish`].
     code: &'a mut [u32],
+    numbered: &'a mut Vec<NetId>,
+    bytes: &'a mut Vec<u8>,
+}
+
+/// What writing a [`ConeKey`] needs, kept from key to key.
+struct KeyBuffers {
+    code: Vec<u32>,
     numbered: Vec<NetId>,
     bytes: Vec<u8>,
 }
 
+impl KeyBuffers {
+    fn new(netlist: &Netlist) -> Self {
+        KeyBuffers {
+            code: vec![u32::MAX; netlist.net_count()],
+            numbered: Vec::new(),
+            bytes: Vec::new(),
+        }
+    }
+}
+
 impl<'a, F: Fn(NetId) -> NetClass> ConeKey<'a, F> {
-    /// A key of `kind` over `netlist`, numbering nets in `code` (one
-    /// `u32::MAX` per net, as `finish` leaves it).
-    fn new(netlist: &'a Netlist, kind: u8, code: &'a mut [u32], class: F) -> Self {
+    /// A key of `kind` over `netlist`, written into `buffers`.
+    fn new(netlist: &'a Netlist, kind: u8, buffers: &'a mut KeyBuffers, class: F) -> Self {
+        let KeyBuffers {
+            code,
+            numbered,
+            bytes,
+        } = buffers;
+        bytes.clear();
+        bytes.push(kind);
         ConeKey {
             netlist,
             class,
             code,
-            numbered: Vec::new(),
-            bytes: vec![kind],
+            numbered,
+            bytes,
         }
     }
 
@@ -281,11 +304,11 @@ impl<'a, F: Fn(NetId) -> NetClass> ConeKey<'a, F> {
         }
     }
 
-    /// The cells marked in `keep`, in netlist order.
-    fn cells(&mut self, keep: &[bool]) {
+    /// The cells at `cells`, indices in netlist order.
+    fn cells(&mut self, cells: &[usize]) {
         let netlist = self.netlist;
-        for (cell, _) in netlist.cells().iter().zip(keep).filter(|(_, &k)| k) {
-            match cell {
+        for &index in cells {
+            match &netlist.cells()[index] {
                 Cell::Lut {
                     init,
                     inputs,
@@ -323,8 +346,9 @@ impl<'a, F: Fn(NetId) -> NetClass> ConeKey<'a, F> {
         }
     }
 
-    fn finish(self) -> Vec<u8> {
-        for net in self.numbered {
+    /// The key's bytes; every net's number is reset.
+    fn finish(self) -> &'a [u8] {
+        for net in self.numbered.drain(..) {
             self.code[net.index()] = u32::MAX;
         }
         self.bytes
@@ -358,6 +382,8 @@ pub(crate) fn decompose(
         return Ok(None);
     }
     let support = supports(netlist, &input_bit);
+    let blocks = BlockIndex::new(netlist.product_blocks());
+    let mut scratch = Scratch::new(netlist);
 
     // Step 1: the tree, children found by their operand nets.
     let mut nodes = vec![Node {
@@ -369,7 +395,14 @@ pub(crate) fn decompose(
     }];
     let mut next = 0;
     while next < nodes.len() {
-        let Some(children) = find_children(netlist, &nodes[next], &support, &input_bit) else {
+        let Some(children) = find_children(
+            netlist,
+            &nodes[next],
+            &blocks,
+            &mut scratch.fanin,
+            &support,
+            &input_bit,
+        ) else {
             return Ok(None);
         };
         if let Some(children) = children {
@@ -392,14 +425,12 @@ pub(crate) fn decompose(
         next += 1;
     }
 
-    // Step 2: leaf tables; step 4 needs their maxima. Memo keys number
-    // their nets in `code`.
-    let mut code = vec![u32::MAX; netlist.net_count()];
+    // Step 2: leaf tables; step 4 needs their maxima.
     let mut max_value = vec![0u128; nodes.len()];
     let mut leaves = Vec::new();
     for (id, node) in nodes.iter().enumerate() {
         if node.children.is_none() {
-            let table = leaf_table(netlist, node, memo, &mut code);
+            let table = leaf_table(netlist, node, memo, &mut scratch);
             max_value[id] = table.max;
             leaves.push(LeafTerm {
                 shift: node.shift,
@@ -419,8 +450,15 @@ pub(crate) fn decompose(
         };
         let m = node.a.len() / 2;
         let quadrants = children.map(|c| nodes[c].p.clone());
-        let (verdict, stats) =
-            cut_verdict(netlist, node, &quadrants, opts, memo, &input_bit, &mut code)?;
+        let (verdict, stats) = cut_verdict(
+            netlist,
+            node,
+            &quadrants,
+            opts,
+            memo,
+            &input_bit,
+            &mut scratch,
+        )?;
         effort.solves += stats.solves;
         effort.conflicts += stats.conflicts;
         effort.decisions += stats.decisions;
@@ -521,36 +559,135 @@ fn supports(netlist: &Netlist, input_bit: &[Option<u8>]) -> Vec<u64> {
     sup
 }
 
-/// The nets and cells in the transitive fan-in of `roots`, not walking
-/// past nets marked in `stop`.
-fn fanin(netlist: &Netlist, roots: &[NetId], stop: Option<&[bool]>) -> (Vec<bool>, Vec<bool>) {
-    let mut nets = vec![false; netlist.net_count()];
-    let mut cells = vec![false; netlist.cells().len()];
-    let mut stack: Vec<NetId> = roots.to_vec();
-    while let Some(net) = stack.pop() {
-        if std::mem::replace(&mut nets[net.index()], true) || stop.is_some_and(|s| s[net.index()]) {
-            continue;
-        }
-        let cell = match netlist.drivers()[net.index()] {
-            Driver::LutO6(c)
-            | Driver::LutO5(c)
-            | Driver::CarrySum(c, _)
-            | Driver::CarryCout(c, _) => c.index(),
-            Driver::Input(..) | Driver::Const(_) => continue,
-        };
-        if std::mem::replace(&mut cells[cell], true) {
-            continue;
-        }
-        match &netlist.cells()[cell] {
-            Cell::Lut { inputs, .. } => stack.extend(inputs),
-            Cell::Carry4 { cin, s, di, .. } => {
-                stack.push(*cin);
-                stack.extend(s);
-                stack.extend(di);
-            }
+/// Transitive fan-in walks over one netlist. The marks are reused from
+/// walk to walk: each walk clears only what the one before it set.
+struct Fanin<'a> {
+    netlist: &'a Netlist,
+    /// Per net: reached by the last walk.
+    net_marks: Vec<bool>,
+    /// Per cell: in the last walk's cone.
+    cell_marks: Vec<bool>,
+    nets: Vec<NetId>,
+    /// The last walk's cells, in netlist order.
+    cells: Vec<usize>,
+    stack: Vec<NetId>,
+}
+
+impl<'a> Fanin<'a> {
+    fn new(netlist: &'a Netlist) -> Self {
+        Fanin {
+            netlist,
+            net_marks: vec![false; netlist.net_count()],
+            cell_marks: vec![false; netlist.cells().len()],
+            nets: Vec::new(),
+            cells: Vec::new(),
+            stack: Vec::new(),
         }
     }
-    (nets, cells)
+
+    /// Walks the nets and cells in the transitive fan-in of `roots`, not
+    /// walking past nets marked in `stop` (those are reached, their
+    /// drivers are not).
+    fn walk(&mut self, roots: &[NetId], stop: Option<&[bool]>) {
+        for net in self.nets.drain(..) {
+            self.net_marks[net.index()] = false;
+        }
+        for cell in self.cells.drain(..) {
+            self.cell_marks[cell] = false;
+        }
+        let netlist = self.netlist;
+        self.stack.extend_from_slice(roots);
+        while let Some(net) = self.stack.pop() {
+            if std::mem::replace(&mut self.net_marks[net.index()], true) {
+                continue;
+            }
+            self.nets.push(net);
+            if stop.is_some_and(|s| s[net.index()]) {
+                continue;
+            }
+            let cell = match netlist.drivers()[net.index()] {
+                Driver::LutO6(c)
+                | Driver::LutO5(c)
+                | Driver::CarrySum(c, _)
+                | Driver::CarryCout(c, _) => c.index(),
+                Driver::Input(..) | Driver::Const(_) => continue,
+            };
+            if std::mem::replace(&mut self.cell_marks[cell], true) {
+                continue;
+            }
+            self.cells.push(cell);
+            match &netlist.cells()[cell] {
+                Cell::Lut { inputs, .. } => self.stack.extend(inputs),
+                Cell::Carry4 { cin, s, di, .. } => {
+                    self.stack.push(*cin);
+                    self.stack.extend(s);
+                    self.stack.extend(di);
+                }
+            }
+        }
+        self.cells.sort_unstable();
+    }
+
+    /// Whether the last walk reached `net`.
+    fn reached(&self, net: NetId) -> bool {
+        self.net_marks[net.index()]
+    }
+
+    /// The last walk's cells, as a per-cell mask.
+    fn cell_mask(&self) -> &[bool] {
+        &self.cell_marks
+    }
+}
+
+/// A netlist's product blocks, ordered by their operand buses so the
+/// claims over one pair of buses are found by binary search.
+struct BlockIndex<'a> {
+    blocks: &'a [ProductBlock],
+    order: Vec<usize>,
+}
+
+impl<'a> BlockIndex<'a> {
+    fn new(blocks: &'a [ProductBlock]) -> Self {
+        let mut order: Vec<usize> = (0..blocks.len()).collect();
+        order.sort_unstable_by_key(|&i| (blocks[i].a(), blocks[i].b()));
+        BlockIndex { blocks, order }
+    }
+
+    /// The blocks whose operands are exactly `a` and `b`.
+    fn over<'s>(
+        &'s self,
+        a: &'s [NetId],
+        b: &'s [NetId],
+    ) -> impl Iterator<Item = &'a ProductBlock> + 's {
+        let start = self
+            .order
+            .partition_point(|&i| (self.blocks[i].a(), self.blocks[i].b()) < (a, b));
+        self.order[start..]
+            .iter()
+            .map(|&i| &self.blocks[i])
+            .take_while(move |blk| blk.a() == a && blk.b() == b)
+    }
+}
+
+/// The buffers one [`decompose`] reuses from node to node.
+struct Scratch<'a> {
+    fanin: Fanin<'a>,
+    key: KeyBuffers,
+    /// Per net: cut to a free variable in the cut-point proof at hand.
+    cut: Vec<bool>,
+    /// The cut nets, in bus order; a bit listed twice is here twice.
+    cut_vars: Vec<NetId>,
+}
+
+impl<'a> Scratch<'a> {
+    fn new(netlist: &'a Netlist) -> Self {
+        Scratch {
+            fanin: Fanin::new(netlist),
+            key: KeyBuffers::new(netlist),
+            cut: vec![false; netlist.net_count()],
+            cut_vars: Vec::new(),
+        }
+    }
 }
 
 /// The four claimed children of `node` (`Some(None)` if it has none),
@@ -558,6 +695,8 @@ fn fanin(netlist: &Netlist, roots: &[NetId], stop: Option<&[bool]>) -> (Vec<bool
 fn find_children(
     netlist: &Netlist,
     node: &Node,
+    blocks: &BlockIndex<'_>,
+    fanin: &mut Fanin<'_>,
     support: &[u64],
     input_bit: &[Option<u8>],
 ) -> Option<Option<[Node; 4]>> {
@@ -565,14 +704,14 @@ fn find_children(
     if node.a.len() % 2 == 1 {
         return Some(None);
     }
-    let (in_cone, _) = fanin(netlist, &node.p, None);
+    fanin.walk(&node.p, None);
     let mut found: Vec<Node> = Vec::with_capacity(4);
     for (ha, hb) in QUADRANTS {
         let a = &node.a[ha as usize * half..][..half];
         let b = &node.b[hb as usize * half..][..half];
-        let mut matches = netlist.product_blocks().iter().filter(|blk| {
-            blk.a() == a && blk.b() == b && blk.p().iter().all(|n| in_cone[n.index()])
-        });
+        let mut matches = blocks
+            .over(a, b)
+            .filter(|blk| blk.p().iter().all(|&n| fanin.reached(n)));
         match (matches.next(), matches.next()) {
             (Some(blk), None) => found.push(Node {
                 a: a.to_vec(),
@@ -625,12 +764,14 @@ fn leaf_table(
     netlist: &Netlist,
     node: &Node,
     memo: &ProofMemo,
-    code: &mut [u32],
+    scratch: &mut Scratch<'_>,
 ) -> Arc<LeafTable> {
-    let (_, in_cone) = fanin(netlist, &node.p, None);
+    let Scratch { fanin, key, .. } = scratch;
+    let buffers = key;
+    fanin.walk(&node.p, None);
     let operands: Vec<NetId> = node.a.iter().chain(&node.b).copied().collect();
     // An operand listed twice takes the value of its last position.
-    let mut key = ConeKey::new(netlist, b'T', code, |net| {
+    let mut key = ConeKey::new(netlist, b'T', buffers, |net| {
         match operands.iter().rposition(|&n| n == net) {
             Some(k) => NetClass::Operand(k),
             None => NetClass::of(netlist, net),
@@ -638,26 +779,21 @@ fn leaf_table(
     });
     key.word(node.a.len() as u64);
     key.word(node.b.len() as u64);
-    key.cells(&in_cone);
+    key.cells(&fanin.cells);
     key.bus(&node.p);
     let key = key.finish();
-    if let Some(Memoized::Leaf(table)) = memo.get(&key) {
+    if let Some(Memoized::Leaf(table)) = memo.get(key) {
         return table;
     }
-    let table = Arc::new(tabulate(netlist, node, &operands, &in_cone));
-    memo.insert(key, Memoized::Leaf(Arc::clone(&table)));
+    let table = Arc::new(tabulate(netlist, node, &operands, &fanin.cells));
+    memo.insert(key.to_vec(), Memoized::Leaf(Arc::clone(&table)));
     table
 }
 
-/// Tabulates a leaf's bus by simulating its cone (`in_cone`, per cell)
-/// over every operand pair.
-fn tabulate(netlist: &Netlist, node: &Node, operands: &[NetId], in_cone: &[bool]) -> LeafTable {
-    let cone: Vec<&Cell> = netlist
-        .cells()
-        .iter()
-        .zip(in_cone)
-        .filter_map(|(cell, &keep)| keep.then_some(cell))
-        .collect();
+/// Tabulates a leaf's bus by simulating its cone (`cells`, indices in
+/// netlist order) over every operand pair.
+fn tabulate(netlist: &Netlist, node: &Node, operands: &[NetId], cells: &[usize]) -> LeafTable {
+    let cone: Vec<&Cell> = cells.iter().map(|&c| &netlist.cells()[c]).collect();
     let mut values = vec![false; netlist.net_count()];
     for (net, driver) in netlist.drivers().iter().enumerate() {
         if let Driver::Const(c) = driver {
@@ -724,7 +860,7 @@ fn fresh_inputs(solver: &mut Solver, netlist: &Netlist) -> (Vec<Sig>, Vec<bool>)
 
 /// Step 3 for one node: its verdict and what its proof cost, from
 /// `memo`, or proven by [`prove_cut`] and added. `input_bit` is each
-/// net's primary-input bit; `code` numbers the key's nets.
+/// net's primary-input bit.
 fn cut_verdict(
     netlist: &Netlist,
     node: &Node,
@@ -732,22 +868,29 @@ fn cut_verdict(
     opts: &ProofOptions,
     memo: &ProofMemo,
     input_bit: &[Option<u8>],
-    code: &mut [u32],
+    scratch: &mut Scratch<'_>,
 ) -> Result<(Option<Summation>, ProofStats), SatError> {
+    let Scratch {
+        fanin,
+        key: buffers,
+        cut,
+        cut_vars,
+    } = scratch;
     // Cell-driven bus bits become free variables; constant and input
     // bits keep their signals, which is all the values they can take.
-    let mut cut = vec![false; netlist.net_count()];
-    let mut cut_vars = Vec::new();
+    for net in cut_vars.drain(..) {
+        cut[net.index()] = false;
+    }
     for &net in quadrants.iter().flatten() {
         if cell_driven(netlist, net) {
             cut[net.index()] = true;
             cut_vars.push(net);
         }
     }
-    let (_, keep) = fanin(netlist, &node.p, Some(&cut));
+    fanin.walk(&node.p, Some(cut));
 
     // A bus bit listed twice gets two variables, and keeps the last.
-    let mut key = ConeKey::new(netlist, b'P', code, |net| {
+    let mut key = ConeKey::new(netlist, b'P', buffers, |net| {
         if let Some(k) = cut_vars.iter().rposition(|&n| n == net) {
             NetClass::Cut(k)
         } else if let Some(k) = input_bit[net.index()] {
@@ -764,21 +907,21 @@ fn cut_verdict(
     key.word(input_bits as u64);
     key.word(cut_vars.len() as u64);
     key.word(node.a.len() as u64);
-    key.cells(&keep);
+    key.cells(&fanin.cells);
     key.bus(&node.p);
     for bus in quadrants {
         key.bus(bus);
     }
     let key = key.finish();
-    if let Some(Memoized::Cut(cut)) = memo.get(&key) {
-        if cut.budget.is_none_or(|b| b == opts.max_conflicts) {
-            return Ok((cut.verdict, cut.stats));
+    if let Some(Memoized::Cut(proof)) = memo.get(key) {
+        if proof.budget.is_none_or(|b| b == opts.max_conflicts) {
+            return Ok((proof.verdict, proof.stats));
         }
     }
-    let (verdict, stats, solved) =
-        prove_cut(netlist, node, quadrants, &cut_vars, &cut, &keep, opts)?;
+    let keep = fanin.cell_mask();
+    let (verdict, stats, solved) = prove_cut(netlist, node, quadrants, cut_vars, cut, keep, opts)?;
     memo.insert(
-        key,
+        key.to_vec(),
         Memoized::Cut(CutProof {
             verdict,
             stats,
@@ -945,9 +1088,10 @@ pub(crate) fn encode_error(
         .collect();
     let mut drops: Vec<(u32, Vec<Sig>)> = Vec::new();
     if !roots.is_empty() {
-        let (_, keep) = fanin(netlist, &roots, None);
+        let mut fanin = Fanin::new(netlist);
+        fanin.walk(&roots, None);
         let cone = Cone {
-            keep: Some(&keep),
+            keep: Some(fanin.cell_mask()),
             cut: None,
         };
         encode_cells(solver, netlist, &mut nets, &mut defined, cone)?;

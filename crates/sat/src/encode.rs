@@ -375,16 +375,14 @@ pub(crate) fn lut_output(solver: &mut Solver, table: u64, pins: &[Sig; 6]) -> Si
     let out = solver.new_var();
     // On-set cubes imply the output; off-set cubes imply its negation.
     let offset = !rtab & mask;
-    let mut cubes = Vec::new();
-    let mut clause = Vec::with_capacity(k + 1);
+    let mut cubes = Cubes::new();
     for (head, table) in [(out, rtab), (!out, offset)] {
-        cubes.clear();
+        cubes.len = 0;
         isop(table, table, k, &mut cubes);
-        for &cube in &cubes {
-            clause.clear();
-            clause.push(head);
-            push_cube_negation(&mut clause, cube, vars);
-            solver.add_clause(&clause);
+        for &cube in cubes.as_slice() {
+            let mut clause = [head; 7];
+            let len = 1 + cube_negation(&mut clause[1..], cube, vars);
+            solver.add_clause(&clause[..len]);
         }
     }
     solver.cache_gate(key, out);
@@ -398,14 +396,46 @@ struct Cube {
     neg: u8,
 }
 
-fn push_cube_negation(clause: &mut Vec<Lit>, cube: Cube, vars: &[u32]) {
-    for (slot, &v) in vars.iter().enumerate() {
-        if cube.pos >> slot & 1 == 1 {
-            clause.push(Lit::new(v, true));
-        } else if cube.neg >> slot & 1 == 1 {
-            clause.push(Lit::new(v, false));
+/// The cubes of one cover, in the order [`isop`] emits them. A cover of
+/// a table with `n` on-minterms has at most `n ≤ 64` cubes, so the array
+/// holds any cover.
+struct Cubes {
+    list: [Cube; 64],
+    len: usize,
+}
+
+impl Cubes {
+    fn new() -> Self {
+        Cubes {
+            list: [Cube::default(); 64],
+            len: 0,
         }
     }
+
+    fn push(&mut self, cube: Cube) {
+        self.list[self.len] = cube;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[Cube] {
+        &self.list[..self.len]
+    }
+}
+
+/// Writes the negation of `cube` over `vars` into the front of `out`
+/// and returns how many literals it wrote.
+fn cube_negation(out: &mut [Lit], cube: Cube, vars: &[u32]) -> usize {
+    let mut n = 0;
+    for (slot, &v) in vars.iter().enumerate() {
+        if cube.pos >> slot & 1 == 1 {
+            out[n] = Lit::new(v, true);
+            n += 1;
+        } else if cube.neg >> slot & 1 == 1 {
+            out[n] = Lit::new(v, false);
+            n += 1;
+        }
+    }
+    n
 }
 
 /// Minato–Morreale irredundant SOP of an incompletely specified
@@ -413,8 +443,10 @@ fn push_cube_negation(clause: &mut Vec<Lit>, cube: Cube, vars: &[u32]) {
 /// `u` (`l ⊆ u`, no bits above the table), over `k` variables of a
 /// ≤64-bit truth table, and returns the table they cover. The top
 /// variable's cofactors are the table's halves, and each cover comes
-/// back from the recursion.
-fn isop(l: u64, u: u64, k: usize, out: &mut Vec<Cube>) -> u64 {
+/// back from the recursion. It appends at most `popcount(l)` cubes: the
+/// two cofactor calls cover `l0 ∧ ¬u1` and `l1 ∧ ¬u0`, and the third
+/// covers only what they left of `l`.
+fn isop(l: u64, u: u64, k: usize, out: &mut Cubes) -> u64 {
     let full = table_mask(k);
     debug_assert_eq!(l & !u, 0);
     debug_assert_eq!(u & !full, 0);
@@ -432,14 +464,14 @@ fn isop(l: u64, u: u64, k: usize, out: &mut Vec<Cube>) -> u64 {
     let (l0, l1) = (l & low, l >> half);
     let (u0, u1) = (u & low, u >> half);
 
-    let start = out.len();
+    let start = out.len;
     let cov0 = isop(l0 & !u1, u0, j, out);
-    for c in &mut out[start..] {
+    for c in &mut out.list[start..out.len] {
         c.neg |= 1 << j;
     }
-    let start = out.len();
+    let start = out.len;
     let cov1 = isop(l1 & !u0, u1, j, out);
-    for c in &mut out[start..] {
+    for c in &mut out.list[start..out.len] {
         c.pos |= 1 << j;
     }
     let l_star = (l0 & !cov0) | (l1 & !cov1);
@@ -475,10 +507,14 @@ mod tests {
             (1u64 << (1 << k)) - 1
         };
         let table = table & mask;
-        let mut cubes = Vec::new();
+        let mut cubes = Cubes::new();
         let cover = isop(table, table, k, &mut cubes);
         assert_eq!(cover, table, "k={k} t={table:x}");
-        assert_eq!(cover_table(&cubes, k), table, "k={k} t={table:x}");
+        assert_eq!(cover_table(cubes.as_slice(), k), table, "k={k} t={table:x}");
+        assert!(
+            cubes.len <= table.count_ones() as usize,
+            "k={k} t={table:x}"
+        );
     }
 
     #[test]
